@@ -29,7 +29,6 @@ from .errors import (
 from .homology import (
     DEFAULT_FIELDS,
     _boundary_columns,
-    _kernel_basis,
     _rank,
     betti,
     check_field,
@@ -252,11 +251,11 @@ def certify_k_shelled(b: Complex, k: int, budget: SearchBudget | None = None) ->
         state = 1 << seed_i
         if state in dead:
             continue
-        # frames: (state, vmask, pending child moves, move that entered)
-        stack = [(state, vbits[seed_i], None, None)]
+        # frames: (state, vmask, pending child moves)
+        stack = [(state, vbits[seed_i], None)]
         path: list[tuple[int, ShellingMove]] = []
         while stack:
-            cur, vmask, pending, entered = stack[-1]
+            cur, vmask, pending = stack[-1]
             if cur == full:
                 moves = tuple(mv for _, mv in path)
                 seed = Complex([facets[seed_i]])
@@ -277,14 +276,14 @@ def certify_k_shelled(b: Complex, k: int, budget: SearchBudget | None = None) ->
                     cutoff = True
                     break
                 pending = moves_from(cur, vmask)
-                stack[-1] = (cur, vmask, pending, entered)
+                stack[-1] = (cur, vmask, pending)
             advanced = False
             while pending:
                 j, mv = pending.pop(0)
                 nxt = cur | (1 << j)
                 if nxt in dead:
                     continue
-                stack.append((nxt, vmask | vbits[j], None, mv))
+                stack.append((nxt, vmask | vbits[j], None))
                 path.append((j, mv))
                 advanced = True
                 break
@@ -408,10 +407,10 @@ def _exhaustive_search(s: Complex, lo: int, budget: SearchBudget):
     d = s.dimension
     counters = {"nodes": 0, "seed": budget.seed}
     dead: set[str] = set()
-    stack = [(s, None, None)]
+    stack = [(s, None)]
     path: list[BistellarMove] = []
     while stack:
-        current, pending, entered = stack[-1]
+        current, pending = stack[-1]
         if is_standard_sphere(current):
             return list(path), current, counters
         if pending is None:
@@ -419,14 +418,14 @@ def _exhaustive_search(s: Complex, lo: int, budget: SearchBudget):
             if counters["nodes"] > budget.max_nodes:
                 return None, None, counters
             pending = list(bistellar_options(current, lo, d))
-            stack[-1] = (current, pending, entered)
+            stack[-1] = (current, pending)
         advanced = False
         while pending:
             mv = pending.pop(0)
             nxt = apply_bistellar(current, mv)
             if nxt.digest in dead:
                 continue
-            stack.append((nxt, None, mv))
+            stack.append((nxt, None))
             path.append(mv)
             advanced = True
             break
@@ -873,35 +872,24 @@ def required_tight_beta(k: int, n: int) -> tuple[int, int]:
     return math.comb(n - k - 3, k + 1), math.comb(2 * k + 3, k + 1)
 
 
-def _induced_rank_injective(x: Complex, y: Complex, j: int, field: int, x_cols_cache) -> bool:
+def _induced_rank_injective(x: Complex, y: Complex, j: int, field: int, x_cache: dict) -> bool:
     """Injectivity of reduced H_j(y) -> H_j(x) for an induced subcomplex y.
 
-    Cycle bases of y are lifted into x's chain space and augmented with
-    the boundary image of x; the map is injective iff no new cycle
-    becomes a boundary, measured through exact ranks.
+    The kernel is (B_j(x) ∩ C_j(y)) / B_j(y), since every boundary of x is
+    a cycle and the cycles of x inside C_j(y) are the cycles of y.  Deleting
+    the rows of y's j-faces from ∂_{j+1}(x) leaves a matrix of rank
+    dim B_j(x) - dim(B_j(x) ∩ C_j(y)), so three exact ranks decide the map.
+    x_cache holds x's row index, columns and rank per degree j.
     """
-    y_j_faces = y.sorted_faces(y.faces(j))
-    if not y_j_faces:
-        return True
-    y_cols = _boundary_columns(y, j)
-    z_basis = _kernel_basis(y_cols, field)
-    if not z_basis:
-        return True
-    by_rank = _rank(_boundary_columns(y, j + 1), field) if j + 1 <= y.dimension else 0
-    if j + 1 in x_cols_cache:
-        bx_cols = x_cols_cache[j + 1]
-    else:
-        bx_cols = _boundary_columns(x, j + 1) if j + 1 <= x.dimension else []
-        x_cols_cache[j + 1] = bx_cols
-    if ("rank", j + 1) not in x_cols_cache:
-        x_cols_cache[("rank", j + 1)] = _rank(bx_cols, field)
-    bx_rank = x_cols_cache[("rank", j + 1)]
-    x_index = {frozenset(f): i for i, f in enumerate(x.sorted_faces(x.faces(j)))}
-    lift = [
-        {x_index[frozenset(y_j_faces[i])]: v for i, v in vec.items()} for vec in z_basis
-    ]
-    joint = _rank(lift + bx_cols, field)
-    return joint == len(z_basis) + bx_rank - by_rank
+    if j not in x_cache:
+        rows = {frozenset(f): i for i, f in enumerate(x.sorted_faces(x.faces(j)))}
+        cols = _boundary_columns(x, j + 1)
+        x_cache[j] = (rows, cols, _rank(cols, field))
+    rows, bx_cols, bx_rank = x_cache[j]
+    y_rows = {rows[f] for f in y.faces(j)}
+    outside_y = [{i: v for i, v in col.items() if i not in y_rows} for col in bx_cols]
+    by_rank = _rank(_boundary_columns(y, j + 1), field)
+    return bx_rank - _rank(outside_y, field) == by_rank
 
 
 def is_tight_exhaustive(x: Complex, field: int, guard: int = 16) -> Verdict:
@@ -913,13 +901,13 @@ def is_tight_exhaustive(x: Complex, field: int, guard: int = 16) -> Verdict:
         raise GuardExceeded(f"{n} vertices exceed the guard {guard}")
     import itertools
 
-    x_cols_cache: dict = {}
+    x_cache: dict = {}
     verts = x.vertices
     for size in range(1, n):
         for combo in itertools.combinations(verts, size):
             y = x.induced(combo)
             for j in range(0, y.dimension + 1):
-                if not _induced_rank_injective(x, y, j, field, x_cols_cache):
+                if not _induced_rank_injective(x, y, j, field, x_cache):
                     return Verdict(
                         REFUTED,
                         witness={"vertices": [str(v) for v in combo], "dimension": j},

@@ -48,10 +48,14 @@ USAGE_ERROR = 64
 PARSE_ERROR = 65
 
 
+def _usage_error(message: str):
+    print(f"usage error: {message}", file=sys.stderr)
+    raise SystemExit(USAGE_ERROR)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        print(f"usage error: {message}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+        _usage_error(message)
 
 
 def _emit(payload: dict, pretty: bool = False):
@@ -106,7 +110,6 @@ def _add_common(p: argparse.ArgumentParser, source: bool = True):
     p.add_argument("--budget-moves", type=int, default=10_000)
     p.add_argument("--restarts", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; searches run sequentially")
     p.add_argument("--guard-vertices", type=int, default=16)
     p.add_argument("--pretty", action="store_true")
     p.add_argument("--exhaustive", action="store_true")
@@ -282,13 +285,13 @@ def _cmd_generate(args) -> int:
     what, params = args.what, args.params
     if what in ("klee-novik", "klee-novik-bar"):
         if len(params) != 2:
-            raise SystemExit(USAGE_ERROR)
+            _usage_error(f"generate {what} takes two parameters, k and d")
         k, d = params
         c = klee_novik(k, d) if what == "klee-novik" else klee_novik_bar(k, d)
         name = f"{what}-{k}-{d}"
     else:
         if len(params) != 1:
-            raise SystemExit(USAGE_ERROR)
+            _usage_error(f"generate {what} takes one parameter, d")
         (d,) = params
         if what == "cross-polytope":
             c = standard_sphere(0, ("x1", "y1"))
@@ -360,7 +363,7 @@ def _cmd_fixtures(args) -> int:
         _emit({"fixtures": rows}, args.pretty)
         return 0
     if not args.name:
-        raise SystemExit(USAGE_ERROR)
+        _usage_error("fixtures export needs a fixture name")
     fx = fixture(args.name)
     if fx.complex is None:
         text = fx.certificate.to_json() + "\n"
@@ -384,7 +387,7 @@ def _cmd_verify_paper(args) -> int:
     all_ok = True
     for cid in wanted:
         if cid not in CRITERIA:
-            raise SystemExit(USAGE_ERROR)
+            _usage_error(f"unknown criterion {cid!r}; choose from {', '.join(CRITERIA)}")
         title = CRITERIA[cid][0]
         checks = run_criterion(cid, args.seed)
         ok = all(c.ok for c in checks)

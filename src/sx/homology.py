@@ -1,9 +1,11 @@
 """Exact reduced simplicial homology over prime fields and the rationals.
 
-Boundary matrices are assembled sparsely per dimension and reduced one at
-a time: modular elimination for a prime field, integer-preserving
-(fraction-free) elimination with gcd normalization for the rationals.
-Both paths report exact ranks; nothing here is floating point.
+Boundary matrices are assembled sparsely per dimension, one dict of
+nonzero rows per column, and their ranks come from a single sparse column
+eliminator, `_rank`.  Over F_p it works modulo p with pivots scaled to a
+leading 1; over Q it is fraction-free: integer entries throughout, each
+pivot divided by the gcd of its entries.  Every rank is exact; nothing
+here is floating point.
 """
 
 from __future__ import annotations
@@ -69,70 +71,59 @@ def _boundary_columns(x: Complex, k: int) -> list[dict[int, int]]:
     return cols
 
 
-def _rank_mod_p(cols: list[dict[int, int]], p: int) -> int:
+def _divide_by_gcd(col: dict[int, int]) -> None:
+    g = 0
+    for v in col.values():
+        g = gcd(g, v)
+    if g > 1:
+        for i in col:
+            col[i] //= g
+
+
+def _rank(cols: list[dict[int, int]], field: int) -> int:
+    """Rank of a sparse integer column matrix over F_p (field = p) or Q (0).
+
+    Each column is reduced against the stored pivots, keyed by their lowest
+    row, until it vanishes or its lowest row is new and it becomes a pivot.
+    A pivot is normalized to a leading 1 over F_p, and over Q divided by
+    the gcd of its entries with a positive leading entry.  A reduction step
+    is the in-place update col -= b * piv, taken mod p over F_p; over Q the
+    column is first multiplied by the pivot's leading entry a (when a != 1)
+    and gcd-reduced afterwards, so every entry stays an integer.
+    """
+    p = field
     pivots: dict[int, dict[int, int]] = {}
-    rank = 0
     for col in cols:
-        col = {r: v % p for r, v in col.items() if v % p}
+        if p:
+            col = {r: v % p for r, v in col.items() if v % p}
+        else:
+            col = {r: v for r, v in col.items() if v}
         while col:
             r = min(col)
             piv = pivots.get(r)
             if piv is None:
-                inv = pow(col[r], p - 2, p)
-                col = {i: (v * inv) % p for i, v in col.items()}
+                if p:
+                    inv = pow(col[r], p - 2, p)
+                    col = {i: v * inv % p for i, v in col.items()}
+                else:
+                    if col[r] < 0:
+                        col = {i: -v for i, v in col.items()}
+                    _divide_by_gcd(col)
                 pivots[r] = col
-                rank += 1
                 break
-            c = col[r]
+            a, b = piv[r], col[r]  # a == 1 over F_p
+            if a != 1:
+                for i in col:
+                    col[i] *= a
             for i, v in piv.items():
-                w = (col.get(i, 0) - c * v) % p
+                w = (col.get(i, 0) - b * v) % p if p else col.get(i, 0) - b * v
                 if w:
                     col[i] = w
                 elif i in col:
                     del col[i]
-    return rank
-
-
-def _rank_int(cols: list[dict[int, int]]) -> int:
-    """Rank over Q by integer-preserving elimination with gcd reduction."""
-    pivots: dict[int, dict[int, int]] = {}
-    rank = 0
-    for col in cols:
-        col = {r: v for r, v in col.items() if v}
-        while col:
-            r = min(col)
-            piv = pivots.get(r)
-            if piv is None:
-                g = 0
-                for v in col.values():
-                    g = gcd(g, v)
-                if g > 1:
-                    col = {i: v // g for i, v in col.items()}
-                if col[r] < 0:
-                    col = {i: -v for i, v in col.items()}
-                pivots[r] = col
-                rank += 1
-                break
-            a, b = piv[r], col[r]
-            new = {}
-            g = 0
-            for i in set(col) | set(piv):
-                w = a * col.get(i, 0) - b * piv.get(i, 0)
-                if w:
-                    new[i] = w
-                    g = gcd(g, w)
-            if g > 1:
-                new = {i: v // g for i, v in new.items()}
-            col = new
-    return rank
-
-
-def _rank(cols: list[dict[int, int]], field: int) -> int:
-    if not cols:
-        return 0
-    if field == 0:
-        return _rank_int(cols)
-    return _rank_mod_p(cols, field)
+            if a != 1:
+                _divide_by_gcd(col)
+    return len(pivots)
 
 
 def betti(x: Complex, field: int = 0) -> tuple[int, ...]:
@@ -226,67 +217,3 @@ def screen_homology_ball(x: Complex, fields: tuple[int, ...] = DEFAULT_FIELDS) -
     if not inner.passed:
         return ScreenVerdict(False, "ball-screen", fields, f"boundary: {inner.detail}")
     return ScreenVerdict(True, "ball-screen", fields)
-
-
-# -- induced maps in homology (used by the tightness checks) -----------------
-
-
-def _kernel_basis(cols: list[dict[int, int]], field: int) -> list[dict[int, int]]:
-    """Basis of the kernel of a sparse column matrix, over F_p or Q.
-
-    Gaussian elimination on the columns with bookkeeping of the column
-    combinations; exact rational arithmetic uses Fractions internally and
-    the returned vectors are scaled back to integers.
-    """
-    from fractions import Fraction
-
-    pivots: dict[int, tuple[dict[int, int], dict[int, int]]] = {}
-    kernel: list[dict[int, int]] = []
-    for j, col in enumerate(cols):
-        if field:
-            work = {r: v % field for r, v in col.items() if v % field}
-        else:
-            work = {r: Fraction(v) for r, v in col.items() if v}
-        combo = {j: Fraction(1) if field == 0 else 1}
-        while work:
-            r = min(work)
-            if r not in pivots:
-                pivots[r] = (work, combo)
-                break
-            pcol, pcombo = pivots[r]
-            if field:
-                c = (work[r] * pow(pcol[r], field - 2, field)) % field
-                for i, v in pcol.items():
-                    w = (work.get(i, 0) - c * v) % field
-                    if w:
-                        work[i] = w
-                    elif i in work:
-                        del work[i]
-                for i, v in pcombo.items():
-                    w = (combo.get(i, 0) - c * v) % field
-                    if w:
-                        combo[i] = w
-                    elif i in combo:
-                        del combo[i]
-            else:
-                c = work[r] / pcol[r]
-                for i, v in pcol.items():
-                    w = work.get(i, 0) - c * v
-                    if w:
-                        work[i] = w
-                    elif i in work:
-                        del work[i]
-                for i, v in pcombo.items():
-                    w = combo.get(i, 0) - c * v
-                    if w:
-                        combo[i] = w
-                    elif i in combo:
-                        del combo[i]
-        if not work:
-            if field == 0:
-                denom = 1
-                for v in combo.values():
-                    denom = denom * v.denominator // gcd(denom, v.denominator)
-                combo = {i: int(v * denom) for i, v in combo.items()}
-            kernel.append(combo)
-    return kernel

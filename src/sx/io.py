@@ -43,10 +43,19 @@ def dumps_fac(x: Complex, name: str | None = None) -> str:
 
 
 def loads_json(text: str) -> tuple[Complex, str | None]:
+    """Read {"facets": [[label, ...], ...], "name": ...}; labels are JSON
+    integers or strings, and anything else is a ValueError."""
     data = json.loads(text)
     if not isinstance(data, dict) or "facets" not in data:
         raise ValueError('JSON complex must be an object with a "facets" array')
-    return from_facets(data["facets"]), data.get("name")
+    facets = data["facets"]
+    if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
+        raise ValueError('"facets" must be an array of arrays of vertex labels')
+    for f in facets:
+        for v in f:
+            if isinstance(v, bool) or not isinstance(v, (int, str)):
+                raise ValueError(f"vertex labels must be integers or strings, got {json.dumps(v)}")
+    return from_facets(facets), data.get("name")
 
 
 def dumps_json(x: Complex, name: str | None = None) -> str:

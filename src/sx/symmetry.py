@@ -22,10 +22,6 @@ class AutGroup:
     generators: tuple[dict, ...]
     order: int
     vertex_orbits: tuple[tuple, ...]
-    elements: tuple[tuple, ...] = ()  # image tuples in canonical vertex order
-
-    def permutation_dicts(self, vertices) -> list[dict]:
-        return [dict(zip(vertices, imgs)) for imgs in self.elements]
 
 
 def _joint_codes(complexes: list[Complex]) -> list[dict]:
@@ -211,7 +207,6 @@ def automorphism_group(x: Complex, guard: int = DEFAULT_GUARD) -> AutGroup:
         generators=tuple(gens),
         order=len(elements),
         vertex_orbits=orbit_list,
-        elements=tuple(sorted(elements, key=str)),
     )
 
 

@@ -1,12 +1,16 @@
 """Decision procedures: exact verdicts, searches, and their certificates."""
 
 import itertools
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from sx import Complex, from_facets, replay, standard_ball, standard_sphere
 from sx.certify import (
+    PROVED,
+    REFUTED,
     SearchBudget,
     certify_k_shelled,
     certify_k_stacked_sphere,
@@ -23,6 +27,10 @@ from sx.certify import (
 from sx.constructions import klee_novik, stacked_ball_closure
 from sx.errors import DimensionTooHigh, GuardExceeded, NotABall, NotNormalPseudomanifold
 from sx.growth import grow_shelled_ball, grow_stacked_sphere, grow_stellated_sphere
+from sx.homology import _boundary_columns, _rank
+
+RP2 = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
+       (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)]
 
 
 def cross_polytope(d):
@@ -365,6 +373,98 @@ def test_disconnected_induced_subcomplex_refutes_tightness():
 def test_tightness_guard():
     with pytest.raises(GuardExceeded):
         is_tight_exhaustive(cross_polytope(8), 2, guard=16)
+
+
+def oracle_kernel_basis(cols, field):
+    """Oracle: kernel basis of a sparse column matrix by Gaussian elimination
+    with bookkeeping of column combinations, in Fractions over Q."""
+    pivots = {}
+    kernel = []
+    for j, col in enumerate(cols):
+        if field:
+            work = {r: v % field for r, v in col.items() if v % field}
+        else:
+            work = {r: Fraction(v) for r, v in col.items() if v}
+        combo = {j: Fraction(1) if field == 0 else 1}
+        while work:
+            r = min(work)
+            if r not in pivots:
+                pivots[r] = (work, combo)
+                break
+            pcol, pcombo = pivots[r]
+            if field:
+                c = (work[r] * pow(pcol[r], field - 2, field)) % field
+            else:
+                c = work[r] / pcol[r]
+            for target, source in ((work, pcol), (combo, pcombo)):
+                for i, v in source.items():
+                    w = target.get(i, 0) - c * v
+                    if field:
+                        w %= field
+                    if w:
+                        target[i] = w
+                    elif i in target:
+                        del target[i]
+        if not work:
+            if field == 0:
+                denom = 1
+                for v in combo.values():
+                    denom = denom * v.denominator // math.gcd(denom, v.denominator)
+                combo = {i: int(v * denom) for i, v in combo.items()}
+            kernel.append(combo)
+    return kernel
+
+
+def oracle_is_tight(x, field):
+    """Oracle: lift a cycle basis of every induced subcomplex into x and
+    compare the rank of cycles plus boundaries of x with what injectivity
+    of reduced homology requires; the first failure is the witness."""
+    verts = x.vertices
+    for size in range(1, len(verts)):
+        for combo in itertools.combinations(verts, size):
+            y = x.induced(combo)
+            for j in range(y.dimension + 1):
+                z_basis = oracle_kernel_basis(_boundary_columns(y, j), field)
+                if not z_basis:
+                    continue
+                by_rank = _rank(_boundary_columns(y, j + 1), field)
+                bx_cols = _boundary_columns(x, j + 1)
+                x_index = {frozenset(f): i for i, f in enumerate(x.sorted_faces(x.faces(j)))}
+                y_faces = y.sorted_faces(y.faces(j))
+                lift = [
+                    {x_index[frozenset(y_faces[i])]: v for i, v in vec.items()}
+                    for vec in z_basis
+                ]
+                joint = _rank(lift + bx_cols, field)
+                if joint != len(z_basis) + _rank(bx_cols, field) - by_rank:
+                    return REFUTED, {"vertices": [str(v) for v in combo], "dimension": j}
+    return PROVED, {"subsets_checked": 2 ** len(verts) - 2}
+
+
+def random_complex(rng):
+    """At most 8 vertices; half of them contain the complete graph, so that
+    their induced subcomplexes are connected and fail, if at all, higher up."""
+    n = rng.randrange(3, 9)
+    facets = [
+        rng.sample(range(1, n + 1), rng.randrange(1, min(n, 5) + 1))
+        for _ in range(rng.randrange(1, 3 * n))
+    ]
+    if rng.random() < 0.5:
+        facets += list(itertools.combinations(range(1, n + 1), 2))
+    return from_facets(facets)
+
+
+def test_tightness_agrees_with_kernel_basis_oracle():
+    rng = random.Random(2024)
+    complexes = [random_complex(rng) for _ in range(40)]
+    complexes += [cross_polytope(2), from_facets(RP2), standard_ball(0, ("c",)).join(standard_sphere(2))]
+    outcomes = set()
+    for x in complexes:
+        for field in (0, 2, 3):
+            v = is_tight_exhaustive(x, field)
+            assert (v.status, v.witness) == oracle_is_tight(x, field), (x.facets, field)
+            outcomes.add(v.witness.get("dimension"))
+    assert outcomes == {None, 0, 1, 2}
 
 
 # -- structural cross-checks ------------------------------------

@@ -150,6 +150,34 @@ def test_unknown_fixture_exit_65(capsys):
     assert code == 65
 
 
+@pytest.mark.parametrize("label", ["[2]", "2.5", "true"])
+def test_bad_json_label_exit_65(capsys, tmp_path, label):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"facets": [[1, %s], [1, 3]]}' % label)
+    code, out, err = run_cli(capsys, "info", str(bad))
+    assert code == 65
+    assert out == ""
+    assert err.startswith("error: vertex labels must be integers or strings")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "klee-novik", "1"],
+        ["generate", "standard-ball", "1", "2"],
+        ["fixtures", "export"],
+        ["verify-paper", "--criteria", "99"],
+    ],
+)
+def test_usage_errors_print_a_message(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 64
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("usage error: ")
+
+
 def test_determinism_of_randomized_command(capsys):
     args = ("certify", "collapsible", "--seed", "7", "fixtures:ziegler_b2")
     code1, out1, _ = run_cli(capsys, *args)

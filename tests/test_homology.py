@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sx import from_facets, standard_ball, standard_sphere
 from sx.constructions import klee_novik
@@ -232,22 +234,15 @@ def test_sparse_rank_agrees_with_fraction_oracle_on_random_matrices():
             assert _rank(cols, p) == dense_rank(mat, p), (mat, p)
 
 
-def test_kernel_basis_spans_the_kernel():
-    from sx.homology import _kernel_basis, _rank
-
-    rng = random.Random(77)
-    for _ in range(30):
-        n, m = rng.randrange(1, 7), rng.randrange(1, 7)
-        mat = [[rng.randrange(-3, 4) for _ in range(m)] for _ in range(n)]
-        cols = [{i: mat[i][j] for i in range(n) if mat[i][j]} for j in range(m)]
-        for p in (0, 3):
-            basis = _kernel_basis(cols, p)
-            assert len(basis) == m - _rank(cols, p)
-            for vec in basis:
-                assert vec, "kernel vectors must be non-zero"
-                for i in range(n):
-                    total = sum(mat[i][j] * c for j, c in vec.items())
-                    assert (total % p if p else total) == 0
+@settings(max_examples=80, deadline=None)
+@given(
+    st.lists(st.frozensets(st.integers(0, 7), min_size=1, max_size=5), min_size=1, max_size=10),
+    st.sampled_from([0, 2, 3, 5]),
+)
+@example([frozenset(f) for f in RP2], 2)
+def test_betti_matches_oracle_property(facets, p):
+    x = from_facets(facets)
+    assert betti(x, p) == oracle_betti(x, p)
 
 
 def test_homology_screen_of_largest_fixture():

@@ -61,6 +61,18 @@ def test_json_requires_facets_key():
         loads_json('{"name": "x"}')
 
 
+@pytest.mark.parametrize("label", ["[2]", "2.5", "true", "null", '{"a": 1}'])
+def test_json_rejects_labels_that_are_neither_int_nor_str(label):
+    with pytest.raises(ValueError, match="integers or strings"):
+        loads_json('{"facets": [[1, %s]]}' % label)
+
+
+@pytest.mark.parametrize("facets", ["5", '"ab"', "[5]", '["12"]'])
+def test_json_rejects_facets_that_are_not_arrays(facets):
+    with pytest.raises(ValueError, match="array of arrays"):
+        loads_json('{"facets": %s}' % facets)
+
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
