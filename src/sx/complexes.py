@@ -129,11 +129,23 @@ class Complex:
     def is_empty_complex(self) -> bool:
         return self.dimension == -1
 
+    @cached_property
+    def _vertex_star(self) -> dict[Label, list[FaceSet]]:
+        """Map each vertex to the facets containing it."""
+        star: dict[Label, list[FaceSet]] = {}
+        for facet in self._facets:
+            for v in facet:
+                star.setdefault(v, []).append(facet)
+        return star
+
     def has_face(self, face: Iterable[Label]) -> bool:
         f = frozenset(face)
         if len(f) - 1 > self.dimension:
             return False
-        return any(f <= g for g in self._facets)
+        if not f:
+            return True
+        # every facet through f is in the star of each of f's vertices
+        return any(f <= g for g in self._vertex_star.get(next(iter(f)), ()))
 
     def __contains__(self, face) -> bool:
         return self.has_face(face)

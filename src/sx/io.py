@@ -44,7 +44,8 @@ def dumps_fac(x: Complex, name: str | None = None) -> str:
 
 def loads_json(text: str) -> tuple[Complex, str | None]:
     """Read {"facets": [[label, ...], ...], "name": ...}; labels are JSON
-    integers or strings, and anything else is a ValueError."""
+    integers or strings, the name is a string or null or absent, and
+    anything else is a ValueError."""
     data = json.loads(text)
     if not isinstance(data, dict) or "facets" not in data:
         raise ValueError('JSON complex must be an object with a "facets" array')
@@ -55,7 +56,10 @@ def loads_json(text: str) -> tuple[Complex, str | None]:
         for v in f:
             if isinstance(v, bool) or not isinstance(v, (int, str)):
                 raise ValueError(f"vertex labels must be integers or strings, got {json.dumps(v)}")
-    return from_facets(facets), data.get("name")
+    name = data.get("name")
+    if name is not None and not isinstance(name, str):
+        raise ValueError(f'"name" must be a string or null, got {json.dumps(name)}')
+    return from_facets(facets), name
 
 
 def dumps_json(x: Complex, name: str | None = None) -> str:

@@ -12,6 +12,7 @@ can prune on them.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -163,6 +164,13 @@ def bistellar_options(
 
     Index-0 entries share one explicit fresh vertex label so every listed
     move is directly applicable and certificates stay reproducible.
+
+    For index i >= 1 a move ``alpha -> beta`` needs beta, an (i+1)-set
+    that is not a face of x, whose i-subsets are all faces of lk(alpha),
+    that is, i-subsets of ``g \\ alpha`` for facets g through alpha.  Any
+    two of those i-subsets share i-1 vertices, so every such beta is the
+    union of two link faces of size i meeting in i-1 vertices.  Only
+    these unions, read off alpha's star, are tried.
     """
     d = x.dimension
     opts: list[BistellarMove] = []
@@ -175,26 +183,43 @@ def bistellar_options(
                 opts.append(BistellarMove(alpha=tuple(facet), beta=(new,)))
             continue
         for a in x.faces(d - i):
-            lk = x.link(a)
-            for cand in lk.missing_faces(i):
-                if len(cand) != i + 1:
-                    continue
-                if x.has_face(cand):
-                    continue
-                opts.append(
-                    BistellarMove(alpha=x.face_tuple(a), beta=x.face_tuple(cand))
-                )
-    pos = {v: i for i, v in enumerate(x.vertices)}
-
-    def key(m: BistellarMove):
-        return (
-            m.index,
-            [pos.get(v, len(pos)) for v in m.alpha],
-            [pos.get(v, len(pos)) for v in m.beta],
-        )
-
-    opts.sort(key=key)
+            link_faces = {
+                frozenset(s)
+                for g in x._vertex_star[next(iter(a))]
+                if a <= g
+                for s in itertools.combinations(g - a, i)
+            }
+            for cand in _unions_along_subfaces(link_faces):
+                if all(cand - {u} in link_faces for u in cand) and not x.has_face(cand):
+                    opts.append(
+                        BistellarMove(alpha=x.face_tuple(a), beta=x.face_tuple(cand))
+                    )
+    _sort_moves(x, opts)
     return opts
+
+
+def _unions_along_subfaces(faces: Iterable[frozenset]) -> set[frozenset]:
+    """Every union of two equal-sized sets of ``faces`` that differ in one
+    element."""
+    by_sub: dict[frozenset, list[frozenset]] = {}
+    for f in faces:
+        for u in f:
+            by_sub.setdefault(f - {u}, []).append(f)
+    return {f | g for group in by_sub.values() for f, g in itertools.combinations(group, 2)}
+
+
+def _sort_moves(x: Complex, opts: list) -> None:
+    """Order moves by index, then alpha and beta in x's vertex order; a label
+    new to x sorts last."""
+    pos = x._vertex_pos
+    n = len(pos)
+    opts.sort(
+        key=lambda m: (
+            m.index,
+            [pos.get(v, n) for v in m.alpha],
+            [pos.get(v, n) for v in m.beta],
+        )
+    )
 
 
 # -- shelling moves ----------------------------------------------------------
@@ -272,34 +297,30 @@ def _attachment_split(y: Complex, sigma: frozenset) -> tuple | None:
 
 
 def _combinations(s, r):
-    import itertools
-
     return itertools.combinations(sorted(s, key=lambda v: (str(v), isinstance(v, str))), r)
 
 
 def shelling_options(y: Complex, max_index: int, fresh: Label | None = None) -> list[ShellingMove]:
     """All shelling moves of index <= max_index applicable to y.
 
-    Candidate facets are built from boundary ridges: either coned to one
-    explicit fresh vertex (index 0) or extended by an existing vertex.
+    Every rim ridge (a ridge in exactly one facet) is coned to one explicit
+    fresh vertex (index 0).  A move of index >= 1 attaches a facet
+    ``sigma = ridge ∪ {v}`` with v a vertex of y.  All proper faces of the
+    rim ridge are faces of y, and so is {v}, so beta contains v and some
+    other b, and ``sigma \\ {b}`` must be a rim ridge too.  That ridge
+    meets the first one in a (d-2)-face, so every valid sigma is the union
+    of two rim ridges that differ in one vertex, and only those unions are
+    tried.
     """
-    d = y.dimension
     rim = [r for r, fs in y._ridge_incidence.items() if len(fs) == 1]
     opts: list[ShellingMove] = []
-    seen: set[frozenset] = set()
-    new = fresh if fresh is not None else fresh_label(y)
-    for ridge in rim:
-        if max_index >= 0:
-            opts.append(
-                ShellingMove(alpha=y.face_tuple(ridge), beta=(new,))
-            )
-        for v in y.vertices:
-            if v in ridge:
+    if max_index >= 0:
+        new = fresh if fresh is not None else fresh_label(y)
+        opts = [ShellingMove(alpha=y.face_tuple(r), beta=(new,)) for r in rim]
+    if max_index >= 1:
+        for sigma in _unions_along_subfaces(rim):
+            if sigma in y.facet_sets:
                 continue
-            sigma = ridge | {v}
-            if sigma in seen or sigma in y.facet_sets:
-                continue
-            seen.add(sigma)
             split = _attachment_split(y, sigma)
             if split is None:
                 continue
@@ -308,16 +329,7 @@ def shelling_options(y: Complex, max_index: int, fresh: Label | None = None) -> 
                 opts.append(
                     ShellingMove(alpha=y.face_tuple(alpha), beta=y.face_tuple(beta))
                 )
-    pos = {v: i for i, v in enumerate(y.vertices)}
-
-    def key(m: ShellingMove):
-        return (
-            m.index,
-            [pos.get(v, len(pos)) for v in m.alpha],
-            [pos.get(v, len(pos)) for v in m.beta],
-        )
-
-    opts.sort(key=key)
+    _sort_moves(y, opts)
     return opts
 
 

@@ -160,6 +160,28 @@ def test_bad_json_label_exit_65(capsys, tmp_path, label):
     assert err.startswith("error: vertex labels must be integers or strings")
 
 
+@pytest.mark.parametrize("name", ["[3]", "5", '["a"]'])
+def test_bad_json_name_exit_65(capsys, tmp_path, name):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"facets": [[1, 2], [2, 3]], "name": %s}' % name)
+    for argv in (["info", str(bad)], ["bar", "-k", "1", str(bad)]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 65
+        assert out == ""
+        assert err.startswith('error: "name" must be a string or null')
+
+
+@pytest.mark.parametrize(
+    "text", ['{"facets": [[1, 2], [2, 3]], "name": null}', '{"facets": [[1, 2], [2, 3]]}']
+)
+def test_json_null_or_absent_name_loads(capsys, tmp_path, text):
+    good = tmp_path / "good.json"
+    good.write_text(text)
+    code, out, _ = run_cli(capsys, "info", str(good))
+    assert code == 0
+    assert json.loads(out)["name"] is None
+
+
 @pytest.mark.parametrize(
     "argv",
     [

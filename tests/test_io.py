@@ -73,6 +73,23 @@ def test_json_rejects_facets_that_are_not_arrays(facets):
         loads_json('{"facets": %s}' % facets)
 
 
+@pytest.mark.parametrize("name", ["[3]", "5", '["a"]'])
+def test_json_rejects_a_name_that_is_not_a_string(name):
+    with pytest.raises(ValueError, match='"name" must be a string or null'):
+        loads_json('{"facets": [[1, 2], [2, 3]], "name": %s}' % name)
+
+
+@pytest.mark.parametrize("text, name", [
+    ('{"facets": [[1, 2], [2, 3]], "name": null}', None),
+    ('{"facets": [[1, 2], [2, 3]]}', None),
+    ('{"facets": [[1, 2], [2, 3]], "name": "path"}', "path"),
+])
+def test_json_name_may_be_null_or_absent(text, name):
+    c, got = loads_json(text)
+    assert got == name
+    assert c == from_facets([[1, 2], [2, 3]])
+
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

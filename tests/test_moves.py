@@ -18,10 +18,13 @@ from sx import (
     standard_ball,
     standard_sphere,
 )
-from sx.corpus import fixture
+from sx.complexes import fresh_label
+from sx.corpus import fixture, fixture_names
 from sx.errors import BadDimension, InvalidMove, ReplayFailure
 from sx.growth import grow_shelled_ball, grow_stellated_sphere
 from sx.moves import (
+    _attachment_split,
+    _combinations,
     ball_from_stellated_certificate,
     bistellar_valid,
     boundary_certificate,
@@ -59,6 +62,222 @@ def oracle_bistellar_moves(x, lo, hi):
                 if induced == expected:
                     found.append((alpha, beta))
     return found
+
+
+def oracle_shelling_moves(y, max_index):
+    """Oracle: try every (d+1)-set over the vertices and one fresh label,
+    and every split of it, straight through ``shelling_valid``; the split
+    ``_attachment_split`` finds must be the only valid one."""
+    new = fresh_label(y)
+    found = set()
+    for sigma in map(frozenset, itertools.combinations(list(y.vertices) + [new], y.dimension + 1)):
+        valid = [
+            (sigma - beta, beta)
+            for r in range(1, len(sigma) + 1)
+            for beta in map(frozenset, itertools.combinations(sorted(sigma, key=str), r))
+            if shelling_valid(y, ShellingMove(alpha=tuple(sigma - beta), beta=tuple(beta))) is None
+        ]
+        assert len(valid) <= 1
+        assert _attachment_split(y, sigma) == (valid[0] if valid else None)
+        found.update(m for m in valid if len(m[1]) - 1 <= max_index)
+    return found
+
+
+# -- facet-scan enumerators, kept as reference oracles -------------------------
+#
+# The simple enumerators the indexed ones replace, verbatim except that face
+# membership goes through the facet scan ``scan_has_face`` and links through
+# ``scan_link``, so that no part of the reference rests on the index it checks.
+
+
+def scan_has_face(x, face):
+    f = frozenset(face)
+    if len(f) - 1 > x.dimension:
+        return False
+    return any(f <= g for g in x.facet_sets)
+
+
+def scan_link(x, face):
+    f = frozenset(face)
+    return Complex(g - f for g in x.facet_sets if f <= g)
+
+
+def scan_attachment_split(y, sigma):
+    fresh = sigma - y.vertex_set
+    if len(fresh) > 1:
+        return None
+    if len(fresh) == 1:
+        alpha = sigma - fresh
+        if len(y._ridge_incidence.get(alpha, ())) == 1:
+            return (alpha, fresh)
+        return None
+    # all vertices known: beta = unique minimal non-face of y inside sigma
+    non_faces = [
+        s
+        for r in range(1, len(sigma) + 1)
+        for s in map(frozenset, _combinations(sigma, r))
+        if not scan_has_face(y, s)
+    ]
+    if not non_faces:
+        return None  # sigma itself is a face already
+    minimal = [s for s in non_faces if not any(t < s for t in non_faces)]
+    if len(minimal) != 1:
+        return None
+    beta = minimal[0]
+    for v in beta:
+        if len(y._ridge_incidence.get(sigma - {v}, ())) != 1:
+            return None
+    return (sigma - beta, beta)
+
+
+def scan_shelling_options(y, max_index, fresh=None):
+    d = y.dimension
+    rim = [r for r, fs in y._ridge_incidence.items() if len(fs) == 1]
+    opts = []
+    seen = set()
+    new = fresh if fresh is not None else fresh_label(y)
+    for ridge in rim:
+        if max_index >= 0:
+            opts.append(
+                ShellingMove(alpha=y.face_tuple(ridge), beta=(new,))
+            )
+        for v in y.vertices:
+            if v in ridge:
+                continue
+            sigma = ridge | {v}
+            if sigma in seen or sigma in y.facet_sets:
+                continue
+            seen.add(sigma)
+            split = scan_attachment_split(y, sigma)
+            if split is None:
+                continue
+            alpha, beta = split
+            if len(beta) - 1 <= max_index:
+                opts.append(
+                    ShellingMove(alpha=y.face_tuple(alpha), beta=y.face_tuple(beta))
+                )
+    pos = {v: i for i, v in enumerate(y.vertices)}
+
+    def key(m):
+        return (
+            m.index,
+            [pos.get(v, len(pos)) for v in m.alpha],
+            [pos.get(v, len(pos)) for v in m.beta],
+        )
+
+    opts.sort(key=key)
+    return opts
+
+
+def scan_bistellar_options(x, lo, hi, fresh=None):
+    d = x.dimension
+    opts = []
+    lo = max(lo, 0)
+    hi = min(hi, d)
+    for i in range(lo, hi + 1):
+        if i == 0:
+            new = fresh if fresh is not None else fresh_label(x)
+            for facet in x.facets:
+                opts.append(BistellarMove(alpha=tuple(facet), beta=(new,)))
+            continue
+        for a in x.faces(d - i):
+            lk = scan_link(x, a)
+            for cand in lk.missing_faces(i):
+                if len(cand) != i + 1:
+                    continue
+                if scan_has_face(x, cand):
+                    continue
+                opts.append(
+                    BistellarMove(alpha=x.face_tuple(a), beta=x.face_tuple(cand))
+                )
+    pos = {v: i for i, v in enumerate(x.vertices)}
+
+    def key(m):
+        return (
+            m.index,
+            [pos.get(v, len(pos)) for v in m.alpha],
+            [pos.get(v, len(pos)) for v in m.beta],
+        )
+
+    opts.sort(key=key)
+    return opts
+
+
+def _pairs(moves):
+    return [(m.alpha, m.beta) for m in moves]
+
+
+def random_complex(rng, pure):
+    """A random complex on at most 8 vertices, mixing integer and string
+    labels now and then."""
+    n = rng.randint(1, 8)
+    labels = list(range(1, n + 1)) if rng.random() < 0.7 else [f"v{i}" for i in range(n)]
+    d = rng.randint(0, min(n - 1, 4))
+    sizes = [d + 1] if pure else list(range(1, d + 2))
+    return Complex(
+        frozenset(rng.sample(labels, rng.choice(sizes))) for _ in range(rng.randint(1, 10))
+    )
+
+
+def differential_cases():
+    """Seeded grown balls and spheres, random complexes and the small corpus."""
+    rng = random.Random(2024)
+    cases = []
+    for dim in range(1, 5):
+        for k in range(1, dim + 2):
+            for steps in (3, 8):
+                cases.append(grow_shelled_ball(dim, k, steps, rng)[0])
+                cases.append(grow_stellated_sphere(dim, k, steps, rng)[0])
+    cases += [random_complex(rng, pure=i % 2 == 0) for i in range(80)]
+    for name in fixture_names():
+        fx = fixture(name)
+        if fx.complex is not None and len(fx.complex.facet_sets) <= 120:
+            cases.append(fx.complex)
+    return cases
+
+
+DIFFERENTIAL_CASES = differential_cases()
+
+
+# Each reference is run once over the full index range: its loops admit a
+# move by the move's index alone and its sort key starts with the index, so
+# its list for a narrower range is the full list filtered to that range.
+
+
+def test_shelling_options_match_the_facet_scan():
+    for x in DIFFERENTIAL_CASES:
+        full = _pairs(scan_shelling_options(x, x.dimension))
+        for max_index in range(-1, x.dimension + 1):
+            want = [(a, b) for a, b in full if len(b) - 1 <= max_index]
+            assert _pairs(shelling_options(x, max_index)) == want, (x.facets, max_index)
+    x = DIFFERENTIAL_CASES[0]
+    assert _pairs(shelling_options(x, 1, fresh="z")) == _pairs(scan_shelling_options(x, 1, fresh="z"))
+
+
+def test_bistellar_options_match_the_facet_scan():
+    for x in DIFFERENTIAL_CASES:
+        full = _pairs(scan_bistellar_options(x, 0, x.dimension))
+        for lo in range(-1, x.dimension + 2):
+            for hi in range(lo, x.dimension + 2):
+                want = [(a, b) for a, b in full if lo <= len(b) - 1 <= hi]
+                assert _pairs(bistellar_options(x, lo, hi)) == want, (x.facets, lo, hi)
+    x = DIFFERENTIAL_CASES[1]
+    assert _pairs(bistellar_options(x, 0, 1, fresh="z")) == _pairs(scan_bistellar_options(x, 0, 1, fresh="z"))
+
+
+def test_has_face_matches_the_facet_scan():
+    rng = random.Random(7)
+    for x in DIFFERENTIAL_CASES + [Complex.empty()]:
+        probes = list(x.all_faces(include_empty=True))
+        probes += map(frozenset, x.missing_faces(x.dimension + 1))
+        probes += [frozenset({"unknown"}), frozenset(x.vertices[:1]) | {-7}]
+        probes.append(frozenset(x.vertices) | {fresh_label(x)})
+        probes += [frozenset(rng.sample(x.vertices, rng.randint(0, len(x.vertices)))) for _ in range(20)]
+        for f in probes:
+            assert x.has_face(f) == scan_has_face(x, f), (x.facets, f)
+    empty = Complex.empty()
+    assert empty.has_face(frozenset())
+    assert not empty.has_face({1})
 
 
 # -- standard objects -----------------------------------------------------------
@@ -167,6 +386,18 @@ def test_basic_index_zero_shelling():
     b = standard_ball(3)
     grown = apply_shelling(b, ShellingMove(alpha=(2, 3, 4), beta=(5,)))
     assert set(grown.facet_sets) == {frozenset((1, 2, 3, 4)), frozenset((2, 3, 4, 5))}
+
+
+def test_shelling_options_match_oracle_on_small_balls(lutz_b1):
+    rng = random.Random(19)
+    balls = [lutz_b1]
+    for dim in (1, 2, 3):
+        for k in range(1, dim + 2):
+            balls.append(grow_shelled_ball(dim, k, rng.randrange(2, 6), rng)[0])
+    for ball in balls:
+        for max_index in range(-1, ball.dimension + 1):
+            got = {(frozenset(m.alpha), frozenset(m.beta)) for m in shelling_options(ball, max_index)}
+            assert got == oracle_shelling_moves(ball, max_index)
 
 
 def test_shelling_rejects_interior_ridge():
