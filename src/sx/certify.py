@@ -167,6 +167,47 @@ def is_one_stacked_ball(x: Complex) -> Verdict:
 # -- shellability ---------------------------------------------------------------
 
 
+def _memo_dfs(roots, children, is_goal, key, budget: SearchBudget):
+    """Memoized depth-first search for a goal state, from each root in turn.
+
+    children(state) yields (move, next_state) pairs and is drawn from
+    lazily.  A state whose subtree holds no goal joins a dead-set keyed by
+    key(state) and shared across roots.  A node is counted when it is first
+    expanded, and the search stops once more than budget.max_nodes are
+    counted.  Returns (states, moves, nodes): the states and moves from a
+    root to the first goal, or None and None when no goal was reached;
+    nodes > budget.max_nodes then means the budget cut the search off.
+    """
+    dead: set = set()
+    nodes = 0
+    for root in roots:
+        if key(root) in dead:
+            continue
+        states, moves, pending = [root], [], [None]
+        while states:
+            cur = states[-1]
+            if pending[-1] is None:
+                if is_goal(cur):
+                    return states, moves, nodes
+                nodes += 1
+                if nodes > budget.max_nodes:
+                    return None, None, nodes
+                pending[-1] = iter(children(cur))
+            for mv, nxt in pending[-1]:
+                if key(nxt) not in dead:
+                    states.append(nxt)
+                    moves.append(mv)
+                    pending.append(None)
+                    break
+            else:
+                dead.add(key(cur))
+                states.pop()
+                pending.pop()
+                if moves:
+                    moves.pop()
+    return None, None, nodes
+
+
 def certify_k_shelled(b: Complex, k: int, budget: SearchBudget | None = None) -> Verdict:
     """Complete backtracking over shelling orders with index < k.
 
@@ -174,6 +215,13 @@ def certify_k_shelled(b: Complex, k: int, budget: SearchBudget | None = None) ->
     dead-set, so exhausting the space without a budget cutoff soundly
     refutes.  The certificate starts from the seed facet (a standard
     ball) and lists the attaching (alpha, beta) moves.
+
+    A facet sigma attaches to the shelled part P through its restriction
+    face R, the set of v in sigma for which ``sigma \\ {v}`` lies in
+    exactly one facet of P: the move is ``(sigma \\ R, R)`` when R has
+    at most k vertices and is not a face of P (so it is not empty).  No
+    other beta can be valid, because for v outside beta the face
+    ``sigma \\ {v}`` contains beta, so it is not a face of P either.
     """
     budget = budget or SearchBudget()
     if not b.is_pure or b.is_empty_complex:
@@ -191,119 +239,54 @@ def certify_k_shelled(b: Complex, k: int, budget: SearchBudget | None = None) ->
     if k == 0:
         return Verdict(REFUTED, witness={"reason": "only the standard ball has no moves"})
 
-    vsets = [frozenset(f) for f in facets]
-    verts = b.vertices
-    vindex = {v: i for i, v in enumerate(verts)}
-    vbits = [sum(1 << vindex[v] for v in f) for f in vsets]
+    # facet masks: of the facets through each vertex, and through each
+    # ridge sigma \ {v} of each facet sigma
+    index = {frozenset(f): i for i, f in enumerate(facets)}
 
-    # face -> bitmask of facets containing it, for every subset of a facet
-    sub_mask: dict[frozenset, int] = {}
-    import itertools
+    def mask(fs) -> int:
+        return sum(1 << index[f] for f in fs)
 
-    for i, f in enumerate(vsets):
-        for r in range(1, len(f) + 1):
-            for s in itertools.combinations(facets[i], r):
-                key = frozenset(s)
-                sub_mask[key] = sub_mask.get(key, 0) | (1 << i)
+    star = {v: mask(fs) for v, fs in b._vertex_star.items()}
+    ridges = [
+        [(v, mask(b._ridge_incidence[frozenset(f) - {v}])) for v in f] for f in facets
+    ]
 
-    dmax = b.dimension
-    full = (1 << m) - 1
-    dead: set[int] = set()
-    nodes = 0
-    cutoff = False
-
-    def moves_from(state: int, vmask: int):
-        out = []
+    def children(state: int):
         for j in range(m):
             if state >> j & 1:
                 continue
-            fresh = vbits[j] & ~vmask
-            if fresh.bit_count() > 1:
+            beta = [v for v, r in ridges[j] if (r & state).bit_count() == 1]
+            if len(beta) > k:
                 continue
-            sigma = vsets[j]
-            if fresh:
-                u = verts[fresh.bit_length() - 1]
-                alpha = sigma - {u}
-                if (sub_mask.get(alpha, 0) & state).bit_count() == 1:
-                    out.append((j, ShellingMove(alpha=b.face_tuple(alpha), beta=(u,))))
-                continue
-            best = None
-            for r in range(1, min(k, dmax) + 1):
-                for s in itertools.combinations(facets[j], r):
-                    beta = frozenset(s)
-                    if sub_mask.get(beta, 0) & state:
-                        continue
-                    if all(
-                        (sub_mask.get(sigma - {v}, 0) & state).bit_count() == 1
-                        for v in beta
-                    ):
-                        best = ShellingMove(
-                            alpha=b.face_tuple(sigma - beta), beta=b.face_tuple(beta)
-                        )
-                        break
-                if best:
-                    break
-            if best:
-                out.append((j, best))
-        return out
+            holders = state
+            for v in beta:
+                holders &= star[v]
+            if not holders:
+                alpha = tuple(v for v in facets[j] if v not in beta)
+                yield ShellingMove(alpha=alpha, beta=tuple(beta)), state | 1 << j
 
-    for seed_i in range(m):
-        state = 1 << seed_i
-        if state in dead:
-            continue
-        # frames: (state, vmask, pending child moves)
-        stack = [(state, vbits[seed_i], None)]
-        path: list[tuple[int, ShellingMove]] = []
-        while stack:
-            cur, vmask, pending = stack[-1]
-            if cur == full:
-                moves = tuple(mv for _, mv in path)
-                seed = Complex([facets[seed_i]])
-                cert = MoveCertificate(
-                    kind="shelling",
-                    start_digest=seed.digest,
-                    moves=moves,
-                    result_digest=b.digest,
-                )
-                return Verdict(
-                    PROVED,
-                    certificate=cert,
-                    budget_spent={"nodes": nodes, "seed": budget.seed},
-                )
-            if pending is None:
-                nodes += 1
-                if nodes > budget.max_nodes:
-                    cutoff = True
-                    break
-                pending = moves_from(cur, vmask)
-                stack[-1] = (cur, vmask, pending)
-            advanced = False
-            while pending:
-                j, mv = pending.pop(0)
-                nxt = cur | (1 << j)
-                if nxt in dead:
-                    continue
-                stack.append((nxt, vmask | vbits[j], None))
-                path.append((j, mv))
-                advanced = True
-                break
-            if not advanced:
-                dead.add(cur)
-                stack.pop()
-                if path:
-                    path.pop()
-        if cutoff:
-            break
-    if cutoff:
+    full = (1 << m) - 1
+    states, moves, nodes = _memo_dfs(
+        [1 << i for i in range(m)], children, lambda s: s == full, lambda s: s, budget
+    )
+    spent = {"nodes": nodes, "seed": budget.seed}
+    if states is not None:
+        seed = Complex([facets[states[0].bit_length() - 1]])
+        cert = MoveCertificate(
+            kind="shelling",
+            start_digest=seed.digest,
+            moves=tuple(moves),
+            result_digest=b.digest,
+        )
+        return Verdict(PROVED, certificate=cert, budget_spent=spent)
+    if nodes > budget.max_nodes:
         return Verdict(
-            UNKNOWN,
-            witness={"reason": "node budget exhausted"},
-            budget_spent={"nodes": nodes, "seed": budget.seed},
+            UNKNOWN, witness={"reason": "node budget exhausted"}, budget_spent=spent
         )
     return Verdict(
         REFUTED,
         witness={"reason": "complete backtracking exhausted all shelling orders"},
-        budget_spent={"nodes": nodes, "seed": budget.seed},
+        budget_spent=spent,
     )
 
 
@@ -403,38 +386,21 @@ def _descent_search(s: Complex, lo: int, budget: SearchBudget):
 
 
 def _exhaustive_search(s: Complex, lo: int, budget: SearchBudget):
-    """Backtracking over the full reverse-move DAG, memoized by digest."""
+    """Backtracking over the full reverse-move DAG, memoized by digest.
+
+    Returns (trail, final, nodes); trail and final are None when the
+    standard sphere was not reached.
+    """
     d = s.dimension
-    counters = {"nodes": 0, "seed": budget.seed}
-    dead: set[str] = set()
-    stack = [(s, None)]
-    path: list[BistellarMove] = []
-    while stack:
-        current, pending = stack[-1]
-        if is_standard_sphere(current):
-            return list(path), current, counters
-        if pending is None:
-            counters["nodes"] += 1
-            if counters["nodes"] > budget.max_nodes:
-                return None, None, counters
-            pending = list(bistellar_options(current, lo, d))
-            stack[-1] = (current, pending)
-        advanced = False
-        while pending:
-            mv = pending.pop(0)
-            nxt = apply_bistellar(current, mv)
-            if nxt.digest in dead:
-                continue
-            stack.append((nxt, None))
-            path.append(mv)
-            advanced = True
-            break
-        if not advanced:
-            dead.add(current.digest)
-            stack.pop()
-            if path:
-                path.pop()
-    return None, None, counters
+
+    def children(x: Complex):
+        for mv in bistellar_options(x, lo, d):
+            yield mv, apply_bistellar(x, mv)
+
+    states, trail, nodes = _memo_dfs(
+        [s], children, is_standard_sphere, lambda x: x.digest, budget
+    )
+    return trail, states[-1] if states else None, nodes
 
 
 def certify_k_stellated(
@@ -495,7 +461,7 @@ def certify_k_stellated(
     lo = max(d - k + 1, 0)
     trail, final, counters = _descent_search(s, lo, budget)
     if trail is None and exhaustive:
-        trail, final, counters = _exhaustive_search(s, lo, budget)
+        trail, final, counters["nodes"] = _exhaustive_search(s, lo, budget)
     if trail is not None:
         cert = _forward_certificate(s, final, trail)
         return Verdict(PROVED, certificate=cert, budget_spent=counters)

@@ -268,36 +268,17 @@ def apply_shelling(y: Complex, move: ShellingMove) -> Complex:
 
 
 def _attachment_split(y: Complex, sigma: frozenset) -> tuple | None:
-    """The unique (alpha, beta) split attaching facet sigma to y, if any."""
-    fresh = sigma - y.vertex_set
-    if len(fresh) > 1:
+    """The unique (alpha, beta) split attaching facet sigma to y, if any.
+
+    beta is the restriction face: the v in sigma for which ``sigma \\ {v}``
+    is a rim ridge of y.  It must not be a face of y (so it is not empty).
+    No other beta can be valid, because for v outside beta the set
+    ``sigma \\ {v}`` contains beta, which is not a face of y.
+    """
+    beta = frozenset(v for v in sigma if len(y._ridge_incidence.get(sigma - {v}, ())) == 1)
+    if y.has_face(beta):
         return None
-    if len(fresh) == 1:
-        alpha = sigma - fresh
-        if len(y._ridge_incidence.get(alpha, ())) == 1:
-            return (alpha, fresh)
-        return None
-    # all vertices known: beta = unique minimal non-face of y inside sigma
-    non_faces = [
-        s
-        for r in range(1, len(sigma) + 1)
-        for s in map(frozenset, _combinations(sigma, r))
-        if not y.has_face(s)
-    ]
-    if not non_faces:
-        return None  # sigma itself is a face already
-    minimal = [s for s in non_faces if not any(t < s for t in non_faces)]
-    if len(minimal) != 1:
-        return None
-    beta = minimal[0]
-    for v in beta:
-        if len(y._ridge_incidence.get(sigma - {v}, ())) != 1:
-            return None
     return (sigma - beta, beta)
-
-
-def _combinations(s, r):
-    return itertools.combinations(sorted(s, key=lambda v: (str(v), isinstance(v, str))), r)
 
 
 def shelling_options(y: Complex, max_index: int, fresh: Label | None = None) -> list[ShellingMove]:

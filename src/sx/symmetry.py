@@ -100,8 +100,6 @@ def _search_maps(x: Complex, y: Complex, first_only: bool):
     y_faces = [y.faces(k) for k in range(d + 1)]
     x_facets = x.facet_sets
     y_facets = y.facet_sets
-    x_at = {v: [f for f in x_facets if v in f] for v in xs}
-    y_at = {w: [f for f in y_facets if w in f] for w in y.vertices}
     import itertools
 
     mapping: dict = {}
@@ -116,13 +114,13 @@ def _search_maps(x: Complex, y: Complex, first_only: bool):
                 if (s in x_faces[r]) != (t in y_faces[r]):
                     return False
         done = set(prev)
-        for f in x_at[v]:
+        for f in x._vertex_star[v]:
             rest = f - {v}
             if rest <= done:
                 if frozenset(mapping[u] for u in rest) | {w} not in y_facets:
                     return False
         done_img = set(inverse)
-        for g in y_at[w]:
+        for g in y._vertex_star[w]:
             rest = g - {w}
             if rest <= done_img:
                 if frozenset(inverse[u] for u in rest) | {v} not in x_facets:

@@ -11,7 +11,10 @@ from sx import Complex, from_facets, replay, standard_ball, standard_sphere
 from sx.certify import (
     PROVED,
     REFUTED,
+    UNKNOWN,
     SearchBudget,
+    Verdict,
+    _exhaustive_search,
     certify_k_shelled,
     certify_k_stacked_sphere,
     certify_k_stellated,
@@ -25,9 +28,23 @@ from sx.certify import (
     tightness_beta_condition,
 )
 from sx.constructions import klee_novik, stacked_ball_closure
-from sx.errors import DimensionTooHigh, GuardExceeded, NotABall, NotNormalPseudomanifold
+from sx.corpus import fixture
+from sx.errors import (
+    DimensionTooHigh,
+    GuardExceeded,
+    NotABall,
+    NotNormalPseudomanifold,
+    NotWeakPseudomanifold,
+)
 from sx.growth import grow_shelled_ball, grow_stacked_sphere, grow_stellated_sphere
 from sx.homology import _boundary_columns, _rank
+from sx.moves import (
+    MoveCertificate,
+    ShellingMove,
+    apply_bistellar,
+    bistellar_options,
+    is_standard_sphere,
+)
 
 RP2 = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
        (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)]
@@ -133,6 +150,239 @@ def test_ziegler_ball_not_shellable(ziegler_b2):
 def test_shelled_search_budget_cutoff(ziegler_b2):
     v = certify_k_shelled(ziegler_b2, 3, SearchBudget(max_nodes=10))
     assert v.status == "UNKNOWN"
+
+
+# -- the shelling and exhaustive searches against the loops they replaced ------------
+#
+# ``certify_k_shelled`` and ``_exhaustive_search`` as they were before both ran
+# on ``_memo_dfs``, kept verbatim apart from their names: two hand-rolled
+# frame/dead-set loops, and a shelling step that finds beta by trying every
+# subset of the facet against a table of all subsets of all facets.
+
+
+def oracle_certify_k_shelled(b: Complex, k: int, budget: SearchBudget | None = None) -> Verdict:
+    """Complete backtracking over shelling orders with index < k.
+
+    States are subsets of facets already shelled, memoized in a global
+    dead-set, so exhausting the space without a budget cutoff soundly
+    refutes.  The certificate starts from the seed facet (a standard
+    ball) and lists the attaching (alpha, beta) moves.
+    """
+    budget = budget or SearchBudget()
+    if not b.is_pure or b.is_empty_complex:
+        raise NotWeakPseudomanifold("shelling search needs a pure complex")
+    if not (0 <= k <= b.dimension):
+        raise ValueError(f"need 0 <= k <= {b.dimension}, got k={k}")
+    facets = b.facets
+    m = len(facets)
+    if m == 1:
+        seed = Complex([facets[0]])
+        cert = MoveCertificate(
+            kind="shelling", start_digest=seed.digest, moves=(), result_digest=b.digest
+        )
+        return Verdict(PROVED, certificate=cert)
+    if k == 0:
+        return Verdict(REFUTED, witness={"reason": "only the standard ball has no moves"})
+
+    vsets = [frozenset(f) for f in facets]
+    verts = b.vertices
+    vindex = {v: i for i, v in enumerate(verts)}
+    vbits = [sum(1 << vindex[v] for v in f) for f in vsets]
+
+    # face -> bitmask of facets containing it, for every subset of a facet
+    sub_mask: dict[frozenset, int] = {}
+    import itertools
+
+    for i, f in enumerate(vsets):
+        for r in range(1, len(f) + 1):
+            for s in itertools.combinations(facets[i], r):
+                key = frozenset(s)
+                sub_mask[key] = sub_mask.get(key, 0) | (1 << i)
+
+    dmax = b.dimension
+    full = (1 << m) - 1
+    dead: set[int] = set()
+    nodes = 0
+    cutoff = False
+
+    def moves_from(state: int, vmask: int):
+        out = []
+        for j in range(m):
+            if state >> j & 1:
+                continue
+            fresh = vbits[j] & ~vmask
+            if fresh.bit_count() > 1:
+                continue
+            sigma = vsets[j]
+            if fresh:
+                u = verts[fresh.bit_length() - 1]
+                alpha = sigma - {u}
+                if (sub_mask.get(alpha, 0) & state).bit_count() == 1:
+                    out.append((j, ShellingMove(alpha=b.face_tuple(alpha), beta=(u,))))
+                continue
+            best = None
+            for r in range(1, min(k, dmax) + 1):
+                for s in itertools.combinations(facets[j], r):
+                    beta = frozenset(s)
+                    if sub_mask.get(beta, 0) & state:
+                        continue
+                    if all(
+                        (sub_mask.get(sigma - {v}, 0) & state).bit_count() == 1
+                        for v in beta
+                    ):
+                        best = ShellingMove(
+                            alpha=b.face_tuple(sigma - beta), beta=b.face_tuple(beta)
+                        )
+                        break
+                if best:
+                    break
+            if best:
+                out.append((j, best))
+        return out
+
+    for seed_i in range(m):
+        state = 1 << seed_i
+        if state in dead:
+            continue
+        # frames: (state, vmask, pending child moves)
+        stack = [(state, vbits[seed_i], None)]
+        path: list[tuple[int, ShellingMove]] = []
+        while stack:
+            cur, vmask, pending = stack[-1]
+            if cur == full:
+                moves = tuple(mv for _, mv in path)
+                seed = Complex([facets[seed_i]])
+                cert = MoveCertificate(
+                    kind="shelling",
+                    start_digest=seed.digest,
+                    moves=moves,
+                    result_digest=b.digest,
+                )
+                return Verdict(
+                    PROVED,
+                    certificate=cert,
+                    budget_spent={"nodes": nodes, "seed": budget.seed},
+                )
+            if pending is None:
+                nodes += 1
+                if nodes > budget.max_nodes:
+                    cutoff = True
+                    break
+                pending = moves_from(cur, vmask)
+                stack[-1] = (cur, vmask, pending)
+            advanced = False
+            while pending:
+                j, mv = pending.pop(0)
+                nxt = cur | (1 << j)
+                if nxt in dead:
+                    continue
+                stack.append((nxt, vmask | vbits[j], None))
+                path.append((j, mv))
+                advanced = True
+                break
+            if not advanced:
+                dead.add(cur)
+                stack.pop()
+                if path:
+                    path.pop()
+        if cutoff:
+            break
+    if cutoff:
+        return Verdict(
+            UNKNOWN,
+            witness={"reason": "node budget exhausted"},
+            budget_spent={"nodes": nodes, "seed": budget.seed},
+        )
+    return Verdict(
+        REFUTED,
+        witness={"reason": "complete backtracking exhausted all shelling orders"},
+        budget_spent={"nodes": nodes, "seed": budget.seed},
+    )
+
+
+def oracle_exhaustive_search(s: Complex, lo: int, budget: SearchBudget):
+    """Backtracking over the full reverse-move DAG, memoized by digest."""
+    d = s.dimension
+    counters = {"nodes": 0, "seed": budget.seed}
+    dead: set[str] = set()
+    stack = [(s, None)]
+    path: list[BistellarMove] = []
+    while stack:
+        current, pending = stack[-1]
+        if is_standard_sphere(current):
+            return list(path), current, counters
+        if pending is None:
+            counters["nodes"] += 1
+            if counters["nodes"] > budget.max_nodes:
+                return None, None, counters
+            pending = list(bistellar_options(current, lo, d))
+            stack[-1] = (current, pending)
+        advanced = False
+        while pending:
+            mv = pending.pop(0)
+            nxt = apply_bistellar(current, mv)
+            if nxt.digest in dead:
+                continue
+            stack.append((nxt, None))
+            path.append(mv)
+            advanced = True
+            break
+        if not advanced:
+            dead.add(current.digest)
+            stack.pop()
+            if path:
+                path.pop()
+    return None, None, counters
+
+
+def shelling_cases():
+    """Seeded grown balls of dimension 1-4, random pure complexes on at most
+    8 vertices, a complex with a ridge in three facets, and three corpus
+    balls (one of them not shellable)."""
+    rng = random.Random(5)
+    cases = []
+    for dim in range(1, 5):
+        for k in range(1, dim + 1):
+            for steps in (2, 6, 12):
+                cases.append(grow_shelled_ball(dim, k, steps, rng)[0])
+    for _ in range(40):
+        n = rng.randint(2, 8)
+        labels = list(range(1, n + 1)) if rng.random() < 0.7 else [f"v{i}" for i in range(n)]
+        size = rng.randint(2, min(n, 4))
+        cases.append(from_facets(rng.sample(labels, size) for _ in range(rng.randint(1, 9))))
+    cases.append(from_facets([[1, 2, 3], [1, 2, 4], [1, 2, 5], [3, 4, 6]]))
+    cases += [fixture(name).complex for name in ("lutz_b1", "lutz_b2", "ziegler_b2")]
+    return cases
+
+
+def test_shelling_search_matches_the_oracle():
+    statuses = set()
+    for b in shelling_cases():
+        for k in range(b.dimension + 1):
+            for max_nodes in (5, 50, 3000):
+                budget = SearchBudget(max_nodes=max_nodes, seed=max_nodes)
+                want = oracle_certify_k_shelled(b, k, budget).as_dict()
+                assert certify_k_shelled(b, k, budget).as_dict() == want, (b.facets, k, max_nodes)
+                statuses.add(want["status"])
+    assert statuses == {PROVED, REFUTED, UNKNOWN}
+
+
+def test_exhaustive_search_matches_the_oracle():
+    # index-0 moves (lo = 0) grow the sphere without end, and lo = 1 in
+    # dimension 4 is the slowest range, so neither is tried
+    rng = random.Random(0)
+    outcomes = set()
+    for dim in range(1, 5):
+        for grow_k in range(2, dim + 2):
+            for steps in (3, 8):
+                s, _ = grow_stellated_sphere(dim, grow_k, steps, rng)
+                for lo in range(max(1, dim - 2), dim + 1):
+                    for max_nodes in (2, 20):
+                        budget = SearchBudget(restarts=0, max_nodes=max_nodes)
+                        trail, final, spent = oracle_exhaustive_search(s, lo, budget)
+                        assert _exhaustive_search(s, lo, budget) == (trail, final, spent["nodes"])
+                        outcomes.add((trail is not None, spent["nodes"] > max_nodes))
+    assert outcomes == {(True, False), (False, False), (False, True)}
 
 
 # -- stellatedness ----------------------------------------------------------------------
@@ -525,7 +775,13 @@ def test_exhaustive_search_path():
     budget = SearchBudget(restarts=0, max_nodes=50_000)
     v = certify_k_stellated(s, 2, budget, exhaustive=True)
     assert v.proved
-    assert v.budget_spent.get("nodes", 0) > 0
+    assert v.budget_spent == {"moves_tried": 0, "restarts": 0, "seed": 0, "nodes": 3}
+    # a descent cut short after one move keeps its counters next to the
+    # exhaustive search's
+    budget = SearchBudget(restarts=1, max_moves=1, seed=4)
+    v = certify_k_stellated(s, 2, budget, exhaustive=True)
+    assert v.proved
+    assert v.budget_spent == {"moves_tried": 1, "restarts": 1, "seed": 4, "nodes": 3}
 
 
 def test_exhaustive_search_on_moveless_sphere_is_unknown(dfm_ball):
@@ -534,6 +790,7 @@ def test_exhaustive_search_on_moveless_sphere_is_unknown(dfm_ball):
     sphere = dfm_ball.join(standard_ball(0, ("q",))).boundary()
     v = certify_k_stellated(sphere, 2, SearchBudget(restarts=1), exhaustive=True)
     assert v.status == "UNKNOWN"
+    assert v.budget_spent == {"moves_tried": 0, "restarts": 1, "seed": 0, "nodes": 1}
 
 
 def test_ear_scan_on_paths():

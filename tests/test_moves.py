@@ -24,7 +24,6 @@ from sx.errors import BadDimension, InvalidMove, ReplayFailure
 from sx.growth import grow_shelled_ball, grow_stellated_sphere
 from sx.moves import (
     _attachment_split,
-    _combinations,
     ball_from_stellated_certificate,
     bistellar_valid,
     boundary_certificate,
@@ -100,6 +99,10 @@ def scan_has_face(x, face):
 def scan_link(x, face):
     f = frozenset(face)
     return Complex(g - f for g in x.facet_sets if f <= g)
+
+
+def _combinations(s, r):
+    return itertools.combinations(sorted(s, key=lambda v: (str(v), isinstance(v, str))), r)
 
 
 def scan_attachment_split(y, sigma):
