@@ -2,7 +2,8 @@
 
 JSON is the only machine format and goes to stdout; human-readable
 tables go to stderr under --pretty.  Exit codes: 0 proved/success,
-1 refuted/failure, 2 unknown, 64 usage error, 65 input parse error.
+1 refuted/failure, 2 unknown, 64 usage error, 65 input parse error, 69
+broken precondition or guard.
 Randomized commands echo their seed so identical argv reproduce
 byte-identical output.
 """
@@ -39,13 +40,14 @@ from .constructions import (
     stacked_manifold_closure,
 )
 from .corpus import fixture, fixture_names
-from .errors import SxError
+from .errors import SxError, UnknownFixture
 from .homology import betti, euler_characteristic
 from .moves import standard_ball, standard_sphere
 from .symmetry import automorphism_group, is_isomorphic, permutation_cycles
 
 USAGE_ERROR = 64
 PARSE_ERROR = 65
+PRECONDITION = 69
 
 
 def _usage_error(message: str):
@@ -65,15 +67,22 @@ def _emit(payload: dict, pretty: bool = False):
             print(f"{key}: {value}", file=sys.stderr)
 
 
+class _SourceError(Exception):
+    """A source could not be read or parsed; the cause says why."""
+
+
 def _load_source(src: str, fmt: str | None) -> tuple[Complex, str | None]:
-    if src.startswith("fixtures:"):
-        fx = fixture(src.split(":", 1)[1])
-        if fx.complex is None:
-            raise SxError(f"fixture {fx.name} is a certificate, not a complex")
-        return fx.complex, fx.name
-    if src == "-":
-        return sxio.load(sys.stdin, fmt)
-    return sxio.load_path(src, fmt)
+    try:
+        if src.startswith("fixtures:"):
+            fx = fixture(src.split(":", 1)[1])
+            if fx.complex is None:
+                raise SxError(f"fixture {fx.name} is a certificate, not a complex")
+            return fx.complex, fx.name
+        if src == "-":
+            return sxio.load(sys.stdin, fmt)
+        return sxio.load_path(src, fmt)
+    except (SxError, ValueError, OSError) as exc:
+        raise _SourceError(exc) from exc
 
 
 def _budget(args) -> SearchBudget:
@@ -437,9 +446,14 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except SystemExit:
         raise
-    except (SxError, ValueError, OSError, json.JSONDecodeError) as exc:
+    # a fixture name that does not exist is an unreadable source wherever
+    # it is named, `fixtures export` included
+    except (_SourceError, UnknownFixture, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR
+    except (SxError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return PRECONDITION
 
 
 if __name__ == "__main__":

@@ -1,10 +1,25 @@
 """Automorphism groups, isomorphism testing, and vertex orbits.
 
-The search is plain backtracking over vertex images, pruned by an
-iteratively refined vertex invariant (degree plus the multiset of
-neighbouring link f-vectors).  At the guarded sizes this enumerates the
-full group, so the reported order is exact by construction and the
-generator list is reduced greedily afterwards.
+Both searches run on the vertex indices 0..n-1 of a complex's canonical
+vertex order, with facets as index tuples, by individualization and
+refinement (McKay-Piperno, "Practical graph isomorphism, II", J. Symbolic
+Comput. 60, 2014).  The vertex colourings of the two sides are refined
+together: a vertex's new colour is its old colour with the sorted multiset
+of the colour tuples of the facets in its star, coded through one table
+shared by both sides, until the number of cells stops growing.  A colouring
+that is not discrete is split by individualizing the first vertex of its
+smallest non-singleton cell on the left against each vertex of that colour
+on the right.  A discrete colouring gives one vertex map, and it is
+accepted only if it sends the facet set onto the facet set: every verdict
+rests on that exact check, never on the colours.
+
+`automorphism_group` walks the leftmost path of that search to a base
+b_0..b_{m-1}.  From the deepest level up, it searches b_i -> w only for the
+w of b_i's cell that the generators found so far do not already carry b_i
+to.  The order is the product of the basic orbit lengths (Schreier-Sims),
+and one transversal element per level composes to each group element
+exactly once.  The element list is kept only so that the greedily reduced
+generator list stays the one the exhaustive enumeration gave.
 """
 
 from __future__ import annotations
@@ -24,128 +39,87 @@ class AutGroup:
     vertex_orbits: tuple[tuple, ...]
 
 
-def _joint_codes(complexes: list[Complex]) -> list[dict]:
-    """Iteratively refined vertex invariants, shared across the inputs.
+def _indexed(x: Complex) -> tuple[list[tuple], frozenset, list[list[tuple]]]:
+    """Facets as sorted vertex-index tuples, their set, and each vertex's star."""
+    pos = x._vertex_pos
+    facets = [tuple(pos[v] for v in f) for f in x.facets]
+    star: list[list[tuple]] = [[] for _ in x.vertices]
+    for f in facets:
+        for i in f:
+            star[i].append(f)
+    return facets, frozenset(facets), star
 
-    Starts from (degree, link f-vector) and folds in sorted neighbour
-    codes, re-encoding to small integers through one table per round so
-    codes stay comparable between complexes; isomorphic vertices always
-    end up with equal codes.
+
+def _refine(sides: tuple, colours: tuple) -> tuple:
+    """Refine the colourings of the sides together until they are stable.
+
+    A new colour determines the old one, so the cell count never falls and
+    stops growing exactly when no cell splits on either side.  Vertices
+    that an isomorphism respecting the colourings pairs up keep equal
+    colours, because the shared table codes equal keys equally.
     """
-    tagged = []
-    adj = {}
-    for idx, x in enumerate(complexes):
-        for v in x.vertices:
-            tagged.append((idx, v))
-            adj[(idx, v)] = set()
-        for e in x.faces(1):
-            a, b = tuple(e)
-            adj[(idx, a)].add((idx, b))
-            adj[(idx, b)].add((idx, a))
-    raw = {
-        (idx, v): (len(adj[(idx, v)]), complexes[idx].link((v,)).f_vector())
-        for idx, v in tagged
-    }
-    table = {key: i for i, key in enumerate(sorted(set(raw.values())))}
-    code = {t: table[raw[t]] for t in tagged}
+    cells = len(set().union(*colours))
     while True:
-        raw = {t: (code[t], tuple(sorted(code[w] for w in adj[t]))) for t in tagged}
-        table = {key: i for i, key in enumerate(sorted(set(raw.values())))}
-        nxt = {t: table[raw[t]] for t in tagged}
-        if len(set(nxt.values())) == len(set(code.values())):
-            code = nxt
-            break
-        code = nxt
-    return [
-        {v: code[(idx, v)] for v in x.vertices} for idx, x in enumerate(complexes)
-    ]
+        keys = []
+        for (facets, _, star), col in zip(sides, colours):
+            facet_colours = {f: tuple(sorted(col[i] for i in f)) for f in facets}
+            keys.append(
+                [(c, tuple(sorted(facet_colours[f] for f in star[v]))) for v, c in enumerate(col)]
+            )
+        table = {key: i for i, key in enumerate(sorted({key for ks in keys for key in ks}))}
+        colours = tuple([table[key] for key in ks] for ks in keys)
+        if len(table) == cells:
+            return colours
+        cells = len(table)
 
 
-def _search_maps(x: Complex, y: Complex, first_only: bool):
-    """All facet-preserving vertex bijections x -> y (or just the first).
+def _individualize(col: list, v: int) -> list:
+    """Give v a colour of its own, the same fresh colour on either side."""
+    out = list(col)
+    out[v] = -1
+    return out
 
-    Backtracking over vertex images; a new assignment must preserve
-    face/non-face status of every subset of the mapped set, which is what
-    keeps neighborly (invariant-flat) inputs tractable.
-    """
-    found: list[dict] = []
-    if x is y:
-        cx = cy = _joint_codes([x])[0]
-    else:
-        cx, cy = _joint_codes([x, y])
-    if sorted(cx.values()) != sorted(cy.values()):
-        return found
-    xs = x.vertices
-    class_size = {v: sum(1 for u in xs if cx[u] == cx[v]) for v in xs}
-    edges = x.faces(1)
-    # greedy static order: after a seed from the smallest invariant class,
-    # always take the vertex with the most missing-edge constraints (then
-    # the most adjacencies) against the prefix, so partner-like structure
-    # is interrogated early
-    seed = min(xs, key=lambda v: (class_size[v], str(v)))
-    order = [seed]
-    remaining = [v for v in xs if v != seed]
-    while remaining:
-        def score(v):
-            nonadj = sum(1 for u in order if frozenset((u, v)) not in edges)
-            return (-nonadj, -(len(order) - nonadj), class_size[v], str(v))
 
-        nxt = min(remaining, key=score)
-        order.append(nxt)
-        remaining.remove(nxt)
-    targets = {v: [w for w in y.vertices if cy[w] == cx[v]] for v in xs}
-    d = x.dimension
-    depth_cap = min(d, 3)  # small subsets prune; facet checks do the rest
-    x_faces = [x.faces(k) for k in range(d + 1)]
-    y_faces = [y.faces(k) for k in range(d + 1)]
-    x_facets = x.facet_sets
-    y_facets = y.facet_sets
-    import itertools
+def _target_cell(col: list) -> list | None:
+    """The smallest non-singleton cell, lowest colour first on ties."""
+    cells: dict = {}
+    for v, c in enumerate(col):
+        cells.setdefault(c, []).append(v)
+    split = [(len(vs), c) for c, vs in cells.items() if len(vs) > 1]
+    return cells[min(split)[1]] if split else None
 
-    mapping: dict = {}
-    inverse: dict = {}
 
-    def consistent(v, w, depth) -> bool:
-        prev = order[:depth]
-        for r in range(1, min(len(prev), depth_cap) + 1):
-            for sub in itertools.combinations(prev, r):
-                s = frozenset(sub) | {v}
-                t = frozenset(mapping[u] for u in sub) | {w}
-                if (s in x_faces[r]) != (t in y_faces[r]):
-                    return False
-        done = set(prev)
-        for f in x._vertex_star[v]:
-            rest = f - {v}
-            if rest <= done:
-                if frozenset(mapping[u] for u in rest) | {w} not in y_facets:
-                    return False
-        done_img = set(inverse)
-        for g in y._vertex_star[w]:
-            rest = g - {w}
-            if rest <= done_img:
-                if frozenset(inverse[u] for u in rest) | {v} not in x_facets:
-                    return False
-        return True
+def _search(left: tuple, right: tuple, cl: list, cr: list):
+    """Yield every facet-preserving bijection left -> right that respects
+    the colourings cl and cr, as the list of images of 0..n-1."""
+    cl, cr = _refine((left, right), (cl, cr))
+    if sorted(cl) != sorted(cr):
+        return
+    cell = _target_cell(cl)
+    if cell is None:
+        (left_facets, _, _), (_, right_facet_set, _) = left, right
+        where = {c: w for w, c in enumerate(cr)}
+        perm = [where[c] for c in cl]
+        if {tuple(sorted(perm[i] for i in f)) for f in left_facets} == right_facet_set:
+            yield perm
+        return
+    u = cell[0]
+    for w, c in enumerate(cr):
+        if c == cl[u]:
+            yield from _search(left, right, _individualize(cl, u), _individualize(cr, w))
 
-    def extend(i: int):
-        if i == len(order):
-            if {frozenset(mapping[v] for v in f) for f in x_facets} == y_facets:
-                found.append(dict(mapping))
-            return bool(found) and first_only
-        v = order[i]
-        for w in targets[v]:
-            if w in inverse or not consistent(v, w, i):
-                continue
-            mapping[v] = w
-            inverse[w] = v
-            if extend(i + 1):
-                return True
-            del inverse[w]
-            del mapping[v]
-        return False
 
-    extend(0)
-    return found
+def _orbit(b: int, gens: list[list], n: int) -> dict:
+    """Map each point w of b's orbit under gens to an element carrying b to w."""
+    reach = {b: list(range(n))}
+    frontier = [b]
+    while frontier:
+        u = frontier.pop()
+        for g in gens:
+            if g[u] not in reach:
+                reach[g[u]] = [g[i] for i in reach[u]]
+                frontier.append(g[u])
+    return reach
 
 
 def _greedy_generators(elements: list[tuple], verts: tuple) -> list[dict]:
@@ -170,16 +144,37 @@ def _greedy_generators(elements: list[tuple], verts: tuple) -> list[dict]:
 
 
 def automorphism_group(x: Complex, guard: int = DEFAULT_GUARD) -> AutGroup:
-    """The full automorphism group, enumerated exactly.
+    """The full automorphism group, exactly.
 
-    Order equals the number of facet-preserving vertex bijections found;
-    orbits are read off the full element list.
+    Its order is the product of the basic orbit lengths along the base;
+    the orbits and the generators are read off the element list that the
+    transversals compose to.
     """
     verts = x.vertices
-    if len(verts) > guard:
-        raise GuardExceeded(f"{len(verts)} vertices exceed the guard {guard}")
-    maps = _search_maps(x, x, first_only=False)
-    elements = [tuple(mp[v] for v in verts) for mp in maps]
+    n = len(verts)
+    if n > guard:
+        raise GuardExceeded(f"{n} vertices exceed the guard {guard}")
+    side = _indexed(x)
+    # the leftmost path: base point, its cell and the colouring it splits
+    path = []
+    (col,) = _refine((side,), ([0] * n,))
+    while (cell := _target_cell(col)) is not None:
+        path.append((col, cell[0], cell))
+        (col,) = _refine((side,), (_individualize(col, cell[0]),))
+    gens: list[list] = []
+    elements = [tuple(range(n))]
+    for col, b, cell in reversed(path):
+        orbit = _orbit(b, gens, n)
+        for w in cell:
+            if w in orbit:
+                continue
+            perm = next(_search(side, side, _individualize(col, b), _individualize(col, w)), None)
+            if perm is not None:
+                gens.append(perm)
+                orbit = _orbit(b, gens, n)
+        # the stabilizer of b_0..b_{i-1} is the union of t G_{i+1} over t
+        elements = [tuple(t[i] for i in e) for t in orbit.values() for e in elements]
+    elements = [tuple(verts[i] for i in e) for e in elements]
     # orbits via union-find over all elements
     parent = {v: v for v in verts}
 
@@ -200,9 +195,9 @@ def automorphism_group(x: Complex, guard: int = DEFAULT_GUARD) -> AutGroup:
     orbit_list = tuple(
         tuple(members) for members in sorted(orbits.values(), key=lambda ms: str(ms[0]))
     )
-    gens = _greedy_generators(elements, verts)
+    gens_out = _greedy_generators(elements, verts)
     return AutGroup(
-        generators=tuple(gens),
+        generators=tuple(gens_out),
         order=len(elements),
         vertex_orbits=orbit_list,
     )
@@ -216,8 +211,11 @@ def is_isomorphic(x: Complex, y: Complex, guard: int = DEFAULT_GUARD) -> dict | 
         return None
     if x.f_vector() != y.f_vector():
         return None
-    maps = _search_maps(x, y, first_only=True)
-    return maps[0] if maps else None
+    unit = [0] * len(x.vertices)
+    perm = next(_search(_indexed(x), _indexed(y), unit, unit), None)
+    if perm is None:
+        return None
+    return {v: y.vertices[w] for v, w in zip(x.vertices, perm)}
 
 
 def is_automorphism(x: Complex, perm: dict) -> bool:
@@ -241,27 +239,3 @@ def permutation_cycles(perm: dict) -> list[tuple]:
         if len(cyc) > 1:
             cycles.append(tuple(cyc))
     return cycles
-
-
-def explore_question_2(k: int, guard: int = DEFAULT_GUARD) -> dict:
-    """Exploratory report on the full symmetry group of the middle
-    Klee-Novik manifold; computes, never asserts expectations."""
-    from .constructions import klee_novik, klee_novik_automorphisms, klee_novik_bar
-
-    d = 2 * k
-    m = klee_novik(k, d)
-    mbar = klee_novik_bar(k, d)
-    group = automorphism_group(m, guard=guard)
-    perms = klee_novik_automorphisms(k, d)
-    report = {
-        "k": k,
-        "d": d,
-        "computed_order": group.order,
-        "comparison_order_16_k_plus_1": 16 * (k + 1),
-        "orders_equal": group.order == 16 * (k + 1),
-        "named_maps_are_automorphisms": {
-            name: is_automorphism(m, p) for name, p in perms.items()
-        },
-        "A_preserves_bar_complex": is_automorphism(mbar, perms["A"]),
-    }
-    return report

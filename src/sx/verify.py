@@ -466,8 +466,3 @@ def run_criterion(cid: str, seed: int = 0) -> list[Check]:
         return fn(seed)
     return fn()
 
-
-def run_all(seed: int = 0):
-    """Yield (criterion id, title, checks) in order."""
-    for cid, (title, _) in CRITERIA.items():
-        yield cid, title, run_criterion(cid, seed)

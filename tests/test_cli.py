@@ -221,8 +221,16 @@ def test_aut_guard_flag(capsys, tmp_path):
     code, out, err = run_cli(
         capsys, "aut", "--guard-vertices", "3", "fixtures:lutz_s2_8"
     )
-    assert code == 65
+    assert code == 69
+    assert out == ""
     assert "guard" in err
+
+
+def test_broken_precondition_exit_69(capsys):
+    code, out, err = run_cli(capsys, "certify", "shelled", "-k", "9", "fixtures:lutz_b1")
+    assert code == 69
+    assert out == ""
+    assert err == "error: need 0 <= k <= 3, got k=9\n"
 
 
 def test_generate_standard_objects(capsys):

@@ -174,6 +174,7 @@ def test_named_permutations_are_automorphisms():
             assert is_automorphism(m, perms[name])
             assert is_automorphism(mb, perms[name])
         assert is_automorphism(m, perms["A"]) == (d == 2 * k)
+        assert not is_automorphism(mb, perms["A"])
 
 
 def test_involution_a_swaps_parameters():
