@@ -605,53 +605,27 @@ def flip_scan(s: Complex, lo: int, hi: int) -> list[BistellarMove]:
 def _is_path(c: Complex) -> bool:
     if c.dimension != 1 or not c.is_pure:
         return False
-    deg: dict = {}
-    for e in c.faces(1):
-        for v in e:
-            deg[v] = deg.get(v, 0) + 1
-    if max(deg.values()) > 2:
+    if max(len(star) for star in c._vertex_star.values()) > 2:
         return False
-    if len(c.faces(1)) != len(c.vertices) - 1:
-        return False
-    return c.is_connected
+    return len(c.facet_sets) == len(c.vertices) - 1 and c.is_connected
 
 
 def _is_disk(c: Complex) -> bool:
     """Exact test: connected 2-manifold, one boundary cycle, chi = 1."""
-    if c.dimension != 2 or not c.is_pure:
-        return False
-    edge_deg: dict = {}
-    for t in c.faces(2):
-        for v in t:
-            e = t - {v}
-            edge_deg[e] = edge_deg.get(e, 0) + 1
-    if any(n > 2 for n in edge_deg.values()):
+    if c.dimension != 2 or not c.is_weak_pseudomanifold:
         return False
     # every vertex link must be a single path or a single cycle
     for v in c.vertices:
         lk = c.link((v,))
-        if lk.dimension != 1:
-            return False
         if not (_is_path(lk) or _is_cycle(lk)):
             return False
-    if not c.is_connected:
-        return False
-    rim = [e for e, n in edge_deg.items() if n == 1]
-    if not rim:
-        return False
-    if not _is_cycle(Complex(rim)):
-        return False
-    return c.euler_characteristic == 1
+    return c.is_connected and _is_cycle(c.boundary()) and c.euler_characteristic == 1
 
 
 def _is_cycle(c: Complex) -> bool:
     if c.dimension != 1 or not c.is_pure:
         return False
-    deg: dict = {}
-    for e in c.faces(1):
-        for v in e:
-            deg[v] = deg.get(v, 0) + 1
-    return all(n == 2 for n in deg.values()) and c.is_connected
+    return all(len(star) == 2 for star in c._vertex_star.values()) and c.is_connected
 
 
 def is_ball_exact(c: Complex, dim: int) -> bool:
@@ -845,14 +819,16 @@ def _induced_rank_injective(x: Complex, y: Complex, j: int, field: int, x_cache:
     a cycle and the cycles of x inside C_j(y) are the cycles of y.  Deleting
     the rows of y's j-faces from ∂_{j+1}(x) leaves a matrix of rank
     dim B_j(x) - dim(B_j(x) ∩ C_j(y)), so three exact ranks decide the map.
-    x_cache holds x's row index, columns and rank per degree j.
+    x_cache holds x's columns and rank per degree j.  With mixed labels y
+    may order its vertices unlike x, so y's faces find their rows through
+    x.face_tuple.
     """
     if j not in x_cache:
-        rows = {frozenset(f): i for i, f in enumerate(x.sorted_faces(x.faces(j)))}
         cols = _boundary_columns(x, j + 1)
-        x_cache[j] = (rows, cols, _rank(cols, field))
-    rows, bx_cols, bx_rank = x_cache[j]
-    y_rows = {rows[f] for f in y.faces(j)}
+        x_cache[j] = (cols, _rank(cols, field))
+    bx_cols, bx_rank = x_cache[j]
+    rows = x.face_index[j]
+    y_rows = {rows[x.face_tuple(f)] for f in y.faces(j)}
     outside_y = [{i: v for i, v in col.items() if i not in y_rows} for col in bx_cols]
     by_rank = _rank(_boundary_columns(y, j + 1), field)
     return bx_rank - _rank(outside_y, field) == by_rank

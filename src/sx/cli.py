@@ -3,7 +3,7 @@
 JSON is the only machine format and goes to stdout; human-readable
 tables go to stderr under --pretty.  Exit codes: 0 proved/success,
 1 refuted/failure, 2 unknown, 64 usage error, 65 input parse error, 69
-broken precondition or guard.
+broken precondition or guard, 73 output file cannot be created.
 Randomized commands echo their seed so identical argv reproduce
 byte-identical output.
 """
@@ -48,6 +48,7 @@ from .symmetry import automorphism_group, is_isomorphic, permutation_cycles
 USAGE_ERROR = 64
 PARSE_ERROR = 65
 PRECONDITION = 69
+CANT_CREATE = 73
 
 
 def _usage_error(message: str):
@@ -448,9 +449,13 @@ def main(argv=None) -> int:
         raise
     # a fixture name that does not exist is an unreadable source wherever
     # it is named, `fixtures export` included
-    except (_SourceError, UnknownFixture, OSError) as exc:
+    except (_SourceError, UnknownFixture) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PARSE_ERROR
+    # _load_source wraps every read error, so a bare OSError is a write
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return CANT_CREATE
     except (SxError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return PRECONDITION

@@ -5,7 +5,8 @@ is enumerated lazily and memoized per dimension.  Vertex labels are
 integers or short strings, ordered numerically when every label of the
 complex is an integer and by string value otherwise, so that all derived
 orderings (facet lists, digests, move enumerations) are deterministic
-across runs.
+across runs.  `Complex.face_index` is the one canonical face order: each
+face's row per dimension, which every boundary matrix is indexed by.
 """
 
 from __future__ import annotations
@@ -162,6 +163,17 @@ class Complex:
                     tier.add(frozenset(c))
         return {k: frozenset(v) for k, v in by_dim.items()}
 
+    @cached_property
+    def face_index(self) -> dict[int, dict[tuple, int]]:
+        """Per dimension from -1, each face's canonical tuple mapped to its
+        row; rows follow the faces' vertex positions lexicographically."""
+        pos, verts = self._vertex_pos, self.vertices
+        index = {}
+        for k, faces in self._faces_by_dim.items():
+            rows = sorted(tuple(sorted(pos[v] for v in f)) for f in faces)
+            index[k] = {tuple(verts[i] for i in r): n for n, r in enumerate(rows)}
+        return index
+
     def faces(self, dim: int) -> frozenset:
         """All faces of the given dimension (``-1`` yields ``{∅}``)."""
         if dim < -1 or dim > self.dimension:
@@ -283,24 +295,29 @@ class Complex:
 
     @cached_property
     def is_connected(self) -> bool:
-        if self.is_empty_complex:
+        return self._link_is_connected(frozenset())
+
+    def _link_is_connected(self, face: FaceSet) -> bool:
+        """Whether lk(face) is connected, read from the star: the sets g - face
+        for the facets g ⊇ face, joined where they share a vertex.  The link
+        {∅} of a facet is not connected."""
+        star = self._vertex_star[next(iter(face))] if face else self._facets
+        pieces = [g - face for g in star if face <= g]
+        if not all(pieces):
             return False
-        verts = self.vertices
-        if len(verts) == 1:
-            return True
-        adj: dict = {v: set() for v in verts}
-        for e in self._faces_by_dim.get(1, ()):
-            a, b = tuple(e)
-            adj[a].add(b)
-            adj[b].add(a)
-        seen = {verts[0]}
-        stack = [verts[0]]
+        by_vertex: dict = {}
+        for i, piece in enumerate(pieces):
+            for v in piece:
+                by_vertex.setdefault(v, []).append(i)
+        seen = {0}
+        stack = [0]
         while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(verts)
+            for v in pieces[stack.pop()]:
+                for j in by_vertex.pop(v, ()):
+                    if j not in seen:
+                        seen.add(j)
+                        stack.append(j)
+        return len(seen) == len(pieces)
 
     def classify(self) -> "Classification":
         """Exact pseudomanifold-hierarchy flags for this complex."""
@@ -322,13 +339,11 @@ class Complex:
     def _has_connected_low_links(self) -> bool:
         # links of faces of dimension <= d-2; the empty face (its link is the
         # whole complex) takes part only when d >= 1
-        if self.dimension >= 1 and not self.is_connected:
-            return False
-        for k in range(0, self.dimension - 1):
-            for f in self._faces_by_dim[k]:
-                if not self.link(f).is_connected:
-                    return False
-        return True
+        return all(
+            self._link_is_connected(f)
+            for k in range(-1, self.dimension - 1)
+            for f in self._faces_by_dim[k]
+        )
 
     # -- combinatorial queries -------------------------------------------------
 

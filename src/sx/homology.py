@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .complexes import Complex
-from .errors import EmptyInput, FieldTooLarge, NotClosed
+from .errors import EmptyInput, FieldTooLarge
 
 DEFAULT_FIELDS: tuple[int, ...] = (0, 2, 3)
 
@@ -54,21 +54,14 @@ def field_name(field: int) -> str:
 def _boundary_columns(x: Complex, k: int) -> list[dict[int, int]]:
     """Columns of the k-th boundary map of the reduced chain complex.
 
-    Rows are indexed by the canonically sorted (k-1)-faces; k = 0 yields
-    the augmentation map (one row of ones).
+    Rows and columns follow `Complex.face_index`; k = 0 yields the
+    augmentation map, whose one row is the empty face.
     """
-    k_faces = x.sorted_faces(x.faces(k))
-    if k == 0:
-        return [{0: 1} for _ in k_faces]
-    row_index = {frozenset(f): i for i, f in enumerate(x.sorted_faces(x.faces(k - 1)))}
-    cols = []
-    for f in k_faces:
-        col = {}
-        for j in range(len(f)):
-            sub = frozenset(f[:j] + f[j + 1:])
-            col[row_index[sub]] = 1 if j % 2 == 0 else -1
-        cols.append(col)
-    return cols
+    rows = x.face_index[k - 1]
+    return [
+        {rows[f[:j] + f[j + 1:]]: (-1) ** j for j in range(len(f))}
+        for f in x.face_index.get(k, ())
+    ]
 
 
 def _divide_by_gcd(col: dict[int, int]) -> None:
@@ -140,14 +133,6 @@ def betti(x: Complex, field: int = 0) -> tuple[int, ...]:
 
 def euler_characteristic(x: Complex) -> int:
     return x.euler_characteristic
-
-
-def orientable_over(x: Complex, field: int) -> bool:
-    """True iff the top reduced homology of the closed complex has rank 1."""
-    cls = x.classify()
-    if not (cls.weak_pseudomanifold and cls.closed and x.is_connected):
-        raise NotClosed("orientability needs a closed connected weak pseudomanifold")
-    return betti(x, field)[x.dimension] == 1
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import sx.certify as certify_module
 from sx import Complex, from_facets, replay, standard_ball, standard_sphere
 from sx.certify import (
     PROVED,
@@ -21,6 +22,7 @@ from sx.certify import (
     collapse,
     ear_scan,
     flip_scan,
+    is_ball_exact,
     is_in_class,
     is_k_stacked_ball,
     is_one_stacked_ball,
@@ -35,6 +37,7 @@ from sx.errors import (
     NotABall,
     NotNormalPseudomanifold,
     NotWeakPseudomanifold,
+    SxError,
 )
 from sx.growth import grow_shelled_ball, grow_stacked_sphere, grow_stellated_sphere
 from sx.homology import _boundary_columns, _rank
@@ -531,6 +534,103 @@ def test_ear_scan_exact_mode_guard():
 # -- collapsing -------------------------------------------------------------------------
 
 
+def oracle_is_path(c: Complex) -> bool:
+    """The former `certify._is_path`, on a degree table of its own."""
+    if c.dimension != 1 or not c.is_pure:
+        return False
+    deg: dict = {}
+    for e in c.faces(1):
+        for v in e:
+            deg[v] = deg.get(v, 0) + 1
+    if max(deg.values()) > 2:
+        return False
+    if len(c.faces(1)) != len(c.vertices) - 1:
+        return False
+    return c.is_connected
+
+
+def oracle_is_disk(c: Complex) -> bool:
+    """The former `certify._is_disk`, on an edge-degree table and rim list."""
+    if c.dimension != 2 or not c.is_pure:
+        return False
+    edge_deg: dict = {}
+    for t in c.faces(2):
+        for v in t:
+            e = t - {v}
+            edge_deg[e] = edge_deg.get(e, 0) + 1
+    if any(n > 2 for n in edge_deg.values()):
+        return False
+    # every vertex link must be a single path or a single cycle
+    for v in c.vertices:
+        lk = c.link((v,))
+        if lk.dimension != 1:
+            return False
+        if not (oracle_is_path(lk) or oracle_is_cycle(lk)):
+            return False
+    if not c.is_connected:
+        return False
+    rim = [e for e, n in edge_deg.items() if n == 1]
+    if not rim:
+        return False
+    if not oracle_is_cycle(Complex(rim)):
+        return False
+    return c.euler_characteristic == 1
+
+
+def oracle_is_cycle(c: Complex) -> bool:
+    """The former `certify._is_cycle`."""
+    if c.dimension != 1 or not c.is_pure:
+        return False
+    deg: dict = {}
+    for e in c.faces(1):
+        for v in e:
+            deg[v] = deg.get(v, 0) + 1
+    return all(n == 2 for n in deg.values()) and c.is_connected
+
+
+def oracle_is_ball_exact(c: Complex, dim: int) -> bool:
+    if dim == 0:
+        return c.dimension == 0 and len(c.vertices) == 1
+    if dim == 1:
+        return oracle_is_path(c)
+    if dim == 2:
+        return oracle_is_disk(c)
+    raise DimensionTooHigh(f"no exact ball recognition in dimension {dim}")
+
+
+def test_ball_recognition_matches_the_degree_table_oracle(differential_complexes):
+    verdicts = set()
+    for x in differential_complexes:
+        subjects = [x]
+        if len(x.facets) <= 100:
+            subjects += [x.link((v,)) for v in x.vertices]
+            if x.is_weak_pseudomanifold:
+                subjects.append(x.boundary())
+        for c in subjects:
+            for dim in (1, 2):
+                verdict = is_ball_exact(c, dim)
+                assert verdict == oracle_is_ball_exact(c, dim), (c.facets, dim)
+                verdicts.add((dim, verdict))
+    assert verdicts == {(1, True), (1, False), (2, True), (2, False)}
+
+
+def test_ear_scan_matches_the_degree_table_oracle(differential_complexes, monkeypatch):
+    def outcomes():
+        out = []
+        for x in differential_complexes:
+            try:
+                out.append(ear_scan(x))
+            except SxError as exc:
+                out.append((type(exc).__name__, str(exc)))
+        return out
+
+    monkeypatch.setattr(certify_module, "is_ball_exact", oracle_is_ball_exact)
+    expected = outcomes()
+    monkeypatch.undo()
+    assert outcomes() == expected
+    assert sum(1 for ears in expected if isinstance(ears, list) and ears) >= 10
+
+
 def test_collapse_standard_balls():
     for d in (1, 2, 3, 4):
         v = collapse(standard_ball(d))
@@ -665,6 +765,13 @@ def oracle_kernel_basis(cols, field):
     return kernel
 
 
+def orientation_sign(face, reordered):
+    """Sign of the permutation that turns the tuple face into reordered."""
+    perm = [face.index(v) for v in reordered]
+    inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+    return -1 if inversions % 2 else 1
+
+
 def oracle_is_tight(x, field):
     """Oracle: lift a cycle basis of every induced subcomplex into x and
     compare the rank of cycles plus boundaries of x with what injectivity
@@ -681,8 +788,10 @@ def oracle_is_tight(x, field):
                 bx_cols = _boundary_columns(x, j + 1)
                 x_index = {frozenset(f): i for i, f in enumerate(x.sorted_faces(x.faces(j)))}
                 y_faces = y.sorted_faces(y.faces(j))
+                # a face that x orders unlike y (mixed labels) changes sign
+                signs = [orientation_sign(f, x.face_tuple(f)) for f in y_faces]
                 lift = [
-                    {x_index[frozenset(y_faces[i])]: v for i, v in vec.items()}
+                    {x_index[frozenset(y_faces[i])]: signs[i] * v for i, v in vec.items()}
                     for vec in z_basis
                 ]
                 joint = _rank(lift + bx_cols, field)
@@ -708,6 +817,13 @@ def test_tightness_agrees_with_kernel_basis_oracle():
     rng = random.Random(2024)
     complexes = [random_complex(rng) for _ in range(40)]
     complexes += [cross_polytope(2), from_facets(RP2), standard_ball(0, ("c",)).join(standard_sphere(2))]
+    # mixed labels sort as strings, so induced subcomplexes on integer
+    # labels alone order their vertices unlike the whole complex
+    mixed = standard_sphere(2, (1, 10, 2, "a"))
+    assert mixed.vertices == (1, 10, 2, "a")
+    assert mixed.induced((1, 2, 10)).vertices == (1, 2, 10)
+    relabel = {3: 10, 6: "a"}
+    complexes += [mixed, from_facets([[relabel.get(v, v) for v in f] for f in RP2])]
     outcomes = set()
     for x in complexes:
         for field in (0, 2, 3):

@@ -150,6 +150,21 @@ def test_unknown_fixture_exit_65(capsys):
     assert code == 65
 
 
+def test_unwritable_output_exit_73_and_unreadable_source_exit_65(capsys, tmp_path):
+    target = tmp_path / "no_such_dir" / "x.fac"
+    code, out, err = run_cli(capsys, "fixtures", "export", "lutz_b1", str(target))
+    assert (code, out) == (73, "")
+    assert err.startswith("error: ") and "no_such_dir" in err
+    assert not target.parent.exists()
+    for argv in (
+        ["info", str(tmp_path / "absent.fac")],
+        ["fixtures", "export", "not_a_fixture", str(tmp_path / "x.fac")],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (65, "")
+        assert err.startswith("error: ")
+
+
 @pytest.mark.parametrize("label", ["[2]", "2.5", "true"])
 def test_bad_json_label_exit_65(capsys, tmp_path, label):
     bad = tmp_path / "bad.json"

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sx import Complex, from_facets, standard_ball, standard_sphere
+from sx.complexes import Classification
 from sx.corpus import fixture
 from sx.errors import (
     EmptyFace,
@@ -19,6 +20,7 @@ from sx.errors import (
     VertexClash,
 )
 from sx.growth import grow_shelled_ball
+from sx.homology import _boundary_columns
 
 
 def closure_f_vector(facets):
@@ -308,3 +310,96 @@ def test_digest_is_stable_under_relabeling_order():
 def test_canonical_vertex_order_mixed_labels():
     c = from_facets([[1, "a", 2], ["b", 1, 2]])
     assert c.vertices == (1, 2, "a", "b")
+
+
+# -- differential tests against the link-Complex and sorted_faces definitions ---------
+
+
+def oracle_is_connected(self) -> bool:
+    """The former `Complex.is_connected`: a search on the edge graph."""
+    if self.is_empty_complex:
+        return False
+    verts = self.vertices
+    if len(verts) == 1:
+        return True
+    adj: dict = {v: set() for v in verts}
+    for e in self._faces_by_dim.get(1, ()):
+        a, b = tuple(e)
+        adj[a].add(b)
+        adj[b].add(a)
+    seen = {verts[0]}
+    stack = [verts[0]]
+    while stack:
+        for w in adj[stack.pop()]:
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) == len(verts)
+
+
+def oracle_has_connected_low_links(self) -> bool:
+    """The former `Complex._has_connected_low_links`: one link Complex per face."""
+    # links of faces of dimension <= d-2; the empty face (its link is the
+    # whole complex) takes part only when d >= 1
+    if self.dimension >= 1 and not oracle_is_connected(self):
+        return False
+    for k in range(0, self.dimension - 1):
+        for f in self._faces_by_dim[k]:
+            if not oracle_is_connected(self.link(f)):
+                return False
+    return True
+
+
+def oracle_classify(self) -> Classification:
+    """The former `Complex.classify`, on the two oracles above."""
+    pure = not self.is_empty_complex and self.is_pure
+    weak = self.is_weak_pseudomanifold
+    pseudo = weak and self.dual_graph().is_connected()
+    normal = weak and oracle_has_connected_low_links(self)
+    closed = weak and not [
+        1 for fs in self._ridge_incidence.values() if len(fs) == 1
+    ]
+    return Classification(
+        pure=pure,
+        weak_pseudomanifold=weak,
+        pseudomanifold=pseudo,
+        normal_pseudomanifold=normal,
+        closed=closed,
+    )
+
+
+def oracle_boundary_columns(x: Complex, k: int) -> list[dict[int, int]]:
+    """The former `homology._boundary_columns`, rows from `sorted_faces`."""
+    k_faces = x.sorted_faces(x.faces(k))
+    if k == 0:
+        return [{0: 1} for _ in k_faces]
+    row_index = {frozenset(f): i for i, f in enumerate(x.sorted_faces(x.faces(k - 1)))}
+    cols = []
+    for f in k_faces:
+        col = {}
+        for j in range(len(f)):
+            sub = frozenset(f[:j] + f[j + 1:])
+            col[row_index[sub]] = 1 if j % 2 == 0 else -1
+        cols.append(col)
+    return cols
+
+
+def test_classification_and_links_match_the_link_complex_oracle(differential_complexes):
+    seen = set()
+    for x in differential_complexes + [Complex.empty()]:
+        flags = x.classify().as_dict()
+        assert flags == oracle_classify(x).as_dict(), x.facets
+        assert x.is_connected == oracle_is_connected(x), x.facets
+        # every face's link, facets (link {∅}) included, on the smaller inputs
+        for f in x.all_faces() if len(x.facets) <= 100 else ():
+            assert x._link_is_connected(f) == oracle_is_connected(x.link(f)), (x.facets, f)
+        seen.add(tuple(flags.values()) + (x.is_connected,))
+    # normal and not, pseudomanifold and not, connected and not all occur
+    assert len(seen) >= 6
+
+
+def test_boundary_columns_match_the_sorted_faces_oracle(differential_complexes):
+    for x in differential_complexes:
+        for k in range(x.dimension + 2):
+            assert _boundary_columns(x, k) == oracle_boundary_columns(x, k), (x.facets, k)
+            assert list(x.face_index.get(k, ())) == x.sorted_faces(x.faces(k))

@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 from sx import from_facets, standard_ball, standard_sphere
 from sx.constructions import klee_novik
 from sx.corpus import fixture
-from sx.errors import EmptyInput, FieldTooLarge, NotClosed
-from sx.growth import grow_shelled_ball, grow_stacked_sphere
+from sx.errors import EmptyInput, FieldTooLarge
+from sx.growth import grow_shelled_ball
 from sx.homology import (
     DEFAULT_FIELDS,
     betti,
     check_field,
     euler_characteristic,
-    orientable_over,
     screen_homology_ball,
     screen_homology_sphere,
 )
@@ -179,20 +178,6 @@ def test_field_independence_on_fixture_spheres():
         c = fixture(name).complex
         values = {betti(c, p) for p in (0, 2, 3, 5)}
         assert len(values) == 1
-
-
-def test_orientability():
-    rng = random.Random(2)
-    for _ in range(6):
-        sphere = grow_stacked_sphere(rng.choice([2, 3]), rng.randrange(1, 5), rng)
-        assert orientable_over(sphere, 2)
-        assert orientable_over(sphere, 0)
-    assert orientable_over(klee_novik(1, 2), 0)
-    rp = from_facets(RP2)
-    assert not orientable_over(rp, 0)
-    assert orientable_over(rp, 2)
-    with pytest.raises(NotClosed):
-        orientable_over(standard_ball(2), 0)
 
 
 def test_sparse_rank_agrees_with_fraction_oracle_on_random_matrices():
