@@ -2,10 +2,13 @@
 
 Boundary matrices are assembled sparsely per dimension, one dict of
 nonzero rows per column, and their ranks come from a single sparse column
-eliminator, `_rank`.  Over F_p it works modulo p with pivots scaled to a
-leading 1; over Q it is fraction-free: integer entries throughout, each
-pivot divided by the gcd of its entries.  Every rank is exact; nothing
-here is floating point.
+eliminator, `_pivot_rows`.  Over F_p it works modulo p with pivots scaled
+to a leading 1; over Q it is fraction-free: integer entries throughout,
+each pivot divided by the gcd of its entries.  `betti` computes the ranks
+top-down with clearing: the columns of ∂_k at the pivot rows of ∂_{k+1},
+reduced over the same field, are dropped before ∂_k is eliminated, which
+leaves its rank unchanged.  Every rank is exact over Q and every F_p;
+nothing here is floating point.
 """
 
 from __future__ import annotations
@@ -73,8 +76,9 @@ def _divide_by_gcd(col: dict[int, int]) -> None:
             col[i] //= g
 
 
-def _rank(cols: list[dict[int, int]], field: int) -> int:
-    """Rank of a sparse integer column matrix over F_p (field = p) or Q (0).
+def _pivot_rows(cols: list[dict[int, int]], field: int) -> set[int]:
+    """Pivot rows of a sparse integer column matrix over F_p (field = p) or
+    Q (0); their number is its rank.
 
     Each column is reduced against the stored pivots, keyed by their lowest
     row, until it vanishes or its lowest row is new and it becomes a pivot.
@@ -116,18 +120,33 @@ def _rank(cols: list[dict[int, int]], field: int) -> int:
                     del col[i]
             if a != 1:
                 _divide_by_gcd(col)
-    return len(pivots)
+    return set(pivots)
+
+
+def _rank(cols: list[dict[int, int]], field: int) -> int:
+    return len(_pivot_rows(cols, field))
 
 
 def betti(x: Complex, field: int = 0) -> tuple[int, ...]:
-    """Reduced Betti numbers (β̃_0, ..., β̃_d) over the given field."""
+    """Reduced Betti numbers (β̃_0, ..., β̃_d) over the given field.
+
+    Ranks go from ∂_d down to ∂_0 with clearing, over this one field
+    throughout.  A pivot of ∂_{k+1} keyed at row r is a reduced column, so
+    a k-cycle whose lowest row is r; from the highest such r down, column
+    r of ∂_k is therefore a combination of the columns not cleared, and
+    dropping the cleared ones keeps the rank.
+    """
     check_field(field)
     if x.is_empty_complex:
         raise EmptyInput("betti numbers of the empty complex are not defined here")
     d = x.dimension
     f = [len(x.faces(k)) for k in range(d + 1)]
-    ranks = [_rank(_boundary_columns(x, k), field) for k in range(d + 1)]
-    ranks.append(0)
+    ranks = [0] * (d + 2)
+    cleared: set[int] = set()
+    for k in range(d, -1, -1):
+        cols = _boundary_columns(x, k)
+        cleared = _pivot_rows([c for i, c in enumerate(cols) if i not in cleared], field)
+        ranks[k] = len(cleared)
     return tuple(f[k] - ranks[k] - ranks[k + 1] for k in range(d + 1))
 
 

@@ -29,7 +29,7 @@ from sx.certify import (
     is_tight_exhaustive,
     tightness_beta_condition,
 )
-from sx.constructions import klee_novik, stacked_ball_closure
+from sx.constructions import clique_closure, klee_novik, stacked_ball_closure
 from sx.corpus import fixture
 from sx.errors import (
     DimensionTooHigh,
@@ -470,6 +470,46 @@ def test_stacked_sphere_closure_matches_oracle():
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_cross_polytope_not_almost_top_stacked(d):
     assert certify_k_stacked_sphere(cross_polytope(d), d - 1).refuted
+
+
+def oracle_closure_adds_nothing(s, size):
+    """The test the d < 2k branch made before it read minimal non-faces."""
+    return clique_closure(s, size) == s
+
+
+def test_closure_test_from_minimal_non_faces_matches_the_closure(differential_complexes):
+    seen = set()
+    for x in differential_complexes:
+        # at sizes 1 and 2 a closure on 15-19 vertices can hold up to 2^19
+        # sets, so those inputs start at size 3
+        low = 3 if len(x.vertices) > 14 else 1
+        for size in range(low, x.dimension + 2):
+            got = certify_module._closure_adds_nothing(x, size)
+            assert got == oracle_closure_adds_nothing(x, size), (x.facets, size)
+            seen.add(got)
+    assert seen == {True, False}
+
+
+def test_stacked_sphere_below_twice_k_matches_the_closure_oracle(monkeypatch):
+    spheres = [cross_polytope(d) for d in (2, 3, 4)]
+    for name in ("dfm_s3_16", "bl_sigma3_16", "s5_18", "s6_19",
+                 "ziegler_s3_10", "ziegler_s2_10", "lutz_s3_8", "lutz_s2_8"):
+        spheres.append(fixture(name).complex)
+    rng = random.Random(5)
+    for dim in (2, 3, 4):
+        for _ in range(3):
+            k = rng.randrange(1, dim + 1)
+            spheres.append(grow_stellated_sphere(dim, k, rng.randrange(1, 9), rng)[0])
+    cases = [(s, k) for s in spheres for k in range(s.dimension // 2 + 1, s.dimension + 1)]
+
+    def verdicts():
+        return [certify_k_stacked_sphere(s, k).as_dict() for s, k in cases]
+
+    monkeypatch.setattr(certify_module, "_closure_adds_nothing", oracle_closure_adds_nothing)
+    expected = verdicts()
+    monkeypatch.undo()
+    assert verdicts() == expected
+    assert {v["status"] for v in expected} == {PROVED, REFUTED, UNKNOWN}
 
 
 def test_dfm_stacked_via_candidate(dfm, dfm_ball):
