@@ -52,22 +52,23 @@ PROVED = "PROVED"
 REFUTED = "REFUTED"
 UNKNOWN = "UNKNOWN"
 
+# the descent's geometric cooling schedule
+T_INITIAL = 2.0
+COOLING = 0.995
+
 
 @dataclass(frozen=True)
 class SearchBudget:
     """Budget and reproducibility knobs shared by every search.
 
-    max_nodes bounds backtracking states, max_moves bounds annealing
-    steps per restart, and the geometric cooling schedule starts at
-    t_initial and multiplies by cooling after each step.
+    max_nodes bounds backtracking states and max_moves bounds annealing
+    steps per restart.
     """
 
     max_nodes: int = 200_000
     max_moves: int = 10_000
     seed: int = 0
     restarts: int = 16
-    t_initial: float = 2.0
-    cooling: float = 0.995
 
     def rng(self, restart: int) -> random.Random:
         return random.Random((self.seed * 0x9E3779B97F4A7C15 + restart) & 0xFFFFFFFFFFFFFFFF)
@@ -348,7 +349,8 @@ def _descent_search(s: Complex, lo: int, budget: SearchBudget):
     """Randomized greedy reduction with geometric-cooling acceptance.
 
     Moves are restricted to indices in [lo, d]; energy is the facet
-    count.  Returns (trail, final) on success, else None.
+    count.  The temperature starts at T_INITIAL and is multiplied by
+    COOLING after each step.  Returns (trail, final) on success, else None.
     """
     d = s.dimension
     counters = {"moves_tried": 0, "restarts": 0, "seed": budget.seed}
@@ -356,7 +358,7 @@ def _descent_search(s: Complex, lo: int, budget: SearchBudget):
         counters["restarts"] = restart + 1
         rng = budget.rng(restart)
         current = s
-        temperature = budget.t_initial
+        temperature = T_INITIAL
         trail: list[BistellarMove] = []
         for _ in range(budget.max_moves):
             if is_standard_sphere(current):
@@ -379,7 +381,7 @@ def _descent_search(s: Complex, lo: int, budget: SearchBudget):
             current = apply_bistellar(current, mv)
             trail.append(mv)
             counters["moves_tried"] += 1
-            temperature *= budget.cooling
+            temperature *= COOLING
         if is_standard_sphere(current):
             return trail, current, counters
     return None, None, counters
@@ -652,7 +654,6 @@ def is_ball_exact(c: Complex, dim: int) -> bool:
 
 def ear_scan(
     b: Complex,
-    mode: str = "auto",
     budget: SearchBudget | None = None,
     fields=DEFAULT_FIELDS,
 ) -> list[tuple]:
@@ -660,7 +661,7 @@ def ear_scan(
 
     A facet is an ear iff the faces of the boundary inside its vertex set
     form a (d-1)-ball; decided exactly for d-1 <= 2, by a budgeted
-    shellability screen above that (mode="exact" then raises).
+    shellability screen above that.
     """
     facets = b.facets
     if len(facets) == 1:
@@ -670,8 +671,6 @@ def ear_scan(
         raise NotABall(screen.detail)
     d = b.dimension
     exact = d - 1 <= 2
-    if mode == "exact" and not exact:
-        raise DimensionTooHigh(f"exact ear scan unavailable for facet dimension {d}")
     bd = b.boundary()
     ears = []
     for f in facets:
@@ -753,24 +752,20 @@ def is_in_class(
     cls: str = "W",
     budget: SearchBudget | None = None,
     fields=DEFAULT_FIELDS,
-    use_symmetry: bool = True,
 ) -> Verdict:
     """Check every vertex link for k-stellatedness (class W) or
     k-stackedness (class K); one link per vertex orbit when the
-    automorphism group is available."""
+    automorphism group is within its guard."""
     if cls not in ("W", "K"):
         raise ValueError("cls must be 'W' or 'K'")
     if not m.is_pure or not m.is_connected:
         raise NotWeakPseudomanifold("class membership is defined for connected pure complexes")
-    reps = list(m.vertices)
-    if use_symmetry:
-        try:
-            from .symmetry import automorphism_group
+    try:
+        from .symmetry import automorphism_group
 
-            group = automorphism_group(m)
-            reps = [orbit[0] for orbit in group.vertex_orbits]
-        except (GuardExceeded, SxError):
-            pass
+        reps = [orbit[0] for orbit in automorphism_group(m).vertex_orbits]
+    except (GuardExceeded, SxError):
+        reps = list(m.vertices)
     unknowns = []
     notes: tuple[str, ...] = ()
     for v in reps:

@@ -110,15 +110,24 @@ def _write_complex(c: Complex, args, name: str | None = None) -> int:
     return 0
 
 
+def nonnegative_int(text: str) -> int:
+    """A budget or restart count; zero is allowed, a negative count is a
+    usage error."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser, source: bool = True):
     if source:
         p.add_argument("source", help="file path, '-' for stdin, or fixtures:NAME")
     p.add_argument("--format", choices=("fac", "json"), default=None)
     p.add_argument("--field", type=int, default=0, help="0 for rationals, else a prime")
     p.add_argument("-k", type=int, default=1, dest="k")
-    p.add_argument("--budget-nodes", type=int, default=200_000)
-    p.add_argument("--budget-moves", type=int, default=10_000)
-    p.add_argument("--restarts", type=int, default=16)
+    p.add_argument("--budget-nodes", type=nonnegative_int, default=200_000)
+    p.add_argument("--budget-moves", type=nonnegative_int, default=10_000)
+    p.add_argument("--restarts", type=nonnegative_int, default=16)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--guard-vertices", type=int, default=16)
     p.add_argument("--pretty", action="store_true")

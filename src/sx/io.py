@@ -45,20 +45,25 @@ def dumps_fac(x: Complex, name: str | None = None) -> str:
 def loads_json(text: str) -> tuple[Complex, str | None]:
     """Read {"facets": [[label, ...], ...], "name": ...}; labels are JSON
     integers or strings, the name is a string or null or absent, and
-    anything else is a ValueError."""
-    data = json.loads(text)
-    if not isinstance(data, dict) or "facets" not in data:
-        raise ValueError('JSON complex must be an object with a "facets" array')
-    facets = data["facets"]
-    if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
-        raise ValueError('"facets" must be an array of arrays of vertex labels')
-    for f in facets:
-        for v in f:
-            if isinstance(v, bool) or not isinstance(v, (int, str)):
-                raise ValueError(f"vertex labels must be integers or strings, got {json.dumps(v)}")
-    name = data.get("name")
-    if name is not None and not isinstance(name, str):
-        raise ValueError(f'"name" must be a string or null, got {json.dumps(name)}')
+    anything else, nesting too deep to decode included, is a ValueError."""
+    try:
+        data = json.loads(text)
+        if not isinstance(data, dict) or "facets" not in data:
+            raise ValueError('JSON complex must be an object with a "facets" array')
+        facets = data["facets"]
+        if not isinstance(facets, list) or not all(isinstance(f, list) for f in facets):
+            raise ValueError('"facets" must be an array of arrays of vertex labels')
+        for f in facets:
+            for v in f:
+                if isinstance(v, bool) or not isinstance(v, (int, str)):
+                    raise ValueError(
+                        f"vertex labels must be integers or strings, got {json.dumps(v)}"
+                    )
+        name = data.get("name")
+        if name is not None and not isinstance(name, str):
+            raise ValueError(f'"name" must be a string or null, got {json.dumps(name)}')
+    except RecursionError:
+        raise ValueError("JSON input nests too deeply to decode") from None
     return from_facets(facets), name
 
 

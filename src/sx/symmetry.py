@@ -16,10 +16,10 @@ rests on that exact check, never on the colours.
 `automorphism_group` walks the leftmost path of that search to a base
 b_0..b_{m-1}.  From the deepest level up, it searches b_i -> w only for the
 w of b_i's cell that the generators found so far do not already carry b_i
-to.  The order is the product of the basic orbit lengths (Schreier-Sims),
-and one transversal element per level composes to each group element
-exactly once.  The element list is kept only so that the greedily reduced
-generator list stays the one the exhaustive enumeration gave.
+to.  The generators found form a strong generating set along the base, the
+order is the product of the basic orbit lengths (Schreier-Sims; Seress,
+"Permutation Group Algorithms", 2003), and the vertex orbits are the orbits
+of the generators.  No group element is listed.
 """
 
 from __future__ import annotations
@@ -109,46 +109,25 @@ def _search(left: tuple, right: tuple, cl: list, cr: list):
             yield from _search(left, right, _individualize(cl, u), _individualize(cr, w))
 
 
-def _orbit(b: int, gens: list[list], n: int) -> dict:
-    """Map each point w of b's orbit under gens to an element carrying b to w."""
-    reach = {b: list(range(n))}
+def _orbit(b: int, gens: list[list]) -> set:
+    """The orbit of b under the group that gens generate."""
+    orbit = {b}
     frontier = [b]
     while frontier:
         u = frontier.pop()
         for g in gens:
-            if g[u] not in reach:
-                reach[g[u]] = [g[i] for i in reach[u]]
+            if g[u] not in orbit:
+                orbit.add(g[u])
                 frontier.append(g[u])
-    return reach
-
-
-def _greedy_generators(elements: list[tuple], verts: tuple) -> list[dict]:
-    identity = tuple(verts)
-    pos = {v: i for i, v in enumerate(verts)}
-    gens: list[tuple] = []
-    known = {identity}
-    for el in sorted(elements, key=str):
-        if el in known:
-            continue
-        gens.append(el)
-        # close under the enlarged generating set
-        frontier = list(known)
-        while frontier:
-            g = frontier.pop()
-            for h in gens:
-                composed = tuple(h[pos[gv]] for gv in g)
-                if composed not in known:
-                    known.add(composed)
-                    frontier.append(composed)
-    return [dict(zip(verts, g)) for g in gens]
+    return orbit
 
 
 def automorphism_group(x: Complex, guard: int = DEFAULT_GUARD) -> AutGroup:
     """The full automorphism group, exactly.
 
-    Its order is the product of the basic orbit lengths along the base;
-    the orbits and the generators are read off the element list that the
-    transversals compose to.
+    The generators are the strong generating set the search finds, in the
+    order found; the order is the product of the basic orbit lengths along
+    the base.
     """
     verts = x.vertices
     n = len(verts)
@@ -162,44 +141,25 @@ def automorphism_group(x: Complex, guard: int = DEFAULT_GUARD) -> AutGroup:
         path.append((col, cell[0], cell))
         (col,) = _refine((side,), (_individualize(col, cell[0]),))
     gens: list[list] = []
-    elements = [tuple(range(n))]
+    order = 1
     for col, b, cell in reversed(path):
-        orbit = _orbit(b, gens, n)
+        orbit = _orbit(b, gens)
         for w in cell:
             if w in orbit:
                 continue
             perm = next(_search(side, side, _individualize(col, b), _individualize(col, w)), None)
             if perm is not None:
                 gens.append(perm)
-                orbit = _orbit(b, gens, n)
-        # the stabilizer of b_0..b_{i-1} is the union of t G_{i+1} over t
-        elements = [tuple(t[i] for i in e) for t in orbit.values() for e in elements]
-    elements = [tuple(verts[i] for i in e) for e in elements]
-    # orbits via union-find over all elements
-    parent = {v: v for v in verts}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for el in elements:
-        for v, w in zip(verts, el):
-            rv, rw = find(v), find(w)
-            if rv != rw:
-                parent[rv] = rw
-    orbits: dict = {}
-    for v in verts:
-        orbits.setdefault(find(v), []).append(v)
-    orbit_list = tuple(
-        tuple(members) for members in sorted(orbits.values(), key=lambda ms: str(ms[0]))
-    )
-    gens_out = _greedy_generators(elements, verts)
+                orbit = _orbit(b, gens)
+        order *= len(orbit)
+    orbits: list[tuple] = []
+    for v in range(n):
+        if all(verts[v] not in o for o in orbits):
+            orbits.append(tuple(verts[i] for i in sorted(_orbit(v, gens))))
     return AutGroup(
-        generators=tuple(gens_out),
-        order=len(elements),
-        vertex_orbits=orbit_list,
+        generators=tuple({v: verts[i] for v, i in zip(verts, g)} for g in gens),
+        order=order,
+        vertex_orbits=tuple(sorted(orbits, key=lambda ms: str(ms[0]))),
     )
 
 

@@ -1,6 +1,8 @@
 """Command-line behavior: payloads, exit codes, piping, determinism."""
 
+import io
 import json
+import re
 import subprocess
 import sys
 
@@ -98,6 +100,42 @@ def test_aut_order_via_pipe():
     assert json.loads(aut.stdout)["order"] == 20
 
 
+def _parse_cycles(text: str, points: list[str]) -> dict:
+    """The permutation that `sx aut` prints in cycle notation."""
+    perm = {v: v for v in points}
+    for cycle in re.findall(r"\(([^()]*)\)", text):
+        members = cycle.split()
+        for a, b in zip(members, members[1:] + members[:1]):
+            perm[a] = b
+    return perm
+
+
+@pytest.mark.parametrize("source", ["klee-novik 1 3", "fixtures:lutz_s2_8"])
+def test_aut_generators_close_to_the_printed_order_and_orbits(capsys, tmp_path, source):
+    if not source.startswith("fixtures:"):
+        code, out, _ = run_cli(capsys, "generate", *source.split())
+        path = tmp_path / "m.json"
+        path.write_text(out)
+        source = str(path)
+    code, out, _ = run_cli(capsys, "aut", source)
+    assert code == 0
+    payload = json.loads(out)
+    points = [v for orbit in payload["orbits"] for v in orbit]
+    gens = [_parse_cycles(g, points) for g in payload["generators"]]
+    group = {tuple(points)}
+    frontier = list(group)
+    while frontier:
+        e = dict(zip(points, frontier.pop()))
+        for g in gens:
+            composed = tuple(g[e[v]] for v in points)
+            if composed not in group:
+                group.add(composed)
+                frontier.append(composed)
+    assert len(group) == payload["order"]
+    orbits = {frozenset(e[i] for e in group) for i in range(len(points))}
+    assert orbits == {frozenset(orbit) for orbit in payload["orbits"]}
+
+
 def test_iso_exit_codes(capsys, tmp_path):
     a = tmp_path / "a.fac"
     b = tmp_path / "b.fac"
@@ -187,6 +225,21 @@ def test_bad_json_name_exit_65(capsys, tmp_path, name):
 
 
 @pytest.mark.parametrize(
+    "text",
+    ["[" * 100_000 + "]" * 100_000, '{"facets": ' + "[" * 3000 + "]" * 3000 + "}"],
+    ids=["bare-array", "facets"],
+)
+def test_deeply_nested_json_exit_65(capsys, tmp_path, monkeypatch, text):
+    deep = tmp_path / "deep.json"
+    deep.write_text(text)
+    code, out, err = run_cli(capsys, "info", str(deep))
+    assert (code, out, err) == (65, "", "error: JSON input nests too deeply to decode\n")
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code, out, err = run_cli(capsys, "info", "--format", "json", "-")
+    assert (code, out, err) == (65, "", "error: JSON input nests too deeply to decode\n")
+
+
+@pytest.mark.parametrize(
     "text", ['{"facets": [[1, 2], [2, 3]], "name": null}', '{"facets": [[1, 2], [2, 3]]}']
 )
 def test_json_null_or_absent_name_loads(capsys, tmp_path, text):
@@ -213,6 +266,31 @@ def test_usage_errors_print_a_message(capsys, argv):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "shelled", "-k", "2", "--budget-nodes", "-5", "fixtures:lutz_b2"],
+        ["certify", "stellated", "-k", "2", "--budget-moves", "-1", "fixtures:lutz_s2_8"],
+        ["certify", "stellated", "-k", "2", "--restarts", "-3", "fixtures:lutz_s2_8"],
+    ],
+)
+def test_negative_budgets_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 64
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("usage error: ") and "must not be negative" in out.err
+
+
+def test_zero_restarts_stay_valid(capsys):
+    code, out, _ = run_cli(
+        capsys, "certify", "stellated", "-k", "2", "--restarts", "0", "fixtures:lutz_s2_8"
+    )
+    assert code == 2
+    assert json.loads(out)["budget_spent"]["restarts"] == 0
 
 
 def test_determinism_of_randomized_command(capsys):
