@@ -40,7 +40,7 @@ from .constructions import (
     stacked_manifold_closure,
 )
 from .corpus import fixture, fixture_names
-from .errors import SxError, UnknownFixture
+from .errors import BadDimension, SxError, UnknownFixture
 from .homology import betti, euler_characteristic
 from .moves import standard_ball, standard_sphere
 from .symmetry import automorphism_group, is_isomorphic, permutation_cycles
@@ -111,40 +111,47 @@ def _write_complex(c: Complex, args, name: str | None = None) -> int:
 
 
 def nonnegative_int(text: str) -> int:
-    """A budget or restart count; zero is allowed, a negative count is a
-    usage error."""
+    """A budget, restart count, guard or move index; zero is allowed, a
+    negative value is a usage error."""
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
     return value
 
 
-def _add_common(p: argparse.ArgumentParser, source: bool = True):
-    if source:
-        p.add_argument("source", help="file path, '-' for stdin, or fixtures:NAME")
+# the options of the commands that load one source, beside --format and
+# --pretty; each command takes only those it reads, and `certify` takes all
+_OPTIONS = {
+    "--field": dict(type=int, default=0, help="0 for rationals, else a prime"),
+    "-k": dict(type=int, default=1, dest="k"),
+    "--budget-nodes": dict(type=nonnegative_int, default=200_000),
+    "--budget-moves": dict(type=nonnegative_int, default=10_000),
+    "--restarts": dict(type=nonnegative_int, default=16),
+    "--seed": dict(type=int, default=0),
+    "--guard-vertices": dict(type=nonnegative_int, default=16),
+    "--exhaustive": dict(action="store_true"),
+}
+
+
+def _add_source(p: argparse.ArgumentParser, *options: str):
+    p.add_argument("source", help="file path, '-' for stdin, or fixtures:NAME")
     p.add_argument("--format", choices=("fac", "json"), default=None)
-    p.add_argument("--field", type=int, default=0, help="0 for rationals, else a prime")
-    p.add_argument("-k", type=int, default=1, dest="k")
-    p.add_argument("--budget-nodes", type=nonnegative_int, default=200_000)
-    p.add_argument("--budget-moves", type=nonnegative_int, default=10_000)
-    p.add_argument("--restarts", type=nonnegative_int, default=16)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--guard-vertices", type=int, default=16)
     p.add_argument("--pretty", action="store_true")
-    p.add_argument("--exhaustive", action="store_true")
+    for name in options:
+        p.add_argument(name, **_OPTIONS[name])
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="sx", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("info", "classify", "homology"):
-        p = sub.add_parser(name)
-        _add_common(p)
+    _add_source(sub.add_parser("info"))
+    _add_source(sub.add_parser("classify"))
+    _add_source(sub.add_parser("homology"), "--field")
 
     p = sub.add_parser("flips")
-    _add_common(p)
-    p.add_argument("--lo", type=int, required=True)
+    _add_source(p)
+    p.add_argument("--lo", type=nonnegative_int, required=True)
     p.add_argument("--hi", type=int, required=True)
 
     p = sub.add_parser("certify")
@@ -162,14 +169,16 @@ def build_parser() -> _Parser:
             "beta",
         ),
     )
-    _add_common(p)
+    _add_source(p, *_OPTIONS)
 
     p = sub.add_parser("stacked")
-    _add_common(p)
+    _add_source(p, "-k")
     p.add_argument("--candidate", default=None, help="candidate ball source for low dimensions")
+    # nothing in `stacked` is random; its verdict echoes the seed 0
+    p.set_defaults(seed=0)
 
     p = sub.add_parser("bar")
-    _add_common(p)
+    _add_source(p, "-k")
     p.add_argument("--manifold", action="store_true")
 
     p = sub.add_parser("generate")
@@ -179,14 +188,14 @@ def build_parser() -> _Parser:
     p.add_argument("--pretty", action="store_true")
 
     p = sub.add_parser("aut")
-    _add_common(p)
+    _add_source(p, "--guard-vertices")
     p.set_defaults(guard_vertices=64)
 
     p = sub.add_parser("iso")
     p.add_argument("source", help="first complex")
     p.add_argument("source2", help="second complex")
     p.add_argument("--format", choices=("fac", "json"), default=None)
-    p.add_argument("--guard-vertices", type=int, default=64)
+    p.add_argument("--guard-vertices", type=nonnegative_int, default=64)
     p.add_argument("--pretty", action="store_true")
 
     p = sub.add_parser("sum")
@@ -243,7 +252,11 @@ def _cmd_homology(args) -> int:
 
 
 def _cmd_flips(args) -> int:
+    if args.lo > args.hi:
+        _usage_error(f"--lo {args.lo} exceeds --hi {args.hi}")
     c, _ = _load_source(args.source, args.format)
+    if args.hi > c.dimension:
+        raise BadDimension(f"need 0 <= lo <= hi <= {c.dimension}, got lo={args.lo}, hi={args.hi}")
     moves = flip_scan(c, args.lo, args.hi)
     payload = {
         "lo": args.lo,

@@ -46,25 +46,29 @@ class Complex:
 
     __slots__ = ("_facets", "__dict__")
 
-    def __init__(self, facets: Iterable[Iterable[Label]], _normalized: bool = False):
-        if _normalized:
-            self._facets: frozenset[FaceSet] = frozenset(facets)
-            return
-        candidate = {frozenset(f) for f in facets}
-        if not candidate:
-            candidate = {frozenset()}
-        # keep inclusion-maximal members only
-        maximal = {
-            f for f in candidate
-            if not any(f < g for g in candidate)
-        }
-        self._facets = frozenset(maximal)
+    def __init__(self, facets: Iterable[Iterable[Label]]):
+        candidate = {frozenset(f) for f in facets} or {frozenset()}
+        # keep inclusion-maximal members only.  Candidates of the top size
+        # are maximal; a smaller f is dominated iff a larger candidate through
+        # f's first vertex contains it, and ∅ iff any candidate is non-empty.
+        top = max(map(len, candidate))
+        if any(len(f) < top for f in candidate):
+            through: dict[Label, list[FaceSet]] = {}
+            for g in candidate:
+                for v in g:
+                    through.setdefault(v, []).append(g)
+            candidate = {
+                f for f in candidate
+                if len(f) == top
+                or f and not any(f < g for g in through[next(iter(f))])
+            }
+        self._facets: frozenset[FaceSet] = frozenset(candidate)
 
     # -- construction -----------------------------------------------------
 
     @classmethod
     def empty(cls) -> "Complex":
-        return cls([frozenset()], _normalized=True)
+        return cls([frozenset()])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Complex):
@@ -232,14 +236,9 @@ class Complex:
         """The subcomplex of all faces of dimension at most ``dim``."""
         if dim >= self.dimension:
             return self
-        if dim < 0:
-            return Complex.empty()
-        maximal = set(self._faces_by_dim[dim])
-        for k in range(0, dim):
-            for f in self._faces_by_dim[k]:
-                if not any(f < g for g in maximal):
-                    maximal.add(f)
-        return Complex(maximal)
+        # a smaller face lies in a dim-face of its facet unless that facet
+        # has at most dim vertices itself
+        return Complex(self.faces(dim) | {f for f in self._facets if len(f) <= dim})
 
     def join(self, other: "Complex") -> "Complex":
         clash = self.vertex_set & other.vertex_set
@@ -277,10 +276,7 @@ class Complex:
     def boundary(self) -> "Complex":
         """Facets are the ridges lying in exactly one facet; ``{∅}`` if none."""
         self._require_weak_pseudomanifold()
-        rim = [r for r, fs in self._ridge_incidence.items() if len(fs) == 1]
-        if not rim:
-            return Complex.empty()
-        return Complex(rim)
+        return Complex(r for r, fs in self._ridge_incidence.items() if len(fs) == 1)
 
     def dual_graph(self) -> "DualGraph":
         self._require_weak_pseudomanifold()

@@ -230,12 +230,17 @@ def double_suspension_pipeline() -> dict[str, Complex]:
 
     sigma = fixture("bl_sigma3_16").complex
     d4_16 = vertex_ball(sigma, "6p")
-    d6_18 = d4_16.join(standard_ball(1, ("a", "b")))
-    d7_19 = d4_16.join(standard_ball(2, ("a", "b", "c")))
+    edge, triangle = standard_ball(1, ("a", "b")), standard_ball(2, ("a", "b", "c"))
+
+    def boundary_of_join(simplex: Complex) -> Complex:
+        # ∂(B * Δ) = ∂B * Δ ∪ B * ∂Δ with ∂d4_16 = sigma: no ridge map of
+        # the 6- or 7-dimensional ball is built, or kept by its fixture
+        return Complex(sigma.join(simplex).facet_sets | d4_16.join(simplex.boundary()).facet_sets)
+
     return {
         "d4_16": d4_16,
-        "d6_18": d6_18,
-        "s5_18": d6_18.boundary(),
-        "d7_19": d7_19,
-        "s6_19": d7_19.boundary(),
+        "d6_18": d4_16.join(edge),
+        "s5_18": boundary_of_join(edge),
+        "d7_19": d4_16.join(triangle),
+        "s6_19": boundary_of_join(triangle),
     }

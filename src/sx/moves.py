@@ -165,47 +165,29 @@ def bistellar_options(
     Index-0 entries share one explicit fresh vertex label so every listed
     move is directly applicable and certificates stay reproducible.
 
-    For index i >= 1 a move ``alpha -> beta`` needs beta, an (i+1)-set
-    that is not a face of x, whose i-subsets are all faces of lk(alpha),
-    that is, i-subsets of ``g \\ alpha`` for facets g through alpha.  Any
-    two of those i-subsets share i-1 vertices, so every such beta is the
-    union of two link faces of size i meeting in i-1 vertices.  Only
-    these unions, read off alpha's star, are tried.
+    A valid move ``alpha -> beta`` of index i >= 1 spans the (d+2)-set
+    ``sigma = alpha ∪ beta``, whose facets in x are exactly the
+    ``sigma \\ {b}`` for b in beta: every other d-subset of sigma contains
+    beta, which is not a face.  As beta has two vertices or more, sigma is
+    the union of two facets on a common d-vertex ridge.  Conversely, each
+    such union gives ``beta = {v in sigma : sigma \\ {v} is a facet}`` and
+    ``alpha = sigma \\ beta``, a valid move iff beta is not a face.
     """
     d = x.dimension
     opts: list[BistellarMove] = []
     lo = max(lo, 0)
     hi = min(hi, d)
-    for i in range(lo, hi + 1):
-        if i == 0:
-            new = fresh if fresh is not None else fresh_label(x)
-            for facet in x.facets:
-                opts.append(BistellarMove(alpha=tuple(facet), beta=(new,)))
-            continue
-        for a in x.faces(d - i):
-            link_faces = {
-                frozenset(s)
-                for g in x._vertex_star[next(iter(a))]
-                if a <= g
-                for s in itertools.combinations(g - a, i)
-            }
-            for cand in _unions_along_subfaces(link_faces):
-                if all(cand - {u} in link_faces for u in cand) and not x.has_face(cand):
-                    opts.append(
-                        BistellarMove(alpha=x.face_tuple(a), beta=x.face_tuple(cand))
-                    )
+    if lo == 0 and hi >= 0:
+        new = fresh if fresh is not None else fresh_label(x)
+        opts = [BistellarMove(alpha=tuple(facet), beta=(new,)) for facet in x.facets]
+    if hi >= max(lo, 1):
+        ridges = (fs for r, fs in x._ridge_incidence.items() if len(r) == d)
+        for sigma in {f | g for fs in ridges for f, g in itertools.combinations(fs, 2)}:
+            beta = frozenset(v for v in sigma if sigma - {v} in x.facet_sets)
+            if lo <= len(beta) - 1 <= hi and not x.has_face(beta):
+                opts.append(BistellarMove(alpha=x.face_tuple(sigma - beta), beta=x.face_tuple(beta)))
     _sort_moves(x, opts)
     return opts
-
-
-def _unions_along_subfaces(faces: Iterable[frozenset]) -> set[frozenset]:
-    """Every union of two equal-sized sets of ``faces`` that differ in one
-    element."""
-    by_sub: dict[frozenset, list[frozenset]] = {}
-    for f in faces:
-        for u in f:
-            by_sub.setdefault(f - {u}, []).append(f)
-    return {f | g for group in by_sub.values() for f, g in itertools.combinations(group, 2)}
 
 
 def _sort_moves(x: Complex, opts: list) -> None:
@@ -299,7 +281,11 @@ def shelling_options(y: Complex, max_index: int, fresh: Label | None = None) -> 
         new = fresh if fresh is not None else fresh_label(y)
         opts = [ShellingMove(alpha=y.face_tuple(r), beta=(new,)) for r in rim]
     if max_index >= 1:
-        for sigma in _unions_along_subfaces(rim):
+        by_sub: dict[frozenset, list[frozenset]] = {}
+        for r in rim:
+            for u in r:
+                by_sub.setdefault(r - {u}, []).append(r)
+        for sigma in {f | g for group in by_sub.values() for f, g in itertools.combinations(group, 2)}:
             if sigma in y.facet_sets:
                 continue
             split = _attachment_split(y, sigma)

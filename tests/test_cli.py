@@ -357,3 +357,70 @@ def test_verify_paper_multiple_criteria(capsys):
     payload = json.loads(out)
     assert [c["criterion"] for c in payload["criteria"]] == ["1", "8"]
     assert all(c["passed"] for c in payload["criteria"])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["flips", "--lo", "-1", "--hi", "2", "fixtures:lutz_s2_8"],
+        ["flips", "--lo", "3", "--hi", "1", "fixtures:lutz_s2_8"],
+        ["flips", "--lo", "0", "--hi", "-1", "fixtures:lutz_s2_8"],
+        ["aut", "--guard-vertices", "-1", "fixtures:lutz_s2_8"],
+        ["iso", "--guard-vertices", "-1", "fixtures:lutz_s2_8", "fixtures:lutz_s2_8"],
+        ["certify", "tight", "--guard-vertices", "-1", "fixtures:lutz_s2_8"],
+    ],
+)
+def test_meaningless_index_ranges_and_negative_guards_are_usage_errors(capsys, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 64
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("usage error: ")
+
+
+def test_flips_above_the_dimension_exit_69(capsys):
+    code, out, err = run_cli(capsys, "flips", "--lo", "0", "--hi", "9", "fixtures:lutz_s2_8")
+    assert (code, out) == (69, "")
+    assert err == "error: need 0 <= lo <= hi <= 2, got lo=0, hi=9\n"
+    code, out, _ = run_cli(capsys, "flips", "--lo", "0", "--hi", "2", "fixtures:lutz_s2_8")
+    payload = json.loads(out)
+    assert code == 0
+    assert (payload["lo"], payload["hi"]) == (0, 2)
+    assert payload["count"] == len(payload["moves"]) > 0
+
+
+@pytest.mark.parametrize(
+    "command, unread",
+    [
+        (["info"], ["--exhaustive"]),
+        (["info"], ["--seed", "5"]),
+        (["info"], ["--guard-vertices", "3"]),
+        (["info"], ["--budget-nodes", "0"]),
+        (["info"], ["-k", "9"]),
+        (["classify"], ["--field", "2"]),
+        (["homology"], ["-k", "1"]),
+        (["homology"], ["--restarts", "3"]),
+        (["flips", "--lo", "0", "--hi", "1"], ["--field", "2"]),
+        (["flips", "--lo", "0", "--hi", "1"], ["--budget-moves", "5"]),
+        (["stacked", "-k", "1"], ["--seed", "3"]),
+        (["stacked", "-k", "1"], ["--exhaustive"]),
+        (["bar", "-k", "1"], ["--guard-vertices", "3"]),
+        (["bar", "-k", "1"], ["--field", "2"]),
+        (["aut"], ["-k", "1"]),
+        (["aut"], ["--budget-nodes", "10"]),
+    ],
+)
+def test_options_a_command_does_not_read_are_usage_errors(capsys, command, unread):
+    with pytest.raises(SystemExit) as err:
+        main(command + unread + ["fixtures:lutz_s2_8"])
+    assert err.value.code == 64
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("usage error: ")
+
+
+def test_stacked_still_echoes_seed_zero(capsys):
+    code, out, _ = run_cli(capsys, "stacked", "-k", "2", "fixtures:dfm_b4_16")
+    assert code == 0
+    assert json.loads(out)["seed"] == 0

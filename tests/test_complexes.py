@@ -69,6 +69,42 @@ def test_empty_complex_is_distinct():
     assert e != from_facets([[1]])
 
 
+def oracle_maximal(raw) -> frozenset:
+    """The former `Complex.__init__` filter: every pair of candidates compared."""
+    candidate = {frozenset(f) for f in raw}
+    if not candidate:
+        candidate = {frozenset()}
+    # keep inclusion-maximal members only
+    maximal = {
+        f for f in candidate
+        if not any(f < g for g in candidate)
+    }
+    return frozenset(maximal)
+
+
+# eight labels, integers and strings mixed, "1" beside 1
+_labels = st.sampled_from([1, 2, 3, 10, "a", "b", "c", "1"])
+
+
+@st.composite
+def raw_families(draw):
+    """Non-pure families with duplicates, nested chains and, now and then, ∅."""
+    faces = [sorted(f, key=str) for f in draw(st.lists(st.frozensets(_labels), max_size=12))]
+    for top in draw(st.lists(st.frozensets(_labels, min_size=1), max_size=3)):
+        chain = sorted(top, key=str)
+        faces += [chain[:i] for i in range(draw(st.integers(0, len(chain))), len(chain) + 1)]
+    faces += faces[: draw(st.integers(0, len(faces)))]
+    if draw(st.booleans()):
+        faces.append([])
+    return draw(st.permutations(faces))
+
+
+@settings(max_examples=300, deadline=None)
+@given(raw_families())
+def test_maximal_candidates_match_the_all_pairs_filter(raw):
+    assert Complex(raw).facet_sets == oracle_maximal(raw)
+
+
 # -- f-vectors ---------------------------------------------------------------
 
 
@@ -299,6 +335,29 @@ def test_skeleton_and_equality(dfm):
     skel = dfm.skeleton(1)
     assert skel.dimension == 1
     assert skel.faces(1) == dfm.faces(1)
+
+
+def oracle_skeleton(x: Complex, dim: int) -> frozenset:
+    """The former `Complex.skeleton`: the dim-faces, then every smaller face
+    that lies in none of the faces kept so far.  The loop can keep a face
+    that a larger face added later contains, so the all-pairs filter runs
+    last, as `Complex(maximal)` did."""
+    if dim >= x.dimension:
+        return x.facet_sets
+    if dim < 0:
+        return frozenset({frozenset()})
+    maximal = set(x._faces_by_dim[dim])
+    for k in range(0, dim):
+        for f in x._faces_by_dim[k]:
+            if not any(f < g for g in maximal):
+                maximal.add(f)
+    return oracle_maximal(maximal)
+
+
+def test_skeleton_matches_the_domination_loop(differential_complexes):
+    for x in differential_complexes + [Complex.empty()]:
+        for dim in range(-2, x.dimension + 2):
+            assert x.skeleton(dim).facet_sets == oracle_skeleton(x, dim), (x.facets, dim)
 
 
 def test_digest_is_stable_under_relabeling_order():

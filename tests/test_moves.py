@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sx import (
     BistellarMove,
@@ -19,6 +21,7 @@ from sx import (
     standard_sphere,
 )
 from sx.complexes import fresh_label
+from sx.constructions import klee_novik
 from sx.corpus import fixture, fixture_names
 from sx.errors import BadDimension, InvalidMove, ReplayFailure
 from sx.growth import grow_shelled_ball, grow_stellated_sphere
@@ -27,6 +30,7 @@ from sx.moves import (
     ball_from_stellated_certificate,
     bistellar_valid,
     boundary_certificate,
+    reverse_move,
     shelling_moves_from_facet_order,
     shelling_options,
     shelling_valid,
@@ -236,6 +240,18 @@ def differential_cases():
         fx = fixture(name)
         if fx.complex is not None and len(fx.complex.facet_sets) <= 120:
             cases.append(fx.complex)
+    # ridges in three or more facets, so that several facet pairs span the
+    # same union; smaller facets make some of them non-pure
+    cases += [
+        Complex([(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4), (1, 2, 5)]),
+        Complex([(1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 3, 4), (3, 4, 5), (5, 6), (7,)]),
+        Complex([(1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 3, 6), (1, 2, 4, 5), (2, 3, 4, 5), (4, 6)]),
+        Complex([("a", "b", 1), ("a", "b", 2), ("a", "b", 3), (1, 2, 3), ("a", 1, 2), ("c",)]),
+        klee_novik(1, 3),
+        klee_novik(2, 5),
+        standard_sphere(0),
+        Complex.empty(),
+    ]
     return cases
 
 
@@ -266,6 +282,35 @@ def test_bistellar_options_match_the_facet_scan():
                 assert _pairs(bistellar_options(x, lo, hi)) == want, (x.facets, lo, hi)
     x = DIFFERENTIAL_CASES[1]
     assert _pairs(bistellar_options(x, 0, 1, fresh="z")) == _pairs(scan_bistellar_options(x, 0, 1, fresh="z"))
+
+
+def test_listed_bistellar_options_are_valid():
+    # index 0 is left out: it cones every facet, the smaller facets of a
+    # non-pure complex included, and those cones have the wrong dimension
+    for x in DIFFERENTIAL_CASES:
+        for mv in bistellar_options(x, 1, x.dimension):
+            assert bistellar_valid(x, mv) is None, (x.facets, mv)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 5),
+    st.integers(0, 10),
+    st.integers(0, 2**32 - 1),
+    st.booleans(),
+)
+def test_every_option_is_undone_by_its_reverse(dim, k, steps, seed, sphere):
+    """On grown spheres and balls, every listed move passes bistellar_valid,
+    and its reverse move takes the result back to x."""
+    rng = random.Random(seed)
+    k = min(k, dim + 1)
+    grow = grow_stellated_sphere if sphere else grow_shelled_ball
+    x = grow(dim, k, steps, rng)[0]
+    for mv in bistellar_options(x, 0, x.dimension):
+        assert bistellar_valid(x, mv) is None, (x.facets, mv)
+        y = apply_bistellar(x, mv)
+        assert apply_bistellar(y, reverse_move(mv)) == x, (x.facets, mv)
 
 
 def test_has_face_matches_the_facet_scan():
