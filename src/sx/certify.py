@@ -39,10 +39,10 @@ from .moves import (
     BistellarMove,
     MoveCertificate,
     ShellingMove,
-    apply_bistellar,
     apply_shelling,
     bistellar_options,
     boundary_certificate,
+    flip_facets,
     is_standard_sphere,
     replay,
     reverse_move,
@@ -52,17 +52,14 @@ PROVED = "PROVED"
 REFUTED = "REFUTED"
 UNKNOWN = "UNKNOWN"
 
-# the descent's geometric cooling schedule
-T_INITIAL = 2.0
-COOLING = 0.995
-
 
 @dataclass(frozen=True)
 class SearchBudget:
     """Budget and reproducibility knobs shared by every search.
 
-    max_nodes bounds backtracking states and max_moves bounds annealing
-    steps per restart.
+    max_nodes bounds the states a backtracking search expands, and
+    max_moves the length of the move path of the stellatedness search.
+    seed and restarts drive the randomized restarts of `collapse`.
     """
 
     max_nodes: int = 200_000
@@ -168,45 +165,53 @@ def is_one_stacked_ball(x: Complex) -> Verdict:
 # -- shellability ---------------------------------------------------------------
 
 
-def _memo_dfs(roots, children, is_goal, key, budget: SearchBudget):
+def _memo_dfs(roots, children, is_goal, budget: SearchBudget, max_depth: int | None = None):
     """Memoized depth-first search for a goal state, from each root in turn.
 
-    children(state) yields (move, next_state) pairs and is drawn from
-    lazily.  A state whose subtree holds no goal joins a dead-set keyed by
-    key(state) and shared across roots.  A node is counted when it is first
-    expanded, and the search stops once more than budget.max_nodes are
-    counted.  Returns (states, moves, nodes): the states and moves from a
-    root to the first goal, or None and None when no goal was reached;
-    nodes > budget.max_nodes then means the budget cut the search off.
+    States are hashable and are their own memo keys.  children(state)
+    yields (move, next_state) pairs and is drawn from lazily; a child that
+    is dead or already on the current path is skipped.  A state whose
+    subtree holds no goal joins a dead-set shared across roots.  A node is
+    counted when it is first expanded, and the search stops once more than
+    budget.max_nodes are counted; a node max_depth moves from its root is
+    not expanded.  Returns (states, moves, nodes, cut): the states and moves
+    from a root to the first goal, or None and None when no goal was
+    reached.  cut says whether either bound cut the search short.  A search
+    that ends uncut has visited a set of states closed under children, so
+    no goal is reachable from its roots.
     """
     dead: set = set()
     nodes = 0
+    cut = False
     for root in roots:
-        if key(root) in dead:
+        if root in dead:
             continue
-        states, moves, pending = [root], [], [None]
+        states, moves, pending, on_path = [root], [], [None], {root}
         while states:
             cur = states[-1]
             if pending[-1] is None:
                 if is_goal(cur):
-                    return states, moves, nodes
+                    return states, moves, nodes, False
                 nodes += 1
                 if nodes > budget.max_nodes:
-                    return None, None, nodes
-                pending[-1] = iter(children(cur))
+                    return None, None, nodes, True
+                capped = len(moves) == max_depth
+                cut = cut or capped
+                pending[-1] = iter(() if capped else children(cur))
             for mv, nxt in pending[-1]:
-                if key(nxt) not in dead:
+                if nxt not in dead and nxt not in on_path:
                     states.append(nxt)
                     moves.append(mv)
                     pending.append(None)
+                    on_path.add(nxt)
                     break
             else:
-                dead.add(key(cur))
-                states.pop()
+                dead.add(cur)
+                on_path.discard(states.pop())
                 pending.pop()
                 if moves:
                     moves.pop()
-    return None, None, nodes
+    return None, None, nodes, cut
 
 
 def certify_k_shelled(b: Complex, k: int, budget: SearchBudget | None = None) -> Verdict:
@@ -267,8 +272,8 @@ def certify_k_shelled(b: Complex, k: int, budget: SearchBudget | None = None) ->
                 yield ShellingMove(alpha=alpha, beta=tuple(beta)), state | 1 << j
 
     full = (1 << m) - 1
-    states, moves, nodes = _memo_dfs(
-        [1 << i for i in range(m)], children, lambda s: s == full, lambda s: s, budget
+    states, moves, nodes, cut = _memo_dfs(
+        [1 << i for i in range(m)], children, lambda s: s == full, budget
     )
     spent = {"nodes": nodes, "seed": budget.seed}
     if states is not None:
@@ -280,7 +285,7 @@ def certify_k_shelled(b: Complex, k: int, budget: SearchBudget | None = None) ->
             result_digest=b.digest,
         )
         return Verdict(PROVED, certificate=cert, budget_spent=spent)
-    if nodes > budget.max_nodes:
+    if cut:
         return Verdict(
             UNKNOWN, witness={"reason": "node budget exhausted"}, budget_spent=spent
         )
@@ -345,64 +350,33 @@ def _tree_shelling_certificate(ball: Complex) -> MoveCertificate:
     )
 
 
-def _descent_search(s: Complex, lo: int, budget: SearchBudget):
-    """Randomized greedy reduction with geometric-cooling acceptance.
-
-    Moves are restricted to indices in [lo, d]; energy is the facet
-    count.  The temperature starts at T_INITIAL and is multiplied by
-    COOLING after each step.  Returns (trail, final) on success, else None.
-    """
-    d = s.dimension
-    counters = {"moves_tried": 0, "restarts": 0, "seed": budget.seed}
-    for restart in range(budget.restarts):
-        counters["restarts"] = restart + 1
-        rng = budget.rng(restart)
-        current = s
-        temperature = T_INITIAL
-        trail: list[BistellarMove] = []
-        for _ in range(budget.max_moves):
-            if is_standard_sphere(current):
-                return trail, current, counters
-            opts = bistellar_options(current, lo, d)
-            if not opts:
-                break
-            best_drop = max(2 * mv.index - d for mv in opts)
-            greedy = [mv for mv in opts if 2 * mv.index - d == best_drop]
-            if rng.random() < 0.8:
-                mv = rng.choice(greedy)
-            else:
-                mv = rng.choice(opts)
-                drop = 2 * mv.index - d
-                if drop < best_drop:
-                    # non-optimal move: Metropolis acceptance on the gap
-                    gap = best_drop - drop
-                    if rng.random() >= math.exp(-gap / max(temperature, 1e-9)):
-                        mv = rng.choice(greedy)
-            current = apply_bistellar(current, mv)
-            trail.append(mv)
-            counters["moves_tried"] += 1
-            temperature *= COOLING
-        if is_standard_sphere(current):
-            return trail, current, counters
-    return None, None, counters
-
-
 def _exhaustive_search(s: Complex, lo: int, budget: SearchBudget):
-    """Backtracking over the full reverse-move DAG, memoized by digest.
+    """Depth-first search from s for the standard sphere over reverse
+    moves of index lo..d, memoized on facet sets.
 
-    Returns (trail, final, nodes); trail and final are None when the
-    standard sphere was not reached.
+    A state is a facet set, and a child's comes from `flip_facets`; a
+    Complex is built only to list a state's moves.  Children come in the
+    canonical move order reversed: by descending index, so moves that drop
+    the facet count come first, and within an index moves on later
+    vertices first.  The move path is at most budget.max_moves long.
+    Returns (trail, final, nodes, cut) as `_memo_dfs` does, with the facet
+    set reached as final; trail and final are None when the standard
+    sphere was not reached.
     """
     d = s.dimension
 
-    def children(x: Complex):
-        for mv in bistellar_options(x, lo, d):
-            yield mv, apply_bistellar(x, mv)
+    def children(facets: frozenset):
+        opts = bistellar_options(Complex(facets), lo, d)
+        return ((mv, flip_facets(facets, mv)) for mv in reversed(opts))
 
-    states, trail, nodes = _memo_dfs(
-        [s], children, is_standard_sphere, lambda x: x.digest, budget
+    def is_goal(facets: frozenset) -> bool:
+        # a pure d-complex with d + 2 facets on d + 2 vertices
+        return len(facets) == d + 2 and len(frozenset().union(*facets)) == d + 2
+
+    states, trail, nodes, cut = _memo_dfs(
+        [s.facet_sets], children, is_goal, budget, budget.max_moves
     )
-    return trail, states[-1] if states else None, nodes
+    return trail, states[-1] if states else None, nodes, cut
 
 
 def certify_k_stellated(
@@ -410,13 +384,17 @@ def certify_k_stellated(
     k: int,
     budget: SearchBudget | None = None,
     fields=DEFAULT_FIELDS,
-    exhaustive: bool = False,
 ) -> Verdict:
     """Reduce s to the standard sphere by reverse moves of index > d-k.
 
     k = 0 is an equality test and k = 1 is decided exactly through the
-    stacked-ball reconstruction; for k >= 2 this is a semi-decision that
-    answers PROVED (with a replayable forward certificate) or UNKNOWN.
+    stacked-ball reconstruction.  For k >= 2 a depth-first search over the
+    reverse moves answers PROVED with a replayable forward certificate.
+    For k <= d it answers REFUTED when it ends without a budget cut-off:
+    moves of index >= 1 add no vertex, so the states are finitely many and
+    the search has visited all those reachable from s.  For k = d + 1
+    index-0 moves add vertices without end, and the answer is PROVED or
+    UNKNOWN.  budget_spent counts the search's nodes.
     """
     budget = budget or SearchBudget()
     cls = s.classify()
@@ -460,17 +438,22 @@ def certify_k_stellated(
                 notes=inner.notes,
             )
         return Verdict(PROVED, certificate=cert, notes=inner.notes)
-    lo = max(d - k + 1, 0)
-    trail, final, counters = _descent_search(s, lo, budget)
-    if trail is None and exhaustive:
-        trail, final, counters["nodes"] = _exhaustive_search(s, lo, budget)
+    lo = d - k + 1
+    trail, final, nodes, cut = _exhaustive_search(s, lo, budget)
+    spent = {"nodes": nodes}
     if trail is not None:
-        cert = _forward_certificate(s, final, trail)
-        return Verdict(PROVED, certificate=cert, budget_spent=counters)
+        cert = _forward_certificate(s, Complex(final), trail)
+        return Verdict(PROVED, certificate=cert, budget_spent=spent)
+    if lo >= 1 and not cut:
+        return Verdict(
+            REFUTED,
+            witness={"reason": "reverse moves exhausted without reaching the standard sphere"},
+            budget_spent=spent,
+        )
     return Verdict(
         UNKNOWN,
         witness={"reason": "reduction search did not reach the standard sphere"},
-        budget_spent=counters,
+        budget_spent=spent,
     )
 
 
@@ -755,7 +738,8 @@ def is_in_class(
 ) -> Verdict:
     """Check every vertex link for k-stellatedness (class W) or
     k-stackedness (class K); one link per vertex orbit when the
-    automorphism group is within its guard."""
+    automorphism group is within its guard.  The links' search counters
+    add up into budget_spent."""
     if cls not in ("W", "K"):
         raise ValueError("cls must be 'W' or 'K'")
     if not m.is_pure or not m.is_connected:
@@ -768,6 +752,7 @@ def is_in_class(
         reps = list(m.vertices)
     unknowns = []
     notes: tuple[str, ...] = ()
+    spent: dict = {}
     for v in reps:
         lk = m.link((v,))
         try:
@@ -779,15 +764,25 @@ def is_in_class(
             return Verdict(
                 REFUTED,
                 witness={"vertex": str(v), "reason": f"link fails structure: {exc}"},
+                budget_spent=spent,
             )
         notes = tuple(dict.fromkeys(notes + sub.notes))
+        for key, n in sub.budget_spent.items():
+            spent[key] = spent.get(key, 0) + n
         if sub.refuted:
-            return Verdict(REFUTED, witness={"vertex": str(v), "link": sub.witness}, notes=notes)
+            return Verdict(
+                REFUTED,
+                witness={"vertex": str(v), "link": sub.witness},
+                budget_spent=spent,
+                notes=notes,
+            )
         if not sub.proved:
             unknowns.append(str(v))
     if unknowns:
-        return Verdict(UNKNOWN, witness={"vertices_unknown": unknowns}, notes=notes)
-    return Verdict(PROVED, witness={"links_checked": [str(v) for v in reps]}, notes=notes)
+        return Verdict(UNKNOWN, witness={"vertices_unknown": unknowns}, budget_spent=spent, notes=notes)
+    return Verdict(
+        PROVED, witness={"links_checked": [str(v) for v in reps]}, budget_spent=spent, notes=notes
+    )
 
 
 # -- tightness --------------------------------------------------------------------

@@ -129,7 +129,6 @@ _OPTIONS = {
     "--restarts": dict(type=nonnegative_int, default=16),
     "--seed": dict(type=int, default=0),
     "--guard-vertices": dict(type=nonnegative_int, default=16),
-    "--exhaustive": dict(action="store_true"),
 }
 
 
@@ -272,9 +271,7 @@ def _cmd_certify(args) -> int:
     c, _ = _load_source(args.source, args.format)
     budget = _budget(args)
     if args.what == "stellated":
-        return _finish_verdict(
-            certify_k_stellated(c, args.k, budget, exhaustive=args.exhaustive), args
-        )
+        return _finish_verdict(certify_k_stellated(c, args.k, budget), args)
     if args.what == "shelled":
         return _finish_verdict(certify_k_shelled(c, args.k, budget), args)
     if args.what == "one-stacked":

@@ -147,14 +147,20 @@ def bistellar_valid(x: Complex, move: BistellarMove) -> str | None:
     return None
 
 
+def flip_facets(facets: frozenset, move: BistellarMove) -> frozenset:
+    """The facet set after a move already checked to apply: the facets
+    ``alpha ∪ (beta \\ {v})`` give way to the ``(alpha \\ {u}) ∪ beta``."""
+    a, b = frozenset(move.alpha), frozenset(move.beta)
+    removed = {a | (b - {v}) for v in b}
+    added = {(a - {u}) | b for u in a}
+    return (facets - removed) | added
+
+
 def apply_bistellar(x: Complex, move: BistellarMove) -> Complex:
     reason = bistellar_valid(x, move)
     if reason is not None:
         raise InvalidMove(reason, move)
-    a, b = frozenset(move.alpha), frozenset(move.beta)
-    removed = {a | (b - {v}) for v in b}
-    added = {(a - {u}) | b for u in a}
-    return Complex((x.facet_sets - removed) | added)
+    return Complex(flip_facets(x.facet_sets, move))
 
 
 def bistellar_options(
@@ -162,8 +168,9 @@ def bistellar_options(
 ) -> list[BistellarMove]:
     """All valid moves with index in [lo, hi], canonically ordered.
 
-    Index-0 entries share one explicit fresh vertex label so every listed
-    move is directly applicable and certificates stay reproducible.
+    Index-0 entries subdivide the d-facets, and share one explicit fresh
+    vertex label so every listed move is directly applicable and
+    certificates stay reproducible.
 
     A valid move ``alpha -> beta`` of index i >= 1 spans the (d+2)-set
     ``sigma = alpha ∪ beta``, whose facets in x are exactly the
@@ -179,7 +186,7 @@ def bistellar_options(
     hi = min(hi, d)
     if lo == 0 and hi >= 0:
         new = fresh if fresh is not None else fresh_label(x)
-        opts = [BistellarMove(alpha=tuple(facet), beta=(new,)) for facet in x.facets]
+        opts = [BistellarMove(alpha=f, beta=(new,)) for f in x.facets if len(f) == d + 1]
     if hi >= max(lo, 1):
         ridges = (fs for r, fs in x._ridge_incidence.items() if len(r) == d)
         for sigma in {f | g for fs in ridges for f, g in itertools.combinations(fs, 2)}:

@@ -2,7 +2,11 @@
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -16,6 +20,7 @@ from sx.certify import (
     SearchBudget,
     Verdict,
     _exhaustive_search,
+    _memo_dfs,
     certify_k_shelled,
     certify_k_stacked_sphere,
     certify_k_stellated,
@@ -47,6 +52,7 @@ from sx.moves import (
     apply_bistellar,
     bistellar_options,
     is_standard_sphere,
+    reverse_move,
 )
 
 RP2 = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
@@ -303,39 +309,23 @@ def oracle_certify_k_shelled(b: Complex, k: int, budget: SearchBudget | None = N
     )
 
 
-def oracle_exhaustive_search(s: Complex, lo: int, budget: SearchBudget):
-    """Backtracking over the full reverse-move DAG, memoized by digest."""
+def oracle_reachable(s: Complex, lo: int) -> bool:
+    """Whether reverse moves of index lo..d take s to the standard sphere,
+    by breadth-first search over every complex they reach: for lo >= 1
+    the definition of (d - lo + 1)-stellatedness."""
     d = s.dimension
-    counters = {"nodes": 0, "seed": budget.seed}
-    dead: set[str] = set()
-    stack = [(s, None)]
-    path: list[BistellarMove] = []
-    while stack:
-        current, pending = stack[-1]
-        if is_standard_sphere(current):
-            return list(path), current, counters
-        if pending is None:
-            counters["nodes"] += 1
-            if counters["nodes"] > budget.max_nodes:
-                return None, None, counters
-            pending = list(bistellar_options(current, lo, d))
-            stack[-1] = (current, pending)
-        advanced = False
-        while pending:
-            mv = pending.pop(0)
-            nxt = apply_bistellar(current, mv)
-            if nxt.digest in dead:
-                continue
-            stack.append((nxt, None))
-            path.append(mv)
-            advanced = True
-            break
-        if not advanced:
-            dead.add(current.digest)
-            stack.pop()
-            if path:
-                path.pop()
-    return None, None, counters
+    seen = {s}
+    queue = deque([s])
+    while queue:
+        x = queue.popleft()
+        if is_standard_sphere(x):
+            return True
+        for mv in bistellar_options(x, lo, d):
+            y = apply_bistellar(x, mv)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return False
 
 
 def shelling_cases():
@@ -370,22 +360,79 @@ def test_shelling_search_matches_the_oracle():
     assert statuses == {PROVED, REFUTED, UNKNOWN}
 
 
-def test_exhaustive_search_matches_the_oracle():
-    # index-0 moves (lo = 0) grow the sphere without end, and lo = 1 in
-    # dimension 4 is the slowest range, so neither is tried
+def _replays_to(cert: MoveCertificate, s: Complex) -> bool:
+    """Undo the certificate's moves from s, and replay it from the
+    standard sphere that this reaches."""
+    start = s
+    for mv in reversed(cert.moves):
+        start = apply_bistellar(start, reverse_move(mv))
+    return is_standard_sphere(start) and replay(cert, start)[0] == s
+
+
+def stellated_cases() -> list[Complex]:
+    """Seeded grown spheres of dimension 1-4 on at most 8 vertices, and the
+    octahedron with and without a vertex stacked on a triangle: neither is
+    1-stellated, so the oracle also exhausts a space of two states."""
     rng = random.Random(0)
-    outcomes = set()
+    cases = []
     for dim in range(1, 5):
         for grow_k in range(2, dim + 2):
             for steps in (3, 8):
                 s, _ = grow_stellated_sphere(dim, grow_k, steps, rng)
-                for lo in range(max(1, dim - 2), dim + 1):
-                    for max_nodes in (2, 20):
-                        budget = SearchBudget(restarts=0, max_nodes=max_nodes)
-                        trail, final, spent = oracle_exhaustive_search(s, lo, budget)
-                        assert _exhaustive_search(s, lo, budget) == (trail, final, spent["nodes"])
-                        outcomes.add((trail is not None, spent["nodes"] > max_nodes))
-    assert outcomes == {(True, False), (False, False), (False, True)}
+                if len(s.vertices) <= 8:
+                    cases.append(s)
+    octahedron = cross_polytope(2)
+    cases += [octahedron, apply_bistellar(octahedron, bistellar_options(octahedron, 0, 0)[0])]
+    return cases
+
+
+def test_exhaustive_search_matches_the_oracle():
+    # the verdict is PROVED exactly when the standard sphere is reachable,
+    # and REFUTED otherwise; index-0 moves (lo = 0) grow the sphere without
+    # end, so the oracle cannot run there
+    outcomes = set()
+    for s in stellated_cases():
+        d = s.dimension
+        for lo in range(1, d + 1):
+            reachable = oracle_reachable(s, lo)
+            trail, _, nodes, cut = _exhaustive_search(s, lo, SearchBudget())
+            assert not cut and (trail is not None) == reachable, (s.facets, lo)
+            v = certify_k_stellated(s, d - lo + 1)
+            assert v.status == (PROVED if reachable else REFUTED), (s.facets, lo)
+            if v.proved:
+                assert _replays_to(v.certificate, s)
+            outcomes.add((v.status, nodes > 1))
+    assert outcomes == {(PROVED, False), (PROVED, True), (REFUTED, False), (REFUTED, True)}
+
+
+def test_a_search_cut_short_is_unknown():
+    # a search that a budget cut short has not exhausted its state space,
+    # so it must not refute: each of these spheres reduces in two moves or
+    # more, and one node or one move is not enough
+    cut_cases = 0
+    for s in stellated_cases():
+        d = s.dimension
+        for lo in range(1, d):
+            trail, _, _, _ = _exhaustive_search(s, lo, SearchBudget())
+            if trail is None or len(trail) < 2:
+                continue
+            for budget in (SearchBudget(max_nodes=1), SearchBudget(max_moves=1)):
+                v = certify_k_stellated(s, d - lo + 1, budget)
+                assert v.status == UNKNOWN, (s.facets, lo, budget)
+                cut_cases += 1
+    assert cut_cases >= 10
+
+
+def test_memo_dfs_path_never_exceeds_max_depth():
+    def children(n):
+        yield n, n + 1
+
+    never = lambda n: False  # noqa: E731
+    assert _memo_dfs([0], children, never, SearchBudget(), 5) == (None, None, 6, True)
+    assert _memo_dfs([0], children, never, SearchBudget(max_nodes=3), 5) == (None, None, 4, True)
+    # a cycle is exhausted: a state on the current path is not entered again
+    ring = lambda n: [(n, (n + 1) % 4)]  # noqa: E731
+    assert _memo_dfs([0], ring, never, SearchBudget(), 5) == (None, None, 4, False)
 
 
 # -- stellatedness ----------------------------------------------------------------------
@@ -452,7 +499,16 @@ def test_tilde_sphere_is_not_proved_two_stellated(lutz_b2):
     assert is_k_stacked_ball(btilde, 2).proved
     stilde = btilde.boundary()
     v = certify_k_stellated(stilde, 2, SearchBudget(max_moves=2_000, restarts=4))
-    assert not v.proved
+    assert v.refuted and v.budget_spent == {"nodes": 1}
+
+
+def test_dfm_sphere_stellatedness(dfm):
+    # 2-neighborly with no move of index 1..3, so only k = 4 lets it move
+    for k in (2, 3):
+        v = certify_k_stellated(dfm, k)
+        assert v.refuted and v.budget_spent == {"nodes": 1}
+    v = certify_k_stellated(dfm, 4)
+    assert v.proved and _replays_to(v.certificate, dfm)
 
 
 # -- stacked spheres -------------------------------------------------------------------
@@ -712,6 +768,25 @@ def test_stellated_spheres_have_stellated_links():
         assert is_in_class(s, k, "W").proved
 
 
+def test_class_w_adds_up_the_link_counters(monkeypatch):
+    spent = []
+
+    def counted(*args):
+        v = certify_k_stellated(*args)
+        spent.append(v.budget_spent.get("nodes", 0))
+        return v
+
+    monkeypatch.setattr(certify_module, "certify_k_stellated", counted)
+    s, _ = grow_stellated_sphere(3, 2, 12, random.Random(8))
+    v = is_in_class(s, 2, "W")
+    assert v.proved and len(spent) > 1
+    assert v.budget_spent == {"nodes": sum(spent)} and sum(spent) > 0
+    # the refuting link's nodes count too
+    spent.clear()
+    v = is_in_class(fixture("dfm_s3_16").complex.join(standard_sphere(0, ("p", "q"))), 2, "W")
+    assert v.refuted and v.budget_spent == {"nodes": sum(spent)} and sum(spent) > 0
+
+
 # -- tightness ----------------------------------------------------------------------------
 
 
@@ -922,28 +997,54 @@ def test_join_with_standard_ball_stays_two_stacked(dfm_ball):
 
 
 def test_exhaustive_search_path():
-    # force the memoized complete traversal by disabling the descent
     rng = random.Random(3)
     s, _ = grow_stellated_sphere(3, 2, 3, rng)
-    budget = SearchBudget(restarts=0, max_nodes=50_000)
-    v = certify_k_stellated(s, 2, budget, exhaustive=True)
+    v = certify_k_stellated(s, 2)
     assert v.proved
-    assert v.budget_spent == {"moves_tried": 0, "restarts": 0, "seed": 0, "nodes": 3}
-    # a descent cut short after one move keeps its counters next to the
-    # exhaustive search's
-    budget = SearchBudget(restarts=1, max_moves=1, seed=4)
-    v = certify_k_stellated(s, 2, budget, exhaustive=True)
-    assert v.proved
-    assert v.budget_spent == {"moves_tried": 1, "restarts": 1, "seed": 4, "nodes": 3}
+    assert v.budget_spent == {"nodes": 3}
+    # seed and restarts drive only `collapse`
+    assert certify_k_stellated(s, 2, SearchBudget(restarts=0, seed=4)) == v
+    # the move path is capped at max_moves: a budget below the certificate
+    # length cuts the search short
+    length = v.certificate.length
+    assert certify_k_stellated(s, 2, SearchBudget(max_moves=length)).proved
+    assert certify_k_stellated(s, 2, SearchBudget(max_moves=length - 1)).status == UNKNOWN
 
 
-def test_exhaustive_search_on_moveless_sphere_is_unknown(dfm_ball):
-    # the join construction is unflippable, so the reverse-move DAG is a
-    # single node and the search exhausts instantly without proving
+def test_exhaustive_search_on_moveless_sphere_is_refuted(dfm_ball):
+    # the join construction is unflippable, so the reverse-move graph is a
+    # single node and the search exhausts it at once
     sphere = dfm_ball.join(standard_ball(0, ("q",))).boundary()
-    v = certify_k_stellated(sphere, 2, SearchBudget(restarts=1), exhaustive=True)
-    assert v.status == "UNKNOWN"
-    assert v.budget_spent == {"moves_tried": 0, "restarts": 1, "seed": 0, "nodes": 1}
+    v = certify_k_stellated(sphere, 2)
+    assert v.refuted
+    assert v.budget_spent == {"nodes": 1}
+
+
+def test_poincare_sphere_is_not_two_stellated(sigma):
+    v = certify_k_stellated(sigma, 2)
+    assert v.refuted and v.budget_spent == {"nodes": 1}
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+def test_stellated_search_holds_facet_sets_not_complexes():
+    # at k = 3 the search path on the Poincaré sphere grows about one
+    # level a node; a path of Complex objects with their ridge maps peaked
+    # at 154 MB after 1500 nodes, facet sets peak near 36 MB.  VmHWM is the
+    # child's own peak, where ru_maxrss would carry this process's over exec.
+    code = (
+        "from sx.corpus import fixture\n"
+        "from sx.certify import SearchBudget, certify_k_stellated\n"
+        "v = certify_k_stellated(fixture('bl_sigma3_16').complex, 3, SearchBudget(max_nodes=1500))\n"
+        "hwm = [ln for ln in open('/proc/self/status') if ln.startswith('VmHWM:')][0]\n"
+        "print(v.status, v.budget_spent['nodes'], hwm.split()[1])\n"
+    )
+    src = os.path.dirname(os.path.dirname(certify_module.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout.split()
+    assert out[:2] == [UNKNOWN, "1501"]
+    assert int(out[2]) < 100 * 1024  # kB
 
 
 def test_ear_scan_on_paths():

@@ -52,6 +52,14 @@ def test_certify_stellated_proved(capsys):
     assert payload["certificate"]["kind"] == "bistellar"
 
 
+def test_certify_stellated_refutes_when_the_moves_run_out(capsys):
+    code, out, _ = run_cli(capsys, "certify", "stellated", "-k", "3", "fixtures:dfm_s3_16")
+    payload = json.loads(out)
+    assert (code, payload["status"], payload["budget_spent"]) == (1, "REFUTED", {"nodes": 1})
+    code, out, _ = run_cli(capsys, "certify", "stellated", "-k", "4", "fixtures:dfm_s3_16")
+    assert (code, json.loads(out)["status"]) == (0, "PROVED")
+
+
 def test_flips_empty_on_dfm(capsys):
     code, out, _ = run_cli(capsys, "flips", "--lo", "1", "--hi", "3", "fixtures:dfm_s3_16")
     assert code == 0
@@ -257,6 +265,7 @@ def test_json_null_or_absent_name_loads(capsys, tmp_path, text):
         ["generate", "standard-ball", "1", "2"],
         ["fixtures", "export"],
         ["verify-paper", "--criteria", "99"],
+        ["certify", "stellated", "-k", "2", "--exhaustive", "fixtures:lutz_s2_8"],
     ],
 )
 def test_usage_errors_print_a_message(capsys, argv):
@@ -287,7 +296,7 @@ def test_negative_budgets_are_usage_errors(capsys, argv):
 
 def test_zero_restarts_stay_valid(capsys):
     code, out, _ = run_cli(
-        capsys, "certify", "stellated", "-k", "2", "--restarts", "0", "fixtures:lutz_s2_8"
+        capsys, "certify", "collapsible", "--restarts", "0", "fixtures:ziegler_b2"
     )
     assert code == 2
     assert json.loads(out)["budget_spent"]["restarts"] == 0
@@ -393,7 +402,7 @@ def test_flips_above_the_dimension_exit_69(capsys):
 @pytest.mark.parametrize(
     "command, unread",
     [
-        (["info"], ["--exhaustive"]),
+        (["info"], ["--budget-moves", "5"]),
         (["info"], ["--seed", "5"]),
         (["info"], ["--guard-vertices", "3"]),
         (["info"], ["--budget-nodes", "0"]),
@@ -404,7 +413,7 @@ def test_flips_above_the_dimension_exit_69(capsys):
         (["flips", "--lo", "0", "--hi", "1"], ["--field", "2"]),
         (["flips", "--lo", "0", "--hi", "1"], ["--budget-moves", "5"]),
         (["stacked", "-k", "1"], ["--seed", "3"]),
-        (["stacked", "-k", "1"], ["--exhaustive"]),
+        (["stacked", "-k", "1"], ["--restarts", "2"]),
         (["bar", "-k", "1"], ["--guard-vertices", "3"]),
         (["bar", "-k", "1"], ["--field", "2"]),
         (["aut"], ["-k", "1"]),

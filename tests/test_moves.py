@@ -183,9 +183,10 @@ def scan_bistellar_options(x, lo, hi, fresh=None):
     hi = min(hi, d)
     for i in range(lo, hi + 1):
         if i == 0:
+            # an index-0 move cones a d-face, which is a facet, to a fresh vertex
             new = fresh if fresh is not None else fresh_label(x)
-            for facet in x.facets:
-                opts.append(BistellarMove(alpha=tuple(facet), beta=(new,)))
+            for facet in x.faces(d):
+                opts.append(BistellarMove(alpha=x.face_tuple(facet), beta=(new,)))
             continue
         for a in x.faces(d - i):
             lk = scan_link(x, a)
@@ -285,11 +286,20 @@ def test_bistellar_options_match_the_facet_scan():
 
 
 def test_listed_bistellar_options_are_valid():
-    # index 0 is left out: it cones every facet, the smaller facets of a
-    # non-pure complex included, and those cones have the wrong dimension
     for x in DIFFERENTIAL_CASES:
-        for mv in bistellar_options(x, 1, x.dimension):
+        for mv in bistellar_options(x, 0, x.dimension):
             assert bistellar_valid(x, mv) is None, (x.facets, mv)
+            apply_bistellar(x, mv)
+
+
+def test_index_zero_options_skip_smaller_facets():
+    # the edge 45 of a non-pure 2-complex is a facet, but coning it to a
+    # fresh vertex gives no 2-face, so it is no index-0 move
+    x = Complex([(1, 2, 3), (1, 2, 4), (4, 5)])
+    opts = bistellar_options(x, 0, 1)
+    assert _pairs(opts) == [((1, 2, 3), (6,)), ((1, 2, 4), (6,)), ((1, 2), (3, 4))]
+    for mv in opts:
+        apply_bistellar(x, mv)
 
 
 @settings(max_examples=40, deadline=None)
