@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import or_
 
 from .complexes import Complex, skeleta_equal
 from .constructions import stacked_ball_closure
@@ -256,10 +258,12 @@ def certify_k_shelled(b: Complex, k: int, budget: SearchBudget | None = None) ->
     ridges = [
         [(v, mask(b._ridge_incidence[frozenset(f) - {v}])) for v in f] for f in facets
     ]
+    # a facet that shares no ridge with P has an empty restriction face
+    nbr = [reduce(or_, (r for _, r in rs)) for rs in ridges]
 
     def children(state: int):
         for j in range(m):
-            if state >> j & 1:
+            if state >> j & 1 or not nbr[j] & state:
                 continue
             beta = [v for v, r in ridges[j] if (r & state).bit_count() == 1]
             if len(beta) > k:

@@ -7,6 +7,9 @@ complex is an integer and by string value otherwise, so that all derived
 orderings (facet lists, digests, move enumerations) are deterministic
 across runs.  `Complex.face_index` is the one canonical face order: each
 face's row per dimension, which every boundary matrix is indexed by.
+`Complex._facet_masks` is the one bitmask encoding of the facets, bit i
+for the vertex at position i, that connectivity, normality and the
+homology screens' collapse read.
 """
 
 from __future__ import annotations
@@ -290,33 +293,42 @@ class Complex:
         return DualGraph(nodes=nodes, edges=tuple(sorted(edges)))
 
     @cached_property
-    def is_connected(self) -> bool:
-        return self._link_is_connected(frozenset())
+    def _facet_masks(self) -> tuple[int, ...]:
+        """Each facet as an int with bit i set for the vertex at position i,
+        in increasing order: the one bitmask encoding that connectivity,
+        normality and the homology screens' collapse read."""
+        pos = self._vertex_pos
+        return tuple(sorted(sum(1 << pos[v] for v in f) for f in self._facets))
 
-    def _link_is_connected(self, face: FaceSet) -> bool:
-        """Whether lk(face) is connected, read from the star: the sets g - face
-        for the facets g ⊇ face, joined where they share a vertex.  The link
-        {∅} of a facet is not connected."""
-        star = self._vertex_star[next(iter(face))] if face else self._facets
-        pieces = [g - face for g in star if face <= g]
-        if not all(pieces):
-            return False
-        by_vertex: dict = {}
-        for i, piece in enumerate(pieces):
-            for v in piece:
-                by_vertex.setdefault(v, []).append(i)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for v in pieces[stack.pop()]:
-                for j in by_vertex.pop(v, ()):
-                    if j not in seen:
-                        seen.add(j)
-                        stack.append(j)
-        return len(seen) == len(pieces)
+    @cached_property
+    def _mask_star(self) -> tuple[list[int], ...]:
+        """For each vertex position, the masks of the facets through it."""
+        star: tuple[list[int], ...] = tuple([] for _ in self.vertices)
+        for g in self._facet_masks:
+            b = g
+            while b:
+                low = b & -b
+                star[low.bit_length() - 1].append(g)
+                b ^= low
+        return star
+
+    def _mask_link_is_connected(self, f: int) -> bool:
+        """Whether lk(f) is connected, for a face f given as a mask: its
+        pieces are g & ~f over the facet masks g ⊇ f in the star of f's
+        lowest vertex.  The link {∅} of a facet is not connected."""
+        star = self._mask_star[(f & -f).bit_length() - 1] if f else self._facet_masks
+        return _pieces_connected([g & ~f for g in star if g & f == f])
+
+    @cached_property
+    def is_connected(self) -> bool:
+        return self._mask_link_is_connected(0)
 
     def classify(self) -> "Classification":
         """Exact pseudomanifold-hierarchy flags for this complex."""
+        return self._classification
+
+    @cached_property
+    def _classification(self) -> "Classification":
         pure = not self.is_empty_complex and self.is_pure
         weak = self.is_weak_pseudomanifold
         pseudo = weak and self.dual_graph().is_connected()
@@ -333,13 +345,31 @@ class Complex:
         )
 
     def _has_connected_low_links(self) -> bool:
-        # links of faces of dimension <= d-2; the empty face (its link is the
-        # whole complex) takes part only when d >= 1
-        return all(
-            self._link_is_connected(f)
-            for k in range(-1, self.dimension - 1)
-            for f in self._faces_by_dim[k]
-        )
+        """Whether the link of every face of dimension <= d-2 is connected;
+        the empty face (its link is the whole complex) takes part only
+        when d >= 1.  Faces are reached depth-first from their lowest
+        vertex, adding higher vertices only, so each face is visited once,
+        and the facet masks through a face are filtered from its parent's."""
+        top = self.dimension - 1  # the largest face size whose link is read
+        if top < 0:
+            return True
+        if not self.is_connected:
+            return False
+        stack = [(1 << i, star) for i, star in enumerate(self._mask_star)] if top else []
+        while stack:
+            f, star = stack.pop()
+            if not _pieces_connected([g ^ f for g in star]):
+                return False
+            if f.bit_count() < top:
+                higher = 0
+                for g in star:
+                    higher |= g
+                higher &= -1 << f.bit_length()
+                while higher:
+                    low = higher & -higher
+                    stack.append((f | low, [g for g in star if g & low]))
+                    higher ^= low
+        return True
 
     # -- combinatorial queries -------------------------------------------------
 
@@ -370,6 +400,26 @@ class Complex:
         from math import comb
 
         return len(self._faces_by_dim[l - 1]) == comb(len(self.vertices), l)
+
+
+def _pieces_connected(pieces) -> bool:
+    """Whether vertex masks, joined where they share a vertex, form one
+    connected piece: a flood from the first one that stops once a pass
+    adds nothing.  False when there are none or one of them is empty."""
+    if not pieces or not all(pieces):
+        return False
+    reached, rest = pieces[0], pieces[1:]
+    while rest:
+        left = []
+        for p in rest:
+            if p & reached:
+                reached |= p
+            else:
+                left.append(p)
+        if len(left) == len(rest):
+            return False
+        rest = left
+    return True
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""Homology ranks against an independent dense Fraction-arithmetic oracle."""
+"""Homology ranks against an independent dense Fraction-arithmetic oracle, and the
+collapse-first screens against the elimination-only screens they replaced."""
 
 import random
 from fractions import Fraction
@@ -11,14 +12,19 @@ from sx import from_facets, standard_ball, standard_sphere
 from sx.constructions import klee_novik
 from sx.corpus import fixture
 from sx.errors import EmptyInput, FieldTooLarge
-from sx.growth import grow_shelled_ball
+from sx.growth import grow_shelled_ball, grow_stellated_sphere
 from sx.homology import (
     DEFAULT_FIELDS,
+    ScreenVerdict,
     _boundary_columns,
+    _collapses_to_point,
+    _point_like,
     _rank,
+    _sphere_like,
     betti,
     check_field,
     euler_characteristic,
+    field_name,
     screen_homology_ball,
     screen_homology_sphere,
 )
@@ -274,3 +280,140 @@ def test_homology_screen_of_largest_fixture():
     s619 = fixture("s6_19").complex
     assert s619.f_vector() == (19, 157, 599, 1235, 1481, 987, 282)
     assert screen_homology_sphere(s619, (0, 2, 3)).passed
+
+
+# -- collapse-first screens against the elimination-only screens ------------------
+
+
+def elimination_screen_sphere(x, fields=DEFAULT_FIELDS):
+    """`screen_homology_sphere` before it collapsed first: `betti` over
+    every field.  Kept verbatim as the reference."""
+    fields = tuple(fields)
+    cls = x.classify()
+    if not (cls.normal_pseudomanifold and cls.closed):
+        return ScreenVerdict(False, "sphere-screen", fields, "not a closed normal pseudomanifold")
+    for f in fields:
+        b = betti(x, f)
+        if not _sphere_like(b):
+            return ScreenVerdict(
+                False, "sphere-screen", fields,
+                f"reduced betti over {field_name(f)} is {list(b)}",
+            )
+    return ScreenVerdict(True, "sphere-screen", fields)
+
+
+def elimination_screen_ball(x, fields=DEFAULT_FIELDS):
+    """`screen_homology_ball` before it collapsed first.  Kept verbatim as
+    the reference."""
+    fields = tuple(fields)
+    cls = x.classify()
+    if not cls.normal_pseudomanifold:
+        return ScreenVerdict(False, "ball-screen", fields, "not a normal pseudomanifold")
+    bd = x.boundary()
+    if bd.is_empty_complex:
+        return ScreenVerdict(False, "ball-screen", fields, "boundary is empty")
+    for f in fields:
+        b = betti(x, f)
+        if not _point_like(b):
+            return ScreenVerdict(
+                False, "ball-screen", fields,
+                f"reduced betti over {field_name(f)} is {list(b)}",
+            )
+    if bd.dimension == 0:
+        # boundary of a 1-ball: two points
+        if len(bd.vertices) == 2:
+            return ScreenVerdict(True, "ball-screen", fields)
+        return ScreenVerdict(False, "ball-screen", fields, "0-dimensional boundary is not two points")
+    inner = elimination_screen_sphere(bd, fields)
+    if not inner.passed:
+        return ScreenVerdict(False, "ball-screen", fields, f"boundary: {inner.detail}")
+    return ScreenVerdict(True, "ball-screen", fields)
+
+
+def _screen_record(v):
+    return (v.passed, v.kind, v.fields, v.detail, v.render_note())
+
+
+def _assert_screens_match(x, fields):
+    for new, old in ((screen_homology_sphere, elimination_screen_sphere),
+                     (screen_homology_ball, elimination_screen_ball)):
+        assert _screen_record(new(x, fields)) == _screen_record(old(x, fields)), (
+            new.__name__, x.facets, fields)
+
+
+def test_collapse_first_screens_match_the_elimination_screens(differential_complexes):
+    # the cone over RP² collapses and its boundary RP² does not screen as a
+    # sphere, so the ball screen fails after a collapse; the cone over the
+    # pinched torus is not normal (the link of its apex-pinch edge is two
+    # circles).  RP² minus a triangle, a Möbius band, is a normal surface
+    # with boundary that does not collapse to a point.
+    rp2, pinched = differential_complexes[:2]
+    cones = [from_facets([f + (0,) for f in surface.facets]) for surface in (rp2, pinched)]
+    inputs = list(differential_complexes) + cones + [from_facets(RP2[1:])]
+    inputs += [x.boundary() for x in inputs
+               if x.is_weak_pseudomanifold and not x.classify().closed]
+    paths = {"passed": 0, "collapsed": 0, "eliminated": 0}
+    for i, x in enumerate(inputs):
+        fields = DEFAULT_FIELDS if i % 2 else (2, 0, 5)
+        _assert_screens_match(x, fields)
+        for screen in (screen_homology_sphere, screen_homology_ball):
+            paths["passed"] += screen(x, fields).passed
+        cls = x.classify()
+        if cls.normal_pseudomanifold:
+            masks = x._facet_masks[1:] if cls.closed else x._facet_masks
+            paths["collapsed" if _collapses_to_point(masks) else "eliminated"] += 1
+    assert min(paths.values()) >= 5, paths
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(0, 12),
+    st.integers(0, 2**32),
+    st.lists(st.sampled_from([0, 2, 3, 5, 7]), min_size=1, max_size=3, unique=True),
+)
+def test_collapse_first_screens_match_property(dim, k, steps, seed, fields):
+    rng = random.Random(seed)
+    ball, _ = grow_shelled_ball(dim, min(k, dim), steps, rng)
+    sphere, _ = grow_stellated_sphere(dim, min(k, dim + 1), steps, rng)
+    for x in (ball, ball.boundary(), sphere):
+        _assert_screens_match(x, tuple(fields))
+
+
+def test_collapse_first_screens_reject_a_bad_field_like_betti(ziegler_b2):
+    # ziegler_b2 collapses; the screen still validates every listed field
+    for screen, oracle in ((screen_homology_ball, elimination_screen_ball),
+                           (screen_homology_sphere, elimination_screen_sphere)):
+        x = ziegler_b2 if screen is screen_homology_ball else ziegler_b2.boundary()
+        for fields, error in (((0, 4), ValueError), ((2, 2**31 + 11), FieldTooLarge)):
+            with pytest.raises(error):
+                oracle(x, fields)
+            with pytest.raises(error):
+                screen(x, fields)
+
+
+def test_homology_sphere_minus_a_facet_does_not_collapse(sigma):
+    # π₁ of the Poincaré sphere survives deleting a 3-cell, so no facet's
+    # removal leaves a contractible complex; the sphere screen eliminates
+    masks = sigma._facet_masks
+    for i in range(len(masks)):
+        assert not _collapses_to_point(masks[:i] + masks[i + 1:])
+    assert screen_homology_sphere(sigma).passed
+
+
+def test_grown_shelled_balls_collapse():
+    rng = random.Random(21)
+    for dim in (1, 2, 3, 4):
+        for _ in range(5):
+            ball, _ = grow_shelled_ball(dim, rng.randrange(1, dim + 1), rng.randrange(0, 12), rng)
+            assert _collapses_to_point(ball._facet_masks), ball.facets
+            assert _collapses_to_point(ball.boundary()._facet_masks[1:]), ball.facets
+
+
+def test_collapse_of_points_and_disconnected_complexes():
+    assert _collapses_to_point([0b1])
+    assert not _collapses_to_point([0b1, 0b10])
+    assert _collapses_to_point([0b11, 0b110])
+    assert not _collapses_to_point([0b11, 0b110, 0b101])  # a circle
+    assert not _collapses_to_point([0b11, 0b1100])

@@ -1,11 +1,16 @@
-"""Facet text and JSON formats round-trip exactly."""
+"""Facet text and JSON formats round-trip exactly, and any input parses or is rejected cleanly."""
 
+import contextlib
 import io
+import json
+import os
+import tempfile
 
 import pytest
 
-from sx import from_facets
-from sx.errors import EmptyInput
+from sx import Complex, from_facets
+from sx.cli import main
+from sx.errors import EmptyInput, SxError
 from sx.io import dumps_fac, dumps_json, load, loads_fac, loads_json, parse_label
 
 
@@ -109,3 +114,70 @@ def test_fac_round_trip_property(facets):
     assert loads_fac(dumps_fac(c)) == c
     again, _ = loads_json(dumps_json(c))
     assert again == c
+
+
+# -- fuzzing: any input is a complex or a clean error ---------------------------
+
+# short texts: a line holds at most a dozen tokens, so a parsed facet's
+# face lattice stays small
+fac_text = st.one_of(
+    st.text(max_size=24),
+    st.text(alphabet="0123456789-abp #\n\t\r", max_size=24),
+)
+scalar = st.one_of(
+    st.none(), st.booleans(), st.integers(-10**6, 10**6), st.floats(), st.text(max_size=4)
+)
+nested_json = st.recursive(
+    scalar,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.sampled_from(["facets", "name", "x"]) | st.text(max_size=3),
+                      children, max_size=3),
+    max_leaves=20,
+)
+# objects shaped like a complex, with a stray label, facet or name now and then
+json_label = st.integers(-5, 20) | st.text(max_size=3)
+json_complex = st.fixed_dictionaries(
+    {"facets": st.lists(st.lists(json_label, min_size=1, max_size=6), max_size=5)
+               | st.lists(st.lists(json_label | scalar, max_size=6), max_size=5)
+               | nested_json},
+    optional={"name": st.none() | st.text(max_size=5) | nested_json},
+)
+
+
+def _parses_or_rejects(parse, text):
+    try:
+        c = parse(text)
+    except (SxError, ValueError):
+        return
+    assert isinstance(c, Complex)
+
+
+def _info_exit_code(text: str, suffix: str) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in" + suffix)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["info", path])
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue())
+    else:
+        assert err.getvalue().startswith("error: "), err.getvalue()
+    return code
+
+
+@settings(max_examples=150, deadline=None)
+@given(fac_text)
+def test_loads_fac_fuzz_returns_a_complex_or_a_clean_error(text):
+    _parses_or_rejects(loads_fac, text)
+    assert _info_exit_code(text, ".fac") in (0, 65)
+
+
+@settings(max_examples=150, deadline=None)
+@given(nested_json | json_complex)
+def test_loads_json_fuzz_returns_a_complex_or_a_clean_error(value):
+    text = json.dumps(value)
+    _parses_or_rejects(lambda t: loads_json(t)[0], text)
+    assert _info_exit_code(text, ".json") in (0, 65)
