@@ -3,10 +3,8 @@
 from .complexes import (
     Classification,
     Complex,
-    DualGraph,
     boundary,
     classify,
-    dual_graph,
     f_vector,
     from_facets,
     induced,
@@ -32,7 +30,6 @@ from .moves import (
 __all__ = [
     "Classification",
     "Complex",
-    "DualGraph",
     "BistellarMove",
     "ShellingMove",
     "MoveCertificate",
@@ -43,7 +40,6 @@ __all__ = [
     "induced",
     "join",
     "boundary",
-    "dual_graph",
     "missing_faces",
     "is_l_neighborly",
     "classify",

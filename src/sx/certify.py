@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 import random
+from collections import deque
 from dataclasses import dataclass, field
-from functools import reduce
-from operator import or_
 
 from .complexes import Complex, skeleta_equal
 from .constructions import stacked_ball_closure
@@ -41,13 +40,12 @@ from .moves import (
     BistellarMove,
     MoveCertificate,
     ShellingMove,
-    apply_shelling,
     bistellar_options,
-    boundary_certificate,
     flip_facets,
     is_standard_sphere,
     replay,
     reverse_move,
+    standard_sphere,
 )
 
 PROVED = "PROVED"
@@ -112,6 +110,14 @@ def _faces_out(x: Complex, faces) -> list[list]:
     return [list(f) for f in x.sorted_faces(faces)]
 
 
+def _bits(mask: int):
+    """The indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 # -- stackedness ---------------------------------------------------------------
 
 
@@ -148,20 +154,29 @@ def is_k_stacked_ball(b: Complex, k: int, fields=DEFAULT_FIELDS) -> Verdict:
 
 
 def is_one_stacked_ball(x: Complex) -> Verdict:
-    """Dual-graph tree test; exact for normal pseudomanifolds."""
-    if not x.classify().normal_pseudomanifold:
+    """Dual-graph tree test; exact for normal pseudomanifolds.
+
+    A normal pseudomanifold is strongly connected, so its dual graph is a
+    tree when it has one edge fewer than nodes.  A closed one bounds
+    nothing: the 0-sphere's dual graph is a tree, but it is not a ball.
+    """
+    cls = x.classify()
+    if not cls.normal_pseudomanifold:
         raise NotNormalPseudomanifold("dual-graph tree test needs a normal pseudomanifold")
-    g = x.dual_graph()
-    if g.is_tree():
-        return Verdict(
-            PROVED,
-            witness={"tree_edges": [[list(a), list(b)] for a, b in g.edge_faces()]},
-        )
-    reason = "disconnected dual graph" if not g.is_connected() else "dual graph has a cycle"
-    return Verdict(
-        REFUTED,
-        witness={"reason": reason, "nodes": len(g.nodes), "edges": len(g.edges)},
-    )
+    nbr = x._neighbour_masks
+    m = len(nbr)
+    edges = sum(n.bit_count() for n in nbr) // 2
+    if edges == m - 1 and not cls.closed:
+        facets = x.facets
+        tree = [
+            [list(facets[i]), list(facets[j])]
+            for i, n in enumerate(nbr)
+            for j in _bits(n)
+            if i < j
+        ]
+        return Verdict(PROVED, witness={"tree_edges": tree})
+    reason = "dual graph has a cycle" if edges >= m else "closed complex has no boundary"
+    return Verdict(REFUTED, witness={"reason": reason, "nodes": m, "edges": edges})
 
 
 # -- shellability ---------------------------------------------------------------
@@ -247,22 +262,17 @@ def certify_k_shelled(b: Complex, k: int, budget: SearchBudget | None = None) ->
     if k == 0:
         return Verdict(REFUTED, witness={"reason": "only the standard ball has no moves"})
 
-    # facet masks: of the facets through each vertex, and through each
-    # ridge sigma \ {v} of each facet sigma
-    index = {frozenset(f): i for i, f in enumerate(facets)}
-
-    def mask(fs) -> int:
-        return sum(1 << index[f] for f in fs)
-
-    star = {v: mask(fs) for v, fs in b._vertex_star.items()}
-    ridges = [
-        [(v, mask(b._ridge_incidence[frozenset(f) - {v}])) for v in f] for f in facets
-    ]
-    # a facet that shares no ridge with P has an empty restriction face
-    nbr = [reduce(or_, (r for _, r in rs)) for rs in ridges]
+    # facet masks: of the facets through each ridge sigma \ {v} of each
+    # facet sigma, of each facet's neighbours, and through each vertex
+    ridges, nbr = b._ridge_masks, b._neighbour_masks
+    star: dict = {}
+    for i, rs in enumerate(ridges):
+        for v, _ in rs:
+            star[v] = star.get(v, 0) | 1 << i
 
     def children(state: int):
         for j in range(m):
+            # a facet that shares no ridge with P has an empty restriction face
             if state >> j & 1 or not nbr[j] & state:
                 continue
             beta = [v for v, r in ridges[j] if (r & state).bit_count() == 1]
@@ -303,55 +313,33 @@ def certify_k_shelled(b: Complex, k: int, budget: SearchBudget | None = None) ->
 # -- stellatedness ----------------------------------------------------------------
 
 
-def _forward_certificate(target: Complex, final: Complex, trail) -> MoveCertificate:
-    moves = tuple(reverse_move(mv) for mv in reversed(trail))
+def _bistellar_certificate(start: Complex, moves, target: Complex) -> MoveCertificate:
     cert = MoveCertificate(
         kind="bistellar",
-        start_digest=final.digest,
-        moves=moves,
+        start_digest=start.digest,
+        moves=tuple(moves),
         result_digest=target.digest,
     )
-    replay(cert, final)  # certificate must replay before we hand it out
+    replay(cert, start)  # certificate must replay before we hand it out
     return cert
 
 
-def _tree_shelling_certificate(ball: Complex) -> MoveCertificate:
-    """Shelling certificate of a ball whose dual graph is a tree (breadth
-    first from the canonical root; every attachment is an index-0 move)."""
-    g = ball.dual_graph()
-    n = len(g.nodes)
-    adj: dict[int, list[int]] = {i: [] for i in range(n)}
-    for a, bb in g.edges:
-        adj[a].append(bb)
-        adj[bb].append(a)
-    order = [0]
-    seen = {0}
-    queue = [0]
-    parent = {0: None}
+def _stacked_certificate(s: Complex, ball: Complex) -> MoveCertificate:
+    """Bistellar certificate of a sphere s bounding a ball whose dual graph
+    is a tree.  Breadth first from the ball's first facet, each facet adds
+    one vertex beta, which subdivides the sphere's facet alpha on the ridge
+    to its parent: the ball's boundary grows from the first facet's."""
+    facets, ridges, nbr = ball.facets, ball._ridge_masks, ball._neighbour_masks
+    moves, seen, queue = [], 1, deque([0])
     while queue:
-        cur = queue.pop(0)
-        for w in sorted(adj[cur]):
-            if w not in seen:
-                seen.add(w)
-                parent[w] = cur
-                order.append(w)
-                queue.append(w)
-    seed = Complex([g.nodes[0]])
-    current = seed
-    moves = []
-    for i in order[1:]:
-        sigma = frozenset(g.nodes[i])
-        ridge = sigma & frozenset(g.nodes[parent[i]])
-        (u,) = sigma - ridge
-        mv = ShellingMove(alpha=ball.face_tuple(ridge), beta=(u,))
-        current = apply_shelling(current, mv)
-        moves.append(mv)
-    return MoveCertificate(
-        kind="shelling",
-        start_digest=seed.digest,
-        moves=tuple(moves),
-        result_digest=ball.digest,
-    )
+        cur = queue.popleft()
+        for w in _bits(nbr[cur] & ~seen):
+            seen |= 1 << w
+            queue.append(w)
+            (u,) = [v for v, r in ridges[w] if r >> cur & 1]
+            moves.append(BistellarMove(alpha=tuple(v for v in facets[w] if v != u), beta=(u,)))
+    start = standard_sphere(ball.dimension - 1, labels=facets[0])
+    return _bistellar_certificate(start, moves, s)
 
 
 def _exhaustive_search(s: Complex, lo: int, budget: SearchBudget):
@@ -429,12 +417,8 @@ def certify_k_stellated(
         inner = certify_k_stacked_sphere(s, 1, fields=fields)
         if inner.refuted:
             return Verdict(REFUTED, witness=inner.witness, notes=inner.notes)
-        ball = stacked_ball_closure(s, 1)
         try:
-            shelling = _tree_shelling_certificate(ball)
-            seed = Complex([ball.facets[0]])
-            cert = boundary_certificate(shelling, seed)
-            replay(cert, seed.boundary())
+            cert = _stacked_certificate(s, Complex(inner.witness["ball_facets"]))
         except SxError as exc:
             return Verdict(
                 UNKNOWN,
@@ -446,7 +430,8 @@ def certify_k_stellated(
     trail, final, nodes, cut = _exhaustive_search(s, lo, budget)
     spent = {"nodes": nodes}
     if trail is not None:
-        cert = _forward_certificate(s, Complex(final), trail)
+        moves = [reverse_move(mv) for mv in reversed(trail)]
+        cert = _bistellar_certificate(Complex(final), moves, s)
         return Verdict(PROVED, certificate=cert, budget_spent=spent)
     if lo >= 1 and not cut:
         return Verdict(
@@ -602,41 +587,23 @@ def flip_scan(s: Complex, lo: int, hi: int) -> list[BistellarMove]:
 # -- ears and collapsibility -----------------------------------------------------
 
 
-def _is_path(c: Complex) -> bool:
-    if c.dimension != 1 or not c.is_pure:
-        return False
-    if max(len(star) for star in c._vertex_star.values()) > 2:
-        return False
-    return len(c.facet_sets) == len(c.vertices) - 1 and c.is_connected
-
-
-def _is_disk(c: Complex) -> bool:
-    """Exact test: connected 2-manifold, one boundary cycle, chi = 1."""
-    if c.dimension != 2 or not c.is_weak_pseudomanifold:
-        return False
-    # every vertex link must be a single path or a single cycle
-    for v in c.vertices:
-        lk = c.link((v,))
-        if not (_is_path(lk) or _is_cycle(lk)):
-            return False
-    return c.is_connected and _is_cycle(c.boundary()) and c.euler_characteristic == 1
-
-
-def _is_cycle(c: Complex) -> bool:
-    if c.dimension != 1 or not c.is_pure:
-        return False
-    return all(len(star) == 2 for star in c._vertex_star.values()) and c.is_connected
-
-
 def is_ball_exact(c: Complex, dim: int) -> bool:
-    """Exact triangulated-ball recognition for dimensions 0..2."""
-    if dim == 0:
-        return c.dimension == 0 and len(c.vertices) == 1
-    if dim == 1:
-        return _is_path(c)
-    if dim == 2:
-        return _is_disk(c)
-    raise DimensionTooHigh(f"no exact ball recognition in dimension {dim}")
+    """Exact triangulated-ball recognition for dimensions 0..2.
+
+    A normal 1- or 2-pseudomanifold is connected and each of its vertex
+    links is a path or a cycle.  So with a boundary it is a path in
+    dimension 1, and in dimension 2 a surface that is a disk when its
+    boundary is one cycle and its Euler characteristic is 1.  In dimension
+    0 the normal complexes with a boundary are the single points.
+    """
+    if dim not in (0, 1, 2):
+        raise DimensionTooHigh(f"no exact ball recognition in dimension {dim}")
+    if c.dimension != dim:
+        return False
+    cls = c.classify()
+    if not cls.normal_pseudomanifold or cls.closed:
+        return False
+    return dim < 2 or (c.boundary().is_connected and c.euler_characteristic == 1)
 
 
 def ear_scan(

@@ -9,7 +9,8 @@ across runs.  `Complex.face_index` is the one canonical face order: each
 face's row per dimension, which every boundary matrix is indexed by.
 `Complex._facet_masks` is the one bitmask encoding of the facets, bit i
 for the vertex at position i, that connectivity, normality and the
-homology screens' collapse read.
+homology screens' collapse read.  `Complex._ridge_masks` is the one dual
+graph, the facets through each ridge as a mask over facet indices.
 """
 
 from __future__ import annotations
@@ -281,16 +282,29 @@ class Complex:
         self._require_weak_pseudomanifold()
         return Complex(r for r, fs in self._ridge_incidence.items() if len(fs) == 1)
 
-    def dual_graph(self) -> "DualGraph":
-        self._require_weak_pseudomanifold()
-        nodes = self.facets
-        index = {frozenset(f): i for i, f in enumerate(nodes)}
-        edges = set()
-        for fs in self._ridge_incidence.values():
-            if len(fs) == 2:
-                i, j = index[fs[0]], index[fs[1]]
-                edges.add((min(i, j), max(i, j)))
-        return DualGraph(nodes=nodes, edges=tuple(sorted(edges)))
+    @cached_property
+    def _ridge_masks(self) -> tuple[tuple[tuple[Label, int], ...], ...]:
+        """The dual graph: for each facet of `facets`, in that order, and
+        each vertex v of it, v with the mask over facet indices of the
+        facets through the ridge ``facet \\ {v}``.  A facet's neighbours
+        are the OR of its masks minus its own bit (see `_neighbour_masks`)."""
+        index = {frozenset(f): i for i, f in enumerate(self.facets)}
+        incidence = self._ridge_incidence
+        return tuple(
+            tuple((v, sum(1 << index[g] for g in incidence[fs - {v}])) for v in f)
+            for f, fs in zip(self.facets, index)
+        )
+
+    @cached_property
+    def _neighbour_masks(self) -> tuple[int, ...]:
+        """Each facet's dual-graph neighbours as a mask over facet indices."""
+        out = []
+        for i, rs in enumerate(self._ridge_masks):
+            nbr = 0
+            for _, r in rs:
+                nbr |= r
+            out.append(nbr & ~(1 << i))
+        return tuple(out)
 
     @cached_property
     def _facet_masks(self) -> tuple[int, ...]:
@@ -331,7 +345,9 @@ class Complex:
     def _classification(self) -> "Classification":
         pure = not self.is_empty_complex and self.is_pure
         weak = self.is_weak_pseudomanifold
-        pseudo = weak and self.dual_graph().is_connected()
+        pseudo = weak and _pieces_connected(
+            [nbr | 1 << i for i, nbr in enumerate(self._neighbour_masks)]
+        )
         normal = weak and self._has_connected_low_links()
         closed = weak and not [
             1 for fs in self._ridge_incidence.values() if len(fs) == 1
@@ -440,40 +456,6 @@ class Classification:
         }
 
 
-@dataclass(frozen=True)
-class DualGraph:
-    """Facets as nodes; edges join facets meeting in a ridge."""
-
-    nodes: tuple[tuple, ...]
-    edges: tuple[tuple[int, int], ...]
-
-    def degree(self, i: int) -> int:
-        return sum(1 for a, b in self.edges if i in (a, b))
-
-    def is_connected(self) -> bool:
-        n = len(self.nodes)
-        if n == 0:
-            return False
-        adj = {i: [] for i in range(n)}
-        for a, b in self.edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == n
-
-    def is_tree(self) -> bool:
-        return self.is_connected() and len(self.edges) == len(self.nodes) - 1
-
-    def edge_faces(self) -> list[tuple[tuple, tuple]]:
-        return [(self.nodes[a], self.nodes[b]) for a, b in self.edges]
-
-
 def from_facets(raw: Iterable[Iterable[Label]]) -> Complex:
     """Build a complex from raw facet data; dominated members are absorbed."""
     raw = [frozenset(f) for f in raw]
@@ -510,10 +492,6 @@ def join(x: Complex, y: Complex) -> Complex:
 
 def boundary(x: Complex) -> Complex:
     return x.boundary()
-
-
-def dual_graph(x: Complex) -> DualGraph:
-    return x.dual_graph()
 
 
 def missing_faces(x: Complex, max_dim: int) -> list[tuple]:

@@ -45,15 +45,18 @@ from sx.errors import (
     SxError,
 )
 from sx.growth import grow_shelled_ball, grow_stacked_sphere, grow_stellated_sphere
-from sx.homology import _boundary_columns, _rank
+from sx.homology import _boundary_columns, _rank, screen_homology_sphere
 from sx.moves import (
     MoveCertificate,
     ShellingMove,
     apply_bistellar,
+    apply_shelling,
     bistellar_options,
+    boundary_certificate,
     is_standard_sphere,
     reverse_move,
 )
+from test_complexes import oracle_dual_graph
 
 RP2 = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
        (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)]
@@ -121,6 +124,140 @@ def test_one_stacked_requires_normal_pseudomanifold():
     wedge = from_facets([[1, 2, 3], [3, 4, 5]])
     with pytest.raises(NotNormalPseudomanifold):
         is_one_stacked_ball(wedge)
+
+
+@pytest.mark.parametrize("d", [0, 1, 2, 3])
+def test_standard_spheres_are_not_one_stacked_balls(d):
+    # the 0-sphere's two points span a one-edge tree, but bound nothing
+    v = is_one_stacked_ball(standard_sphere(d))
+    assert v.refuted
+    reason = "closed complex has no boundary" if d == 0 else "dual graph has a cycle"
+    assert v.witness == {"reason": reason, "nodes": d + 2, "edges": (d + 2) * (d + 1) // 2}
+
+
+def oracle_is_one_stacked_ball(x: Complex) -> Verdict:
+    """The former `is_one_stacked_ball`, on the former dual graph.  It
+    calls the 0-sphere a 1-stacked ball."""
+    if not x.classify().normal_pseudomanifold:
+        raise NotNormalPseudomanifold("dual-graph tree test needs a normal pseudomanifold")
+    g = oracle_dual_graph(x)
+    if g.is_tree():
+        return Verdict(
+            PROVED,
+            witness={"tree_edges": [[list(a), list(b)] for a, b in g.edge_faces()]},
+        )
+    reason = "disconnected dual graph" if not g.is_connected() else "dual graph has a cycle"
+    return Verdict(
+        REFUTED,
+        witness={"reason": reason, "nodes": len(g.nodes), "edges": len(g.edges)},
+    )
+
+
+def oracle_tree_shelling_certificate(ball: Complex) -> MoveCertificate:
+    """The former `certify._tree_shelling_certificate`: a shelling
+    certificate of a ball whose dual graph is a tree (breadth first from
+    the canonical root; every attachment is an index-0 move)."""
+    g = oracle_dual_graph(ball)
+    n = len(g.nodes)
+    adj: dict[int, list[int]] = {i: [] for i in range(n)}
+    for a, bb in g.edges:
+        adj[a].append(bb)
+        adj[bb].append(a)
+    order = [0]
+    seen = {0}
+    queue = [0]
+    parent = {0: None}
+    while queue:
+        cur = queue.pop(0)
+        for w in sorted(adj[cur]):
+            if w not in seen:
+                seen.add(w)
+                parent[w] = cur
+                order.append(w)
+                queue.append(w)
+    seed = Complex([g.nodes[0]])
+    current = seed
+    moves = []
+    for i in order[1:]:
+        sigma = frozenset(g.nodes[i])
+        ridge = sigma & frozenset(g.nodes[parent[i]])
+        (u,) = sigma - ridge
+        mv = ShellingMove(alpha=ball.face_tuple(ridge), beta=(u,))
+        current = apply_shelling(current, mv)
+        moves.append(mv)
+    return MoveCertificate(
+        kind="shelling",
+        start_digest=seed.digest,
+        moves=tuple(moves),
+        result_digest=ball.digest,
+    )
+
+
+def oracle_one_stellated(s: Complex) -> Verdict:
+    """The former k = 1 route of `certify_k_stellated` on a screened sphere
+    of dimension >= 2 other than the standard one: the closure built again,
+    a tree shelling of it, moved to the boundary, and the moved certificate
+    replayed."""
+    inner = certify_k_stacked_sphere(s, 1)
+    if inner.refuted:
+        return Verdict(REFUTED, witness=inner.witness, notes=inner.notes)
+    ball = stacked_ball_closure(s, 1)
+    try:
+        shelling = oracle_tree_shelling_certificate(ball)
+        seed = Complex([ball.facets[0]])
+        cert = boundary_certificate(shelling, seed)
+        replay(cert, seed.boundary())
+    except SxError as exc:
+        return Verdict(
+            UNKNOWN,
+            witness={"reason": f"reconstructed ball rejected a tree shelling: {exc}"},
+            notes=inner.notes,
+        )
+    return Verdict(PROVED, certificate=cert, notes=inner.notes)
+
+
+def _outcome(f, *args):
+    """f(*args), a verdict as its dict, or the error it raised."""
+    try:
+        out = f(*args)
+    except (SxError, ValueError) as exc:
+        return (type(exc).__name__, str(exc))
+    return out.as_dict() if isinstance(out, Verdict) else out
+
+
+def test_one_stacked_verdicts_match_the_dual_graph_oracles(differential_complexes):
+    rng = random.Random(41)
+    spheres = [
+        grow_shelled_ball(dim, 1, rng.randrange(1, 9), rng)[0].boundary()
+        for dim in (2, 3, 4)
+        for _ in range(4)
+    ]
+    seen = set()
+    for x in differential_complexes + spheres:
+        cls = x.classify()
+        one = _outcome(is_one_stacked_ball, x)
+        if cls.closed and x.dimension == 0:
+            # the one change: the 0-sphere is no longer a 1-stacked ball
+            assert oracle_is_one_stacked_ball(x).proved
+            assert one["witness"]["reason"] == "closed complex has no boundary"
+        else:
+            assert one == _outcome(oracle_is_one_stacked_ball, x), x.facets
+        # the larger corpus spheres are refuted by the closure test that
+        # both routes share, at a second or more each
+        if (
+            cls.closed
+            and x.dimension >= 2
+            and len(x.facets) <= 100
+            and not is_standard_sphere(x)
+            and screen_homology_sphere(x).passed
+        ):
+            stellated = _outcome(certify_k_stellated, x, 1)
+            assert stellated == oracle_one_stellated(x).as_dict(), x.facets
+            seen.add(("stellated", stellated["status"]))
+        seen.add(one["status"] if isinstance(one, dict) else one[0])
+    assert seen == {
+        PROVED, REFUTED, "NotNormalPseudomanifold", ("stellated", PROVED), ("stellated", REFUTED)
+    }
 
 
 # -- shellability ----------------------------------------------------------------------
@@ -700,11 +837,27 @@ def test_ball_recognition_matches_the_degree_table_oracle(differential_complexes
             if x.is_weak_pseudomanifold:
                 subjects.append(x.boundary())
         for c in subjects:
-            for dim in (1, 2):
-                verdict = is_ball_exact(c, dim)
-                assert verdict == oracle_is_ball_exact(c, dim), (c.facets, dim)
-                verdicts.add((dim, verdict))
-    assert verdicts == {(1, True), (1, False), (2, True), (2, False)}
+            for dim in (-1, 0, 1, 2, 3):
+                verdict = _outcome(is_ball_exact, c, dim)
+                assert verdict == _outcome(oracle_is_ball_exact, c, dim), (c.facets, dim)
+                verdicts.add((dim, verdict if isinstance(verdict, bool) else verdict[0]))
+    assert verdicts == {
+        (-1, "DimensionTooHigh"),
+        (0, True),
+        (0, False),
+        (1, True),
+        (1, False),
+        (2, True),
+        (2, False),
+        (3, "DimensionTooHigh"),
+    }
+
+
+@pytest.mark.parametrize("dim", [-2, -1, 3, 4])
+def test_exact_ball_recognition_only_in_dimensions_0_to_2(dim):
+    for c in (standard_ball(1), standard_ball(3), Complex.empty()):
+        with pytest.raises(DimensionTooHigh):
+            is_ball_exact(c, dim)
 
 
 def test_ear_scan_matches_the_degree_table_oracle(differential_complexes, monkeypatch):

@@ -350,6 +350,17 @@ def test_certify_one_stacked_cli(capsys):
     assert json.loads(out)["status"] == "PROVED"
 
 
+def test_certify_one_stacked_refutes_the_piped_zero_sphere(capsys, monkeypatch):
+    code, sphere, _ = run_cli(capsys, "generate", "standard-sphere", "0")
+    assert code == 0
+    monkeypatch.setattr(sys, "stdin", io.StringIO(sphere))
+    code, out, _ = run_cli(capsys, "certify", "one-stacked", "-")
+    assert code == 1
+    assert json.loads(out)["witness"] == {
+        "reason": "closed complex has no boundary", "nodes": 2, "edges": 1
+    }
+
+
 def test_fixtures_export_json_to_stdout(capsys):
     code, out, _ = run_cli(
         capsys, "fixtures", "export", "lutz_s2_8", "-", "--format", "json"

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from dataclasses import dataclass
 from math import comb
 
 import pytest
@@ -247,19 +248,33 @@ def test_boundary_requires_weak_pseudomanifold():
 
 
 def test_dual_graph_of_standard_sphere_is_complete():
-    g = standard_sphere(2).dual_graph()
-    assert len(g.nodes) == 4
-    assert len(g.edges) == 6
-    assert not g.is_tree()
+    # K4: every facet of the tetrahedron's boundary meets the other three
+    nbr = standard_sphere(2)._neighbour_masks
+    assert nbr == (0b1110, 0b1101, 0b1011, 0b0111)
+    assert sum(n.bit_count() for n in nbr) // 2 == 6
 
 
 @pytest.mark.parametrize("name,n", [("ziegler_b1", 7), ("lutz_b1", 5)])
 def test_dual_graph_paths(name, n):
-    g = fixture(name).complex.dual_graph()
-    assert len(g.nodes) == n
-    assert g.is_tree()
-    degrees = sorted(g.degree(i) for i in range(n))
+    nbr = fixture(name).complex._neighbour_masks
+    assert len(nbr) == n
+    assert sum(m.bit_count() for m in nbr) // 2 == n - 1
+    degrees = sorted(m.bit_count() for m in nbr)
     assert degrees == [1, 1] + [2] * (n - 2)
+
+
+def test_ridge_masks_match_the_dual_graph_oracle(differential_complexes):
+    for x in differential_complexes:
+        if not x.is_weak_pseudomanifold:
+            continue
+        nbr = x._neighbour_masks
+        edges = [(i, j) for i, n in enumerate(nbr) for j in range(i + 1, len(nbr)) if n >> j & 1]
+        assert tuple(edges) == oracle_dual_graph(x).edges, x.facets
+        for f, rs in zip(x.facets, x._ridge_masks if len(x.facets) <= 100 else ()):
+            assert [v for v, _ in rs] == list(f)
+            for v, r in rs:
+                through = [i for i, g in enumerate(x.facets) if set(f) - {v} <= set(g)]
+                assert r == sum(1 << i for i in through), (x.facets, f, v)
 
 
 # -- missing faces and neighborliness ----------------------------------------------
@@ -409,11 +424,58 @@ def oracle_has_connected_low_links(self) -> bool:
     return True
 
 
+@dataclass(frozen=True)
+class DualGraph:
+    """Facets as nodes; edges join facets meeting in a ridge."""
+
+    nodes: tuple[tuple, ...]
+    edges: tuple[tuple[int, int], ...]
+
+    def degree(self, i: int) -> int:
+        return sum(1 for a, b in self.edges if i in (a, b))
+
+    def is_connected(self) -> bool:
+        n = len(self.nodes)
+        if n == 0:
+            return False
+        adj = {i: [] for i in range(n)}
+        for a, b in self.edges:
+            adj[a].append(b)
+            adj[b].append(a)
+        seen = {0}
+        stack = [0]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return len(seen) == n
+
+    def is_tree(self) -> bool:
+        return self.is_connected() and len(self.edges) == len(self.nodes) - 1
+
+    def edge_faces(self) -> list[tuple[tuple, tuple]]:
+        return [(self.nodes[a], self.nodes[b]) for a, b in self.edges]
+
+
+def oracle_dual_graph(self) -> DualGraph:
+    """The former `Complex.dual_graph`: an edge list over the sorted facets."""
+    self._require_weak_pseudomanifold()
+    nodes = self.facets
+    index = {frozenset(f): i for i, f in enumerate(nodes)}
+    edges = set()
+    for fs in self._ridge_incidence.values():
+        if len(fs) == 2:
+            i, j = index[fs[0]], index[fs[1]]
+            edges.add((min(i, j), max(i, j)))
+    return DualGraph(nodes=nodes, edges=tuple(sorted(edges)))
+
+
 def oracle_classify(self) -> Classification:
-    """The former `Complex.classify`, on the two oracles above."""
+    """The former `Complex.classify`, on the oracles above."""
     pure = not self.is_empty_complex and self.is_pure
     weak = self.is_weak_pseudomanifold
-    pseudo = weak and self.dual_graph().is_connected()
+    pseudo = weak and oracle_dual_graph(self).is_connected()
     normal = weak and oracle_has_connected_low_links(self)
     closed = weak and not [
         1 for fs in self._ridge_incidence.values() if len(fs) == 1
