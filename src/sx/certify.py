@@ -11,11 +11,10 @@ homology screen carries a note saying which fields were screened.
 from __future__ import annotations
 
 import math
-import random
 from collections import deque
 from dataclasses import dataclass, field
 
-from .complexes import Complex, skeleta_equal
+from .complexes import Complex
 from .constructions import stacked_ball_closure
 from .errors import (
     DimensionTooHigh,
@@ -30,6 +29,7 @@ from .errors import (
 from .homology import (
     DEFAULT_FIELDS,
     _boundary_columns,
+    _collapses_to_point,
     _rank,
     betti,
     check_field,
@@ -55,20 +55,16 @@ UNKNOWN = "UNKNOWN"
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Budget and reproducibility knobs shared by every search.
+    """Budget knobs shared by every search.
 
     max_nodes bounds the states a backtracking search expands, and
     max_moves the length of the move path of the stellatedness search.
-    seed and restarts drive the randomized restarts of `collapse`.
+    No search is randomized: seed changes no verdict and is only echoed.
     """
 
     max_nodes: int = 200_000
     max_moves: int = 10_000
     seed: int = 0
-    restarts: int = 16
-
-    def rng(self, restart: int) -> random.Random:
-        return random.Random((self.seed * 0x9E3779B97F4A7C15 + restart) & 0xFFFFFFFFFFFFFFFF)
 
 
 @dataclass
@@ -121,6 +117,17 @@ def _bits(mask: int):
 # -- stackedness ---------------------------------------------------------------
 
 
+def _interior_face(ball: Complex, bd: Complex, top: int) -> tuple[int, tuple] | None:
+    """(m, face) for the first face of ball of dimension m <= top that bd
+    lacks, lowest m first and then in ball's vertex order, which compares
+    positions and so mixed labels too; None when there is none."""
+    for m in range(top + 1):
+        inner = ball.faces(m) - bd.faces(m)
+        if inner:
+            return m, ball.sorted_faces(inner)[0]
+    return None
+
+
 def is_k_stacked_ball(b: Complex, k: int, fields=DEFAULT_FIELDS) -> Verdict:
     """Exact skeleton comparison between a screened ball and its boundary.
 
@@ -134,15 +141,12 @@ def is_k_stacked_ball(b: Complex, k: int, fields=DEFAULT_FIELDS) -> Verdict:
     bd = b.boundary()
     top = d - k
     notes = (screen.render_note(),)
-    for m in range(0, top + 1):
-        inner = b.faces(m) - bd.faces(m)
-        if inner:
-            w = min(inner, key=lambda f: b.face_tuple(f))
-            return Verdict(
-                REFUTED,
-                witness={"interior_face": list(b.face_tuple(w)), "dimension": m},
-                notes=notes,
-            )
+    hit = _interior_face(b, bd, top)
+    if hit is not None:
+        m, w = hit
+        return Verdict(
+            REFUTED, witness={"interior_face": list(w), "dimension": m}, notes=notes
+        )
     return Verdict(
         PROVED,
         witness={
@@ -508,19 +512,16 @@ def certify_k_stacked_sphere(
         inner = screen_homology_ball(ball, fields)
         if not inner.passed:
             return Verdict(REFUTED, witness={"reason": f"closure: {inner.detail}"}, notes=notes)
-        if not skeleta_equal(ball, s, d - k):
-            for m in range(0, d - k + 1):
-                diff = ball.faces(m) - s.faces(m)
-                if diff:
-                    w = min(diff, key=lambda f: ball.face_tuple(f))
-                    return Verdict(
-                        REFUTED,
-                        witness={
-                            "reason": "closure has an interior face of low dimension",
-                            "interior_face": list(ball.face_tuple(w)),
-                        },
-                        notes=notes,
-                    )
+        hit = _interior_face(ball, s, d - k)
+        if hit is not None:
+            return Verdict(
+                REFUTED,
+                witness={
+                    "reason": "closure has an interior face of low dimension",
+                    "interior_face": list(hit[1]),
+                },
+                notes=notes,
+            )
         return Verdict(
             PROVED,
             witness={"ball_facets": _faces_out(ball, ball.facet_sets)},
@@ -576,12 +577,6 @@ def certify_k_stacked_sphere(
         witness={"reason": f"dimension {d} < 2k; supply a candidate ball"},
         notes=notes,
     )
-
-
-def flip_scan(s: Complex, lo: int, hi: int) -> list[BistellarMove]:
-    """All bistellar moves with index in [lo, hi]; empty on k-stacked
-    spheres over the forbidden middle range."""
-    return bistellar_options(s, lo, hi)
 
 
 # -- ears and collapsibility -----------------------------------------------------
@@ -645,55 +640,37 @@ def ear_scan(
 
 
 def collapse(b: Complex, budget: SearchBudget | None = None) -> Verdict:
-    """Greedy free-face collapsing with randomized restarts.
+    """Greedy free-face collapsing by the screens' engine,
+    `homology._collapses_to_point`, on the facet bitmasks.
 
-    PROVED returns the elementary collapse sequence down to one vertex;
-    greedy incompleteness means failure only ever yields UNKNOWN.
+    PROVED returns the elementary collapse sequence down to one vertex, as
+    (free face, coface) pairs; greedy incompleteness means failure only
+    ever yields UNKNOWN.  The collapse order is fixed, and budget.seed is
+    only echoed.
     """
     budget = budget or SearchBudget()
     if b.is_empty_complex:
         raise NotWeakPseudomanifold("cannot collapse the empty complex")
-    base_faces = set(b.all_faces())
-    steps_total = 0
-    for restart in range(budget.restarts):
-        rng = budget.rng(restart)
-        faces = set(base_faces)
-        seq = []
-        while True:
-            if len(faces) == 1 and len(next(iter(faces))) == 1:
-                return Verdict(
-                    PROVED,
-                    witness={
-                        "collapse_steps": [
-                            [list(b.face_tuple(g)), list(b.face_tuple(s))] for g, s in seq
-                        ],
-                        "final_vertex": list(b.face_tuple(next(iter(faces)))),
-                    },
-                    budget_spent={"restarts": restart + 1, "steps": steps_total, "seed": budget.seed},
-                )
-            cof: dict = {}
-            for f in faces:
-                for v in f:
-                    g = f - {v}
-                    if g:
-                        cof[g] = cof.get(g, 0) + 1
-            # the face set stays downward closed, so one covering coface
-            # means one proper coface overall: exactly the free faces
-            free = [g for g, n in cof.items() if n == 1]
-            if not free:
-                break
-            top = max(len(g) for g in free)
-            pool = sorted((g for g in free if len(g) == top), key=b.face_tuple)
-            g = pool[rng.randrange(len(pool))]
-            (s,) = [f2 for f2 in faces if g < f2 and len(f2) == len(g) + 1]
-            faces.discard(g)
-            faces.discard(s)
-            seq.append((g, s))
-            steps_total += 1
+    result = _collapses_to_point(b._facet_masks)
+    if result is None:
+        return Verdict(
+            UNKNOWN,
+            witness={"reason": "greedy collapsing got stuck"},
+            budget_spent={"seed": budget.seed},
+        )
+    steps, vertex = result
+    verts = b.vertices
+
+    def labels(mask: int) -> list:
+        return [verts[i] for i in _bits(mask)]
+
     return Verdict(
-        UNKNOWN,
-        witness={"reason": "greedy collapsing stalled on every restart"},
-        budget_spent={"restarts": budget.restarts, "steps": steps_total, "seed": budget.seed},
+        PROVED,
+        witness={
+            "collapse_steps": [[labels(f), labels(t)] for f, t in steps],
+            "final_vertex": labels(vertex),
+        },
+        budget_spent={"steps": len(steps), "seed": budget.seed},
     )
 
 

@@ -4,8 +4,8 @@ JSON is the only machine format and goes to stdout; human-readable
 tables go to stderr under --pretty.  Exit codes: 0 proved/success,
 1 refuted/failure, 2 unknown, 64 usage error, 65 input parse error, 69
 broken precondition or guard, 73 output file cannot be created.
-Randomized commands echo their seed so identical argv reproduce
-byte-identical output.
+Only `verify-paper` draws random inputs, from its --seed; `certify`
+verdicts echo --seed, and identical argv reproduce byte-identical output.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .certify import (
     certify_k_stellated,
     collapse,
     ear_scan,
-    flip_scan,
     is_in_class,
     is_k_stacked_ball,
     is_one_stacked_ball,
@@ -42,7 +41,7 @@ from .constructions import (
 from .corpus import fixture, fixture_names
 from .errors import BadDimension, SxError, UnknownFixture
 from .homology import betti, euler_characteristic
-from .moves import standard_ball, standard_sphere
+from .moves import bistellar_options, standard_ball, standard_sphere
 from .symmetry import automorphism_group, is_isomorphic, permutation_cycles
 
 USAGE_ERROR = 64
@@ -91,7 +90,6 @@ def _budget(args) -> SearchBudget:
         max_nodes=args.budget_nodes,
         max_moves=args.budget_moves,
         seed=args.seed,
-        restarts=args.restarts,
     )
 
 
@@ -111,7 +109,7 @@ def _write_complex(c: Complex, args, name: str | None = None) -> int:
 
 
 def nonnegative_int(text: str) -> int:
-    """A budget, restart count, guard or move index; zero is allowed, a
+    """A budget, guard or move index; zero is allowed, a
     negative value is a usage error."""
     value = int(text)
     if value < 0:
@@ -126,7 +124,6 @@ _OPTIONS = {
     "-k": dict(type=int, default=1, dest="k"),
     "--budget-nodes": dict(type=nonnegative_int, default=200_000),
     "--budget-moves": dict(type=nonnegative_int, default=10_000),
-    "--restarts": dict(type=nonnegative_int, default=16),
     "--seed": dict(type=int, default=0),
     "--guard-vertices": dict(type=nonnegative_int, default=16),
 }
@@ -256,7 +253,7 @@ def _cmd_flips(args) -> int:
     c, _ = _load_source(args.source, args.format)
     if args.hi > c.dimension:
         raise BadDimension(f"need 0 <= lo <= hi <= {c.dimension}, got lo={args.lo}, hi={args.hi}")
-    moves = flip_scan(c, args.lo, args.hi)
+    moves = bistellar_options(c, args.lo, args.hi)
     payload = {
         "lo": args.lo,
         "hi": args.hi,

@@ -186,21 +186,25 @@ def _point_like(b: tuple[int, ...]) -> bool:
     return all(v == 0 for v in b)
 
 
-def _collapses_to_point(facets) -> bool:
-    """Whether greedy elementary collapses take the complex generated by
-    the facet bitmasks down to one vertex.
+def _collapses_to_point(facets) -> tuple[list[tuple[int, int]], int] | None:
+    """Greedy elementary collapses of the complex generated by the facet
+    bitmasks: (steps, vertex) when they take it down to one vertex, else
+    None.
 
     Top-down by dimension: a face of the top size is removed together with
     a free face below it, one that lies in no other face of that size, the
     free faces taken first in, first out from a queue that holds each with
     its coface set; once no face of the top size is left, the faces one
-    size smaller are the top.  Each step is a homotopy equivalence, so True
-    means the complex is contractible.  False means only that this order
-    got stuck.
+    size smaller are the top.  steps lists the (free face, coface) mask
+    pairs in the order removed, and vertex is the mask of the vertex left.
+    Each step is a homotopy equivalence, so a result means the complex is
+    contractible; a tuple is truthy even with no steps.  None means only
+    that this order got stuck.
     """
     by_size: dict[int, list[int]] = {}
     for g in facets:
         by_size.setdefault(g.bit_count(), []).append(g)
+    steps: list[tuple[int, int]] = []
     top: set[int] = set()
     for size in range(max(by_size), 1, -1):
         top.update(by_size.get(size, ()))
@@ -224,6 +228,7 @@ def _collapses_to_point(facets) -> bool:
             t = ts.pop()
             del cofaces[f]
             top.discard(t)
+            steps.append((f, t))
             b = f
             while b:
                 low = b & -b
@@ -233,10 +238,12 @@ def _collapses_to_point(facets) -> bool:
                     queue.append(t ^ low)
                 b ^= low
         if top:
-            return False
+            return None
         top = set(cofaces)
     top.update(by_size.get(1, ()))
-    return len(top) == 1
+    if len(top) != 1:
+        return None
+    return steps, top.pop()
 
 
 def screen_homology_sphere(x: Complex, fields: tuple[int, ...] = DEFAULT_FIELDS) -> ScreenVerdict:

@@ -34,7 +34,6 @@ __all__ = [
     "apply_shelling",
     "replay",
     "reverse_move",
-    "boundary_certificate",
     "ball_from_stellated_certificate",
     "shelling_moves_from_facet_order",
 ]
@@ -405,26 +404,6 @@ def replay(cert: MoveCertificate, start: Complex | None = None) -> tuple[Complex
     if cert.result_digest is not None and current.digest != cert.result_digest:
         raise ReplayFailure(len(cert.moves), "result digest mismatch")
     return current, len(cert.moves)
-
-
-def boundary_certificate(cert: MoveCertificate, seed: Complex) -> MoveCertificate:
-    """Transport a shelling certificate of a ball to a bistellar certificate
-    of its boundary sphere: each shelling move of index i on the ball moves
-    the boundary by the bistellar move with the same (alpha, beta).
-    """
-    if cert.kind != "shelling":
-        raise ValueError("expected a shelling certificate")
-    if seed.digest != cert.start_digest:
-        raise ReplayFailure(0, "seed digest mismatch")
-    start_sphere = seed.boundary()
-    moves = tuple(BistellarMove(alpha=m.alpha, beta=m.beta) for m in cert.moves)
-    result, _ = replay(cert, seed)
-    return MoveCertificate(
-        kind="bistellar",
-        start_digest=start_sphere.digest,
-        moves=moves,
-        result_digest=result.boundary().digest,
-    )
 
 
 def ball_from_stellated_certificate(cert: MoveCertificate, start_sphere: Complex) -> Complex:

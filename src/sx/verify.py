@@ -19,7 +19,6 @@ from .certify import (
     certify_k_stellated,
     collapse,
     ear_scan,
-    flip_scan,
     is_k_stacked_ball,
     is_one_stacked_ball,
     is_tight_exhaustive,
@@ -90,7 +89,7 @@ def criterion_2() -> list[Check]:
     """Unflippability of the 16-vertex sphere."""
     dfm = fixture("dfm_s3_16").complex
     edge_degrees = {len(dfm.star(e).facet_sets) for e in dfm.faces(1)}
-    moves = flip_scan(dfm, 1, 3)
+    moves = bistellar_options(dfm, 1, 3)
     return [
         _check("2-neighborly", dfm.is_l_neighborly(2)),
         _check("no edge in exactly 3 facets", 3 not in edge_degrees, f"degrees {sorted(edge_degrees)}"),
@@ -346,7 +345,7 @@ def _suite_forbidden_flip_range(rng: random.Random) -> Check:
     for trial in range(TRIALS):
         d = rng.choice([3, 4])
         sphere = grow_stacked_sphere(d, rng.randrange(1, 7), rng)
-        moves = flip_scan(sphere, 2, d - 1)
+        moves = bistellar_options(sphere, 2, d - 1)
         if moves:
             return _check("stacked spheres admit no middle-index moves", False, f"trial {trial}: {moves[0]}")
     return _check("stacked spheres admit no middle-index moves", True, f"{TRIALS} stacked spheres")

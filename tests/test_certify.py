@@ -26,7 +26,6 @@ from sx.certify import (
     certify_k_stellated,
     collapse,
     ear_scan,
-    flip_scan,
     is_ball_exact,
     is_in_class,
     is_k_stacked_ball,
@@ -52,11 +51,11 @@ from sx.moves import (
     apply_bistellar,
     apply_shelling,
     bistellar_options,
-    boundary_certificate,
     is_standard_sphere,
     reverse_move,
 )
 from test_complexes import oracle_dual_graph
+from test_moves import boundary_certificate
 
 RP2 = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
        (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)]
@@ -106,6 +105,33 @@ def test_stacked_ball_refutation_carries_interior_face():
     v = is_k_stacked_ball(two, 0)
     assert v.refuted
     assert v.witness["interior_face"] == [2, 3, 4, 5]
+
+
+# a 3-sphere with mixed labels whose 1-stacked closure bounds it but has an
+# interior triangle; comparing its faces' raw labels raised TypeError
+MIXED_S3 = [
+    (1, 11, 4, 8), (1, 11, 4, "v2"), (1, 11, 8, "v2"), (1, 4, 6, 8), (1, 4, 6, "v3"),
+    (1, 4, 9, "v3"), (1, 4, 9, "v5"), (1, 4, "v2", "v5"), (1, 6, 8, "v2"),
+    (1, 6, "v2", "v3"), (1, 9, "v3", "v7"), (1, 9, "v5", "v7"), (1, "v2", "v3", "v7"),
+    (1, "v2", "v5", "v7"), (10, 4, "v2", "v3"), (10, 4, "v2", "v5"), (10, 4, "v3", "v5"),
+    (10, "v2", "v3", "v7"), (10, "v2", "v5", "v7"), (10, "v3", "v5", "v7"),
+    (11, 4, 8, "v2"), (4, 6, 8, "v2"), (4, 6, "v2", "v3"), (4, 9, "v3", "v5"),
+    (9, "v3", "v5", "v7"),
+]
+
+
+def test_stacked_witnesses_order_mixed_labels_by_vertex_position():
+    d4 = fixture("d4_16").complex
+    for k in (0, 1):
+        v = is_k_stacked_ball(d4, k)
+        assert v.refuted and v.witness == {"interior_face": [1, "2p", "6p"], "dimension": 2}
+    v = is_k_stacked_ball(fixture("d6_18").complex, 1)
+    assert v.witness == {"interior_face": [1, "2p", "6p", "a", "b"], "dimension": 4}
+    v = certify_k_stacked_sphere(Complex(MIXED_S3), 1)
+    assert v.refuted and v.witness == {
+        "reason": "closure has an interior face of low dimension",
+        "interior_face": [1, "v3", "v5"],
+    }
 
 
 def test_is_k_stacked_ball_rejects_non_balls():
@@ -635,7 +661,7 @@ def test_tilde_sphere_is_not_proved_two_stellated(lutz_b2):
     assert len(btilde.vertices) == 16
     assert is_k_stacked_ball(btilde, 2).proved
     stilde = btilde.boundary()
-    v = certify_k_stellated(stilde, 2, SearchBudget(max_moves=2_000, restarts=4))
+    v = certify_k_stellated(stilde, 2, SearchBudget(max_moves=2_000))
     assert v.refuted and v.budget_spent == {"nodes": 1}
 
 
@@ -722,20 +748,20 @@ def test_stacked_sphere_proved_decisively():
 
 
 def test_flip_scan_on_dfm(dfm):
-    assert flip_scan(dfm, 1, 3) == []
+    assert bistellar_options(dfm, 1, 3) == []
 
 
 def test_flip_scan_join_with_vertex_remains_unflippable(dfm_ball):
     tilde = dfm_ball.join(standard_ball(0, ("q",)))
     sphere = tilde.boundary()
     assert sphere.dimension == 4
-    assert flip_scan(sphere, 1, 4) == []
+    assert bistellar_options(sphere, 1, 4) == []
 
 
 def test_flip_scan_finds_reverse_stacking_moves():
     # both apexes of the 2-facet stacked sphere admit the reverse move
     s = from_facets([[1, 2, 3, 4], [2, 3, 4, 5]]).boundary()
-    moves = flip_scan(s, 2, 2)
+    moves = bistellar_options(s, 2, 2)
     assert {(frozenset(m.alpha), frozenset(m.beta)) for m in moves} == {
         (frozenset((1,)), frozenset((2, 3, 4))),
         (frozenset((5,)), frozenset((2, 3, 4))),
@@ -892,6 +918,120 @@ def test_collapse_ziegler(ziegler_b2):
 def test_collapse_closed_complex_unknown():
     v = collapse(standard_sphere(2))
     assert v.status == "UNKNOWN"
+
+
+def _oracle_rng(seed: int, restart: int) -> random.Random:
+    return random.Random((seed * 0x9E3779B97F4A7C15 + restart) & 0xFFFFFFFFFFFFFFFF)
+
+
+def oracle_collapse(b: Complex, seed: int = 0, restarts: int = 16) -> Verdict:
+    """The former `collapse`: greedy free-face collapsing on face sets with
+    seeded randomized restarts, each step recounting every coface.  It
+    sorts the free faces by raw labels, so mixed labels raise TypeError."""
+    if b.is_empty_complex:
+        raise NotWeakPseudomanifold("cannot collapse the empty complex")
+    base_faces = set(b.all_faces())
+    steps_total = 0
+    for restart in range(restarts):
+        rng = _oracle_rng(seed, restart)
+        faces = set(base_faces)
+        seq = []
+        while True:
+            if len(faces) == 1 and len(next(iter(faces))) == 1:
+                return Verdict(
+                    PROVED,
+                    witness={
+                        "collapse_steps": [
+                            [list(b.face_tuple(g)), list(b.face_tuple(s))] for g, s in seq
+                        ],
+                        "final_vertex": list(b.face_tuple(next(iter(faces)))),
+                    },
+                    budget_spent={"restarts": restart + 1, "steps": steps_total, "seed": seed},
+                )
+            cof: dict = {}
+            for f in faces:
+                for v in f:
+                    g = f - {v}
+                    if g:
+                        cof[g] = cof.get(g, 0) + 1
+            # the face set stays downward closed, so one covering coface
+            # means one proper coface overall: exactly the free faces
+            free = [g for g, n in cof.items() if n == 1]
+            if not free:
+                break
+            top = max(len(g) for g in free)
+            pool = sorted((g for g in free if len(g) == top), key=b.face_tuple)
+            g = pool[rng.randrange(len(pool))]
+            (s,) = [f2 for f2 in faces if g < f2 and len(f2) == len(g) + 1]
+            faces.discard(g)
+            faces.discard(s)
+            seq.append((g, s))
+            steps_total += 1
+    return Verdict(
+        UNKNOWN,
+        witness={"reason": "greedy collapsing stalled on every restart"},
+        budget_spent={"restarts": restarts, "steps": steps_total, "seed": seed},
+    )
+
+
+def collapse_replays(c: Complex, witness: dict) -> bool:
+    """Replay a collapse witness on the set of nonempty faces of c.  The set
+    stays downward closed, so a face is free when exactly one face of one
+    more vertex contains it, and that face must be the step's coface."""
+    faces = {
+        frozenset(sub)
+        for f in c.facet_sets
+        for r in range(1, len(f) + 1)
+        for sub in itertools.combinations(f, r)
+    }
+    verts = c.vertex_set
+    for free, coface in witness["collapse_steps"]:
+        free, coface = frozenset(free), frozenset(coface)
+        above = [free | {v} for v in verts - free if free | {v} in faces]
+        if free not in faces or above != [coface]:
+            return False
+        faces -= {free, coface}
+    return len(witness["final_vertex"]) == 1 and faces == {frozenset(witness["final_vertex"])}
+
+
+def test_collapse_matches_the_restarts_oracle(differential_complexes):
+    ran = proved = 0
+    for c in differential_complexes:
+        if c.is_empty_complex:
+            continue
+        v = collapse(c)
+        assert v.status in (PROVED, UNKNOWN)
+        if v.proved:
+            proved += 1
+            assert collapse_replays(c, v.witness), c.facets
+            assert v.budget_spent == {"steps": len(v.witness["collapse_steps"]), "seed": 0}
+        else:
+            assert v.witness == {"reason": "greedy collapsing got stuck"}
+            assert v.budget_spent == {"seed": 0}
+        try:
+            expected = oracle_collapse(c)
+        except TypeError:  # the oracle compares mixed labels
+            assert not c._numeric
+            continue
+        ran += 1
+        assert v.proved == expected.proved, c.facets
+    assert ran >= 150 and proved >= 50
+
+
+@pytest.mark.parametrize("name", ["d4_16", "d6_18", "d7_19"])
+def test_collapse_proves_the_mixed_label_balls(name):
+    c = fixture(name).complex
+    with pytest.raises(TypeError):
+        oracle_collapse(c, restarts=1)
+    v = collapse(c, SearchBudget(seed=5))
+    assert v.proved and collapse_replays(c, v.witness)
+    assert v.budget_spent == {"steps": len(v.witness["collapse_steps"]), "seed": 5}
+
+
+def test_collapse_of_a_point_has_no_steps():
+    v = collapse(Complex([("a",)]))
+    assert v.proved
+    assert v.witness == {"collapse_steps": [], "final_vertex": ["a"]}
 
 
 # -- classes ------------------------------------------------------------------------------
@@ -1114,8 +1254,6 @@ def test_monotonicity_in_k():
 
 def test_search_certificates_transport_to_boundary():
     # a proved shelling certificate moves the boundary sphere with no search
-    from sx.moves import boundary_certificate
-
     rng = random.Random(29)
     for _ in range(10):
         dim = rng.choice([2, 3])
@@ -1155,8 +1293,8 @@ def test_exhaustive_search_path():
     v = certify_k_stellated(s, 2)
     assert v.proved
     assert v.budget_spent == {"nodes": 3}
-    # seed and restarts drive only `collapse`
-    assert certify_k_stellated(s, 2, SearchBudget(restarts=0, seed=4)) == v
+    # the seed is only echoed
+    assert certify_k_stellated(s, 2, SearchBudget(seed=4)) == v
     # the move path is capped at max_moves: a budget below the certificate
     # length cuts the search short
     length = v.certificate.length

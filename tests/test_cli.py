@@ -282,7 +282,6 @@ def test_usage_errors_print_a_message(capsys, argv):
     [
         ["certify", "shelled", "-k", "2", "--budget-nodes", "-5", "fixtures:lutz_b2"],
         ["certify", "stellated", "-k", "2", "--budget-moves", "-1", "fixtures:lutz_s2_8"],
-        ["certify", "stellated", "-k", "2", "--restarts", "-3", "fixtures:lutz_s2_8"],
     ],
 )
 def test_negative_budgets_are_usage_errors(capsys, argv):
@@ -292,14 +291,6 @@ def test_negative_budgets_are_usage_errors(capsys, argv):
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("usage error: ") and "must not be negative" in out.err
-
-
-def test_zero_restarts_stay_valid(capsys):
-    code, out, _ = run_cli(
-        capsys, "certify", "collapsible", "--restarts", "0", "fixtures:ziegler_b2"
-    )
-    assert code == 2
-    assert json.loads(out)["budget_spent"]["restarts"] == 0
 
 
 def test_determinism_of_randomized_command(capsys):
@@ -429,6 +420,7 @@ def test_flips_above_the_dimension_exit_69(capsys):
         (["bar", "-k", "1"], ["--field", "2"]),
         (["aut"], ["-k", "1"]),
         (["aut"], ["--budget-nodes", "10"]),
+        (["certify", "collapsible"], ["--restarts", "1"]),
     ],
 )
 def test_options_a_command_does_not_read_are_usage_errors(capsys, command, unread):
@@ -438,6 +430,15 @@ def test_options_a_command_does_not_read_are_usage_errors(capsys, command, unrea
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err.startswith("usage error: ")
+
+
+def test_stacked_refutes_a_mixed_label_ball_with_a_witness(capsys):
+    code, out, _ = run_cli(capsys, "stacked", "-k", "1", "fixtures:d6_18")
+    assert code == 1
+    assert out == (
+        '{"status":"REFUTED","witness":{"interior_face":[1,"2p","6p","a","b"],"dimension":4},'
+        '"notes":["modulo field screen over {Q, F2, F3}"],"seed":0}\n'
+    )
 
 
 def test_stacked_still_echoes_seed_zero(capsys):

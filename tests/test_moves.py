@@ -29,12 +29,31 @@ from sx.moves import (
     _attachment_split,
     ball_from_stellated_certificate,
     bistellar_valid,
-    boundary_certificate,
     reverse_move,
     shelling_moves_from_facet_order,
     shelling_options,
     shelling_valid,
 )
+
+
+def boundary_certificate(cert: MoveCertificate, seed: Complex) -> MoveCertificate:
+    """Oracle: transport a shelling certificate of a ball to a bistellar
+    certificate of its boundary sphere: each shelling move of index i on the
+    ball moves the boundary by the bistellar move with the same (alpha, beta).
+    """
+    if cert.kind != "shelling":
+        raise ValueError("expected a shelling certificate")
+    if seed.digest != cert.start_digest:
+        raise ReplayFailure(0, "seed digest mismatch")
+    start_sphere = seed.boundary()
+    moves = tuple(BistellarMove(alpha=m.alpha, beta=m.beta) for m in cert.moves)
+    result, _ = replay(cert, seed)
+    return MoveCertificate(
+        kind="bistellar",
+        start_digest=start_sphere.digest,
+        moves=moves,
+        result_digest=result.boundary().digest,
+    )
 
 
 def oracle_bistellar_moves(x, lo, hi):
