@@ -12,7 +12,6 @@ from .complexes import (
     join,
     link,
     missing_faces,
-    skeleta_equal,
     star,
 )
 from .moves import (
@@ -43,7 +42,6 @@ __all__ = [
     "missing_faces",
     "is_l_neighborly",
     "classify",
-    "skeleta_equal",
     "standard_sphere",
     "standard_ball",
     "bistellar_options",

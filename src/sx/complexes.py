@@ -506,14 +506,6 @@ def classify(x: Complex) -> Classification:
     return x.classify()
 
 
-def skeleta_equal(x: Complex, y: Complex, dim: int) -> bool:
-    """True iff x and y have identical faces in every dimension <= dim."""
-    for k in range(0, dim + 1):
-        if x.faces(k) != y.faces(k):
-            return False
-    return True
-
-
 def fresh_label(x: Complex, reserved: Iterable[Label] = ()) -> Label:
     """A deterministic vertex label not used by ``x`` (nor in ``reserved``)."""
     used = set(x.vertex_set) | set(reserved)

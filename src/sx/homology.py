@@ -1,19 +1,24 @@
 """Exact reduced simplicial homology over prime fields and the rationals.
 
-Boundary matrices are assembled sparsely per dimension, one dict of
-nonzero rows per column, and their ranks come from a single sparse column
-eliminator, `_pivot_rows`.  Over F_p it works modulo p with pivots scaled
-to a leading 1; over Q it is fraction-free: integer entries throughout,
-each pivot divided by the gcd of its entries.  `betti` computes the ranks
-top-down with clearing: the columns of ∂_k at the pivot rows of ∂_{k+1},
-reduced over the same field, are dropped before ∂_k is eliminated, which
-leaves its rank unchanged.  Every rank is exact over Q and every F_p;
-nothing here is floating point.
+`betti` reduces first, then eliminates.  `_reduce` builds every face of
+the complex as a vertex bitmask from `Complex._facet_masks` and cancels
+pairs of cells over Z, by coreductions and free-face collapses; both keep
+the homology over Z, so over Q and every F_p.  `_residual_betti` then
+assembles the boundary maps of the cells left, one sparse dict of nonzero
+rows per column, and takes their ranks per field with the one sparse
+column eliminator, `_pivot_rows`: modulo p with pivots scaled to a leading
+1 over F_p, fraction-free over Q (integer entries throughout, each pivot
+divided by the gcd of its entries).  The ranks go top-down with clearing:
+the columns of ∂_k at the pivot rows of ∂_{k+1}, reduced over the same
+field, are dropped before ∂_k is eliminated, which leaves its rank
+unchanged.  Every rank is exact over Q and every F_p; nothing here is
+floating point.  `_boundary_columns` assembles the full boundary maps over
+`Complex.face_index`, for the induced maps of `certify`.
 
-The screens collapse first: a greedy collapse on the facet bitmasks of
-`Complex._facet_masks` that ends at a point settles the homology over Z,
-and so over every field, with no elimination; where it gets stuck, they
-fall back to exact elimination with `betti`, field by field.
+The screens collapse first: a greedy collapse on the facet bitmasks that
+ends at a point settles the homology over Z, and so over every field, with
+no elimination; where it gets stuck, they reduce the complex once and
+eliminate its residual field by field.
 """
 
 from __future__ import annotations
@@ -133,27 +138,140 @@ def _rank(cols: list[dict[int, int]], field: int) -> int:
     return len(_pivot_rows(cols, field))
 
 
-def betti(x: Complex, field: int = 0) -> tuple[int, ...]:
-    """Reduced Betti numbers (β̃_0, ..., β̃_d) over the given field.
+def _reduce(masks) -> list[list[int]]:
+    """The cells of the complex generated by the facet bitmasks that survive
+    reduction over Z, grouped by size: out[s] holds the residual cells with s
+    vertices, s = 0 (the empty face) to the largest facet size.
 
-    Ranks go from ∂_d down to ∂_0 with clearing, over this one field
-    throughout.  A pivot of ∂_{k+1} keyed at row r is a reduced column, so
-    a k-cycle whose lowest row is r; from the highest such r down, column
-    r of ∂_k is therefore a combination of the columns not cleared, and
-    dropping the cleared ones keeps the rank.
+    Every face is a cell, ∅ (mask 0) the augmentation cell.  The faces are
+    built top-down from the facets, each with its cofaces, a smaller facet
+    joining at its own size.  A first in, first out queue then removes pairs
+    (a, b) of live cells, a a face of b, wherever b has exactly one live
+    face a (a coreduction) or a has exactly one live coface b (a free-face
+    collapse); the first pair is (∅, lowest vertex).  Simplicial incidences
+    are ±1, a unit over Z, so each pair is an elementary reduction, and its
+    correction term [c:a]·[b:a]⁻¹·∂b vanishes on the cells left: ∂b has no
+    other live face in a coreduction, and no other live c has a as a face
+    in a collapse.  The live cells with the original incidences restricted
+    to them therefore form a chain complex with the homology of the
+    complex over Z, so over Q and every F_p.
     """
+    by_size: dict[int, list[int]] = {}
+    for g in masks:
+        by_size.setdefault(g.bit_count(), []).append(g)
+    top = max(by_size)
+    # cell i is the face cells[i]; faces[i] and cofaces[i] list cell ids.
+    # The ids run by size downwards, so a layer is built in id order.
+    index: dict[int, int] = {}
+    cells: list[int] = []
+    faces: list[list[int]] = []
+    cofaces: list[list[int]] = []
+    layer: list[int] = []
+    for size in range(top, -1, -1):
+        for g in by_size.get(size, ()):
+            index[g] = len(cells)
+            cells.append(g)
+            cofaces.append([])
+            layer.append(g)
+        below = []
+        for t in layer:
+            i = len(faces)
+            ids = []
+            b = t
+            while b:
+                low = b & -b
+                j = index.get(t ^ low)
+                if j is None:
+                    j = index[t ^ low] = len(cells)
+                    cells.append(t ^ low)
+                    cofaces.append([i])
+                    below.append(t ^ low)
+                else:
+                    cofaces[j].append(i)
+                ids.append(j)
+                b ^= low
+            faces.append(ids)
+        layer = below
+    live = [True] * len(cells)
+    n_face = [len(ids) for ids in faces]
+    n_cof = [len(ids) for ids in cofaces]
+    queue = deque([index[1]])  # the lowest vertex, to pair with ∅
+    queue.extend(i for i, n in enumerate(n_cof) if n == 1)
+
+    def remove(c: int) -> None:
+        live[c] = False
+        for f in faces[c]:
+            if live[f]:
+                n_cof[f] -= 1
+                if n_cof[f] == 1:
+                    queue.append(f)
+        for t in cofaces[c]:
+            if live[t]:
+                n_face[t] -= 1
+                if n_face[t] == 1:
+                    queue.append(t)
+
+    while queue:
+        c = queue.popleft()
+        if not live[c]:
+            continue
+        if n_face[c] == 1:  # coreduction: c's one live face goes with it
+            remove(next(f for f in faces[c] if live[f]))
+            remove(c)
+        elif n_cof[c] == 1:  # free face: c goes with its one live coface
+            t = next(t for t in cofaces[c] if live[t])
+            remove(c)
+            remove(t)
+    out: list[list[int]] = [[] for _ in range(top + 1)]
+    for c, alive in zip(cells, live):
+        if alive:
+            out[c.bit_count()].append(c)
+    return out
+
+
+def _residual_betti(cells: list[list[int]], field: int) -> tuple[int, ...]:
+    """Reduced Betti numbers (β̃_0, ..., β̃_d) of the residual chain complex
+    of `_reduce` over one field.
+
+    ∂ of a cell b has the entry (−1)^j at its face b ^ bit, j the rank of
+    the bit among b's set bits, the sign of `_boundary_columns`.  Ranks go
+    from the top down with clearing, over this one field throughout: a
+    pivot of ∂_{k+1} keyed at row r is a reduced column, so a k-cycle whose
+    lowest row is r; from the highest such r down, column r of ∂_k is
+    therefore a combination of the columns not cleared, and dropping the
+    cleared ones keeps the rank.
+    """
+    ranks = [0] * (len(cells) + 1)
+    cleared: set[int] = set()
+    for s in range(len(cells) - 1, 0, -1):
+        rows = {c: i for i, c in enumerate(cells[s - 1])}
+        cols = []
+        for i, c in enumerate(cells[s]):
+            if i in cleared:
+                continue
+            col = {}
+            b, j = c, 0
+            while b:
+                low = b & -b
+                r = rows.get(c ^ low)
+                if r is not None:
+                    col[r] = -1 if j & 1 else 1
+                b ^= low
+                j += 1
+            cols.append(col)
+        cleared = _pivot_rows(cols, field)
+        ranks[s] = len(cleared)
+    return tuple(len(cells[s]) - ranks[s] - ranks[s + 1] for s in range(1, len(cells)))
+
+
+def betti(x: Complex, field: int = 0) -> tuple[int, ...]:
+    """Reduced Betti numbers (β̃_0, ..., β̃_d) over the given field: the
+    cells of x are reduced over Z by `_reduce`, and only the residual is
+    eliminated, by `_residual_betti`."""
     check_field(field)
     if x.is_empty_complex:
         raise EmptyInput("betti numbers of the empty complex are not defined here")
-    d = x.dimension
-    f = [len(x.faces(k)) for k in range(d + 1)]
-    ranks = [0] * (d + 2)
-    cleared: set[int] = set()
-    for k in range(d, -1, -1):
-        cols = _boundary_columns(x, k)
-        cleared = _pivot_rows([c for i, c in enumerate(cols) if i not in cleared], field)
-        ranks[k] = len(cleared)
-    return tuple(f[k] - ranks[k] - ranks[k + 1] for k in range(d + 1))
+    return _residual_betti(_reduce(x._facet_masks), field)
 
 
 def euler_characteristic(x: Complex) -> int:
@@ -251,8 +369,8 @@ def screen_homology_sphere(x: Complex, fields: tuple[int, ...] = DEFAULT_FIELDS)
 
     If x minus its lowest facet (the least mask) collapses to a point, x
     is a d-cell attached along its boundary to a contractible complex, so
-    x ≃ S^d and the elimination is skipped; otherwise `betti` decides
-    field by field.  Every ridge of a closed x lies in a second facet, so
+    x ≃ S^d and the elimination is skipped; otherwise x is reduced once and
+    its residual eliminated field by field.  Every ridge of a closed x lies in a second facet, so
     the other facets still hold the removed facet's boundary.
     """
     fields = tuple(fields)
@@ -263,8 +381,10 @@ def screen_homology_sphere(x: Complex, fields: tuple[int, ...] = DEFAULT_FIELDS)
         for f in fields:
             check_field(f)
         return ScreenVerdict(True, "sphere-screen", fields)
+    cells = _reduce(x._facet_masks)
     for f in fields:
-        b = betti(x, f)
+        check_field(f)
+        b = _residual_betti(cells, f)
         if not _sphere_like(b):
             return ScreenVerdict(
                 False, "sphere-screen", fields,
@@ -277,7 +397,8 @@ def screen_homology_ball(x: Complex, fields: tuple[int, ...] = DEFAULT_FIELDS) -
     """PASS iff x is acyclic over every field and its boundary screens as a sphere.
 
     If x collapses to a point it is acyclic over Z, and the elimination is
-    skipped; otherwise `betti` decides field by field.
+    skipped; otherwise x is reduced once and its residual eliminated field
+    by field.
     """
     fields = tuple(fields)
     cls = x.classify()
@@ -290,8 +411,10 @@ def screen_homology_ball(x: Complex, fields: tuple[int, ...] = DEFAULT_FIELDS) -
         for f in fields:
             check_field(f)
     else:
+        cells = _reduce(x._facet_masks)
         for f in fields:
-            b = betti(x, f)
+            check_field(f)
+            b = _residual_betti(cells, f)
             if not _point_like(b):
                 return ScreenVerdict(
                     False, "ball-screen", fields,

@@ -310,9 +310,11 @@ def shelling_moves_from_facet_order(facet_order: Sequence[Iterable[Label]]) -> l
     """Derive the (alpha, beta) moves realizing a facet-by-facet shelling.
 
     The first facet is the seed; each later facet must attach by a valid
-    shelling move, whose split is unique when it exists.
+    shelling move, whose split is unique when it exists.  alpha and beta
+    list their vertices in the vertex order of the complex of all facets.
     """
     facets = [frozenset(f) for f in facet_order]
+    order = Complex(facets)
     y = Complex([facets[0]])
     moves = []
     for step, sigma in enumerate(facets[1:], start=1):
@@ -320,7 +322,7 @@ def shelling_moves_from_facet_order(facet_order: Sequence[Iterable[Label]]) -> l
         if split is None:
             raise ReplayFailure(step, f"facet {sorted(map(str, sigma))} does not attach by a shelling move")
         alpha, beta = split
-        move = ShellingMove(alpha=tuple(sorted(alpha, key=str)), beta=tuple(sorted(beta, key=str)))
+        move = ShellingMove(alpha=order.face_tuple(alpha), beta=order.face_tuple(beta))
         y = apply_shelling(y, move)
         moves.append(move)
     return moves

@@ -1,4 +1,5 @@
-"""Homology ranks against an independent dense Fraction-arithmetic oracle, and the
+"""Homology ranks against an independent dense Fraction-arithmetic oracle and
+the elimination-only `betti` paths the reduction replaced, and the
 collapse-first screens against the elimination-only screens they replaced."""
 
 import random
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sx import from_facets, standard_ball, standard_sphere
+from sx import Complex, from_facets, standard_ball, standard_sphere
 from sx.constructions import klee_novik
 from sx.corpus import fixture
 from sx.errors import EmptyInput, FieldTooLarge
@@ -18,8 +19,10 @@ from sx.homology import (
     ScreenVerdict,
     _boundary_columns,
     _collapses_to_point,
+    _pivot_rows,
     _point_like,
     _rank,
+    _reduce,
     _sphere_like,
     betti,
     check_field,
@@ -98,10 +101,65 @@ def all_columns_betti(x, field=0):
     return tuple(f[k] - ranks[k] - ranks[k + 1] for k in range(d + 1))
 
 
-def test_clearing_matches_all_columns_betti(differential_complexes):
+def clearing_betti(x: Complex, field: int = 0) -> tuple[int, ...]:
+    """Reduced Betti numbers (β̃_0, ..., β̃_d) over the given field.
+
+    Ranks go from ∂_d down to ∂_0 with clearing, over this one field
+    throughout.  A pivot of ∂_{k+1} keyed at row r is a reduced column, so
+    a k-cycle whose lowest row is r; from the highest such r down, column
+    r of ∂_k is therefore a combination of the columns not cleared, and
+    dropping the cleared ones keeps the rank.
+    """
+    check_field(field)
+    if x.is_empty_complex:
+        raise EmptyInput("betti numbers of the empty complex are not defined here")
+    d = x.dimension
+    f = [len(x.faces(k)) for k in range(d + 1)]
+    ranks = [0] * (d + 2)
+    cleared: set[int] = set()
+    for k in range(d, -1, -1):
+        cols = _boundary_columns(x, k)
+        cleared = _pivot_rows([c for i, c in enumerate(cols) if i not in cleared], field)
+        ranks[k] = len(cleared)
+    return tuple(f[k] - ranks[k] - ranks[k + 1] for k in range(d + 1))
+
+
+def test_reduction_matches_clearing_betti(differential_complexes):
+    # `clearing_betti` is `betti` before it reduced first, kept verbatim
     for x in differential_complexes:
         for p in (0, 2, 3, 5):
-            assert betti(x, p) == all_columns_betti(x, p), (x.facets, p)
+            assert betti(x, p) == clearing_betti(x, p), (x.facets, p)
+
+
+def test_betti_of_the_largest_fixtures():
+    for name, want in (("s6_19", (0,) * 6 + (1,)), ("d7_19", (0,) * 8),
+                       ("s5_18", (0,) * 5 + (1,))):
+        x = fixture(name).complex
+        for p in (0, 2, 3):
+            assert betti(x, p) == clearing_betti(x, p) == want, (name, p)
+
+
+def test_reduction_runs_on_the_facet_masks():
+    # ∂Δ^{d+1} reduces to one d-cell and the simplex Δ^d to nothing, and
+    # `betti` builds neither the tuple face lattice nor its row index
+    for d in range(0, 6):
+        sphere = standard_sphere(d)
+        assert [len(c) for c in _reduce(sphere._facet_masks)] == [0] * (d + 1) + [1]
+        assert betti(sphere, 0) == (0,) * d + (1,)
+        assert not {"face_index", "_faces_by_dim"} & set(vars(sphere))
+        assert not any(_reduce(standard_ball(d)._facet_masks))
+    rng = random.Random(5)
+    for dim in (1, 2, 3, 4):
+        ball, _ = grow_shelled_ball(dim, rng.randrange(1, dim + 1), rng.randrange(0, 12), rng)
+        assert not any(_reduce(ball._facet_masks)), ball.facets
+
+
+def test_clearing_matches_all_columns_betti(differential_complexes):
+    # the reference chain: `betti` against `clearing_betti` above, and
+    # `clearing_betti` against the elimination of every column here
+    for x in differential_complexes:
+        for p in (0, 2, 3, 5):
+            assert clearing_betti(x, p) == all_columns_betti(x, p), (x.facets, p)
 
 
 def test_clearing_sets_are_taken_per_field():
@@ -111,12 +169,13 @@ def test_clearing_sets_are_taken_per_field():
     # pivots clear over Q are not the lowest rows of F2-cycles, and
     # clearing ∂_2 with them over F2 reads the contractible cone as having
     # β̃_1 = β̃_2 = 1.  Both orders of calls must give each field its own
-    # answer.
+    # answer, with and without the reduction (which takes the cone away).
     rp = from_facets(RP2)
     cone = from_facets([t + (0,) for t in RP2])
     for x, over_q, over_f2 in ((rp, (0, 0, 0), (0, 1, 1)), (cone, (0,) * 4, (0,) * 4)):
-        assert [betti(x, 0), betti(x, 2)] == [over_q, over_f2]
-        assert [betti(x, 2), betti(x, 0)] == [over_f2, over_q]
+        for fn in (betti, clearing_betti):
+            assert [fn(x, 0), fn(x, 2)] == [over_q, over_f2]
+            assert [fn(x, 2), fn(x, 0)] == [over_f2, over_q]
         for p in (0, 2):
             assert betti(x, p) == all_columns_betti(x, p)
 
@@ -272,6 +331,28 @@ def test_sparse_rank_agrees_with_fraction_oracle_on_random_matrices():
 def test_betti_matches_oracle_property(facets, p):
     x = from_facets(facets)
     assert betti(x, p) == oracle_betti(x, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.frozensets(st.integers(0, 7), min_size=1, max_size=4), min_size=1, max_size=8),
+    st.integers(1, 3),
+    st.integers(0, 10),
+    st.integers(0, 2**32),
+    st.sampled_from([0, 2, 3, 5]),
+)
+@example([frozenset(f) for f in RP2], 2, 0, 0, 2)
+def test_suspension_shifts_and_cone_kills_betti_property(facets, dim, steps, seed, p):
+    # definition-level checks, with no reference eliminator: β̃_{k+1} of
+    # the suspension x ∗ S⁰ is β̃_k of x, and β̃_0 of it is 0; a cone is
+    # acyclic
+    rng = random.Random(seed)
+    ball, _ = grow_shelled_ball(dim, rng.randrange(1, dim + 1), steps, rng)
+    sphere, _ = grow_stellated_sphere(dim, rng.randrange(1, dim + 2), steps, rng)
+    for x in (from_facets(facets), ball, ball.boundary(), sphere):
+        b = betti(x, p)
+        assert betti(x.join(from_facets([[100], [101]])), p) == (0,) + b
+        assert betti(x.join(from_facets([[100]])), p) == (0,) * (len(b) + 1)
 
 
 def test_homology_screen_of_largest_fixture():

@@ -570,6 +570,13 @@ def test_shelling_moves_from_facet_order_rejects_bad_order():
         shelling_moves_from_facet_order([(1, 2, 3, 4), (5, 6, 7, 8)])
 
 
+def test_shelling_moves_from_facet_order_use_the_vertex_order():
+    # integer labels order numerically, as in `Complex`, not as strings
+    moves = shelling_moves_from_facet_order([(1, 2, 3, 10), (2, 3, 10, 9), (2, 10, 9, 11)])
+    assert moves == [ShellingMove(alpha=(2, 3, 10), beta=(9,)),
+                     ShellingMove(alpha=(2, 9, 10), beta=(11,))]
+
+
 def test_certificate_transport_round_trip():
     rng = random.Random(17)
     for _ in range(20):
