@@ -10,7 +10,9 @@ homology screen carries a note saying which fields were screened.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -40,8 +42,8 @@ from .moves import (
     BistellarMove,
     MoveCertificate,
     ShellingMove,
-    bistellar_options,
-    flip_facets,
+    _flip_masks,
+    _Masks,
     is_standard_sphere,
     replay,
     reverse_move,
@@ -350,8 +352,9 @@ def _exhaustive_search(s: Complex, lo: int, budget: SearchBudget):
     """Depth-first search from s for the standard sphere over reverse
     moves of index lo..d, memoized on facet sets.
 
-    A state is a facet set, and a child's comes from `flip_facets`; a
-    Complex is built only to list a state's moves.  Children come in the
+    A state is a sorted tuple of facet masks under one label-to-bit map
+    (`moves._Masks`, which lists its moves), an exact memo key, and a
+    pending child is an (alpha, beta) mask pair.  Children come in the
     canonical move order reversed: by descending index, so moves that drop
     the facet count come first, and within an index moves on later
     vertices first.  The move path is at most budget.max_moves long.
@@ -360,19 +363,26 @@ def _exhaustive_search(s: Complex, lo: int, budget: SearchBudget):
     sphere was not reached.
     """
     d = s.dimension
+    m = _Masks(s.vertices)
 
-    def children(facets: frozenset):
-        opts = bistellar_options(Complex(facets), lo, d)
-        return ((mv, flip_facets(facets, mv)) for mv in reversed(opts))
+    def children(state: tuple):
+        m.load(state)
+        return ((mv, _flip_masks(state, *mv)) for mv in reversed(m.bistellar(lo, d)))
 
-    def is_goal(facets: frozenset) -> bool:
+    def is_goal(state: tuple) -> bool:
         # a pure d-complex with d + 2 facets on d + 2 vertices
-        return len(facets) == d + 2 and len(frozenset().union(*facets)) == d + 2
+        return len(state) == d + 2 and functools.reduce(operator.or_, state).bit_count() == d + 2
 
     states, trail, nodes, cut = _memo_dfs(
-        [s.facet_sets], children, is_goal, budget, budget.max_moves
+        [s._facet_masks], children, is_goal, budget, budget.max_moves
     )
-    return trail, states[-1] if states else None, nodes, cut
+    if states is None:
+        return None, None, nodes, cut
+    moves = []
+    for state, (a, b) in zip(states, trail):
+        m.load(state)
+        moves.append(BistellarMove(alpha=m.face(a), beta=m.face(b)))
+    return moves, frozenset(frozenset(m.ascending(f)) for f in states[-1]), nodes, cut
 
 
 def certify_k_stellated(

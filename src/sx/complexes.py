@@ -506,12 +506,11 @@ def classify(x: Complex) -> Classification:
     return x.classify()
 
 
-def fresh_label(x: Complex, reserved: Iterable[Label] = ()) -> Label:
-    """A deterministic vertex label not used by ``x`` (nor in ``reserved``)."""
-    used = set(x.vertex_set) | set(reserved)
-    if x._numeric:
-        top = max((v for v in used if isinstance(v, int)), default=-1)
-        return top + 1
+def _unused_label(used: set, numeric: bool) -> Label:
+    """A deterministic vertex label not in used: one more than the largest
+    integer when numeric, else the first of w1, w2, ... not used."""
+    if numeric:
+        return max((v for v in used if isinstance(v, int)), default=-1) + 1
     i = 1
     while f"w{i}" in used:
         i += 1

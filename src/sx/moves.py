@@ -8,6 +8,12 @@ single new facet ``alpha ∪ beta`` to a pure complex along exactly that
 join.  Both validity checks reduce to small face-membership conditions
 derived below; the reasons they report are machine-readable so searches
 can prune on them.
+
+Moves are listed by one enumerator on facet bitmasks, `_Masks`, which the
+growers and the stellatedness search carry from move to move and the two
+public enumerators run once.  The order is one invariant: by index, then
+alpha, then beta, as lists of positions in the vertex order of the live
+complex (numeric when every live label is an integer), a new label last.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .complexes import Complex, Label, fresh_label
+from .complexes import Complex, Label, _label_order_key, _unused_label
 from .errors import BadDimension, InvalidMove, ReplayFailure
 
 __all__ = [
@@ -179,35 +185,8 @@ def bistellar_options(
     such union gives ``beta = {v in sigma : sigma \\ {v} is a facet}`` and
     ``alpha = sigma \\ beta``, a valid move iff beta is not a face.
     """
-    d = x.dimension
-    opts: list[BistellarMove] = []
-    lo = max(lo, 0)
-    hi = min(hi, d)
-    if lo == 0 and hi >= 0:
-        new = fresh if fresh is not None else fresh_label(x)
-        opts = [BistellarMove(alpha=f, beta=(new,)) for f in x.facets if len(f) == d + 1]
-    if hi >= max(lo, 1):
-        ridges = (fs for r, fs in x._ridge_incidence.items() if len(r) == d)
-        for sigma in {f | g for fs in ridges for f, g in itertools.combinations(fs, 2)}:
-            beta = frozenset(v for v in sigma if sigma - {v} in x.facet_sets)
-            if lo <= len(beta) - 1 <= hi and not x.has_face(beta):
-                opts.append(BistellarMove(alpha=x.face_tuple(sigma - beta), beta=x.face_tuple(beta)))
-    _sort_moves(x, opts)
-    return opts
-
-
-def _sort_moves(x: Complex, opts: list) -> None:
-    """Order moves by index, then alpha and beta in x's vertex order; a label
-    new to x sorts last."""
-    pos = x._vertex_pos
-    n = len(pos)
-    opts.sort(
-        key=lambda m: (
-            m.index,
-            [pos.get(v, n) for v in m.alpha],
-            [pos.get(v, n) for v in m.beta],
-        )
-    )
+    m = _Masks(x.vertices, x._facet_masks)
+    return [BistellarMove(alpha=m.face(a), beta=m.face(b)) for a, b in m.bistellar(lo, hi, fresh)]
 
 
 # -- shelling moves ----------------------------------------------------------
@@ -255,20 +234,6 @@ def apply_shelling(y: Complex, move: ShellingMove) -> Complex:
     return Complex(set(y.facet_sets) | {move.facet})
 
 
-def _attachment_split(y: Complex, sigma: frozenset) -> tuple | None:
-    """The unique (alpha, beta) split attaching facet sigma to y, if any.
-
-    beta is the restriction face: the v in sigma for which ``sigma \\ {v}``
-    is a rim ridge of y.  It must not be a face of y (so it is not empty).
-    No other beta can be valid, because for v outside beta the set
-    ``sigma \\ {v}`` contains beta, which is not a face of y.
-    """
-    beta = frozenset(v for v in sigma if len(y._ridge_incidence.get(sigma - {v}, ())) == 1)
-    if y.has_face(beta):
-        return None
-    return (sigma - beta, beta)
-
-
 def shelling_options(y: Complex, max_index: int, fresh: Label | None = None) -> list[ShellingMove]:
     """All shelling moves of index <= max_index applicable to y.
 
@@ -279,31 +244,10 @@ def shelling_options(y: Complex, max_index: int, fresh: Label | None = None) -> 
     other b, and ``sigma \\ {b}`` must be a rim ridge too.  That ridge
     meets the first one in a (d-2)-face, so every valid sigma is the union
     of two rim ridges that differ in one vertex, and only those unions are
-    tried.
+    tried, each split as `_Masks.restriction` says.
     """
-    rim = [r for r, fs in y._ridge_incidence.items() if len(fs) == 1]
-    opts: list[ShellingMove] = []
-    if max_index >= 0:
-        new = fresh if fresh is not None else fresh_label(y)
-        opts = [ShellingMove(alpha=y.face_tuple(r), beta=(new,)) for r in rim]
-    if max_index >= 1:
-        by_sub: dict[frozenset, list[frozenset]] = {}
-        for r in rim:
-            for u in r:
-                by_sub.setdefault(r - {u}, []).append(r)
-        for sigma in {f | g for group in by_sub.values() for f, g in itertools.combinations(group, 2)}:
-            if sigma in y.facet_sets:
-                continue
-            split = _attachment_split(y, sigma)
-            if split is None:
-                continue
-            alpha, beta = split
-            if len(beta) - 1 <= max_index:
-                opts.append(
-                    ShellingMove(alpha=y.face_tuple(alpha), beta=y.face_tuple(beta))
-                )
-    _sort_moves(y, opts)
-    return opts
+    m = _Masks(y.vertices, y._facet_masks)
+    return [ShellingMove(alpha=m.face(a), beta=m.face(b)) for a, b in m.shelling(max_index, fresh)]
 
 
 def shelling_moves_from_facet_order(facet_order: Sequence[Iterable[Label]]) -> list[ShellingMove]:
@@ -314,18 +258,238 @@ def shelling_moves_from_facet_order(facet_order: Sequence[Iterable[Label]]) -> l
     list their vertices in the vertex order of the complex of all facets.
     """
     facets = [frozenset(f) for f in facet_order]
-    order = Complex(facets)
-    y = Complex([facets[0]])
+    m = _Masks(Complex(facets).vertices)
+    masks = [sum(m.bit[v] for v in f) for f in facets]
+    m.load(masks[:1])
     moves = []
-    for step, sigma in enumerate(facets[1:], start=1):
-        split = _attachment_split(y, sigma)
-        if split is None:
-            raise ReplayFailure(step, f"facet {sorted(map(str, sigma))} does not attach by a shelling move")
-        alpha, beta = split
-        move = ShellingMove(alpha=order.face_tuple(alpha), beta=order.face_tuple(beta))
-        y = apply_shelling(y, move)
+    for step, sigma in enumerate(masks[1:], start=1):
+        beta = m.restriction(sigma)
+        if m.has_face(beta):
+            raise ReplayFailure(step, f"facet {sorted(map(str, facets[step]))} does not attach by a shelling move")
+        alpha = sigma ^ beta
+        move = ShellingMove(alpha=m.ascending(alpha), beta=m.ascending(beta))
+        m.attach(alpha, beta, move)
         moves.append(move)
     return moves
+
+
+# -- facet masks ---------------------------------------------------------------
+
+
+def _low_bits(mask: int):
+    """The set bits of mask, lowest first, as one-bit ints."""
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
+
+
+def _list_key(mask: int) -> str:
+    """A key for the ascending list of mask's bits: one character per bit up
+    to its highest, '1' for a set bit and '2' for a clear one, so that
+    string order is list order, a prefix first."""
+    return bin(mask)[:1:-1].replace("0", "2") if mask else ""
+
+
+def _flip_masks(facets: tuple, a: int, b: int) -> tuple:
+    """`flip_facets` on a sorted tuple of facet masks."""
+    removed = {a | b ^ v for v in _low_bits(b)}
+    return tuple(sorted([f for f in facets if f not in removed] + [a ^ u | b for u in _low_bits(a)]))
+
+
+class _Masks:
+    """A complex's facets as vertex bitmasks, bit i for ``labels[i]``, with
+    its ridge table and vertex stars, changed in place by each move; the
+    map only grows, by fresh labels.  Moves are (alpha, beta) mask pairs in
+    the canonical order, which is recomputed only when the live vertex set
+    changes."""
+
+    def __init__(self, labels, masks=()):
+        self.labels = list(labels)
+        self.bit = {v: 1 << i for i, v in enumerate(self.labels)}
+        self.facets: set[int] = set()
+        self.ridges: dict[int, list[int]] = {}  # ridge -> facets through it
+        self.star: dict[int, list[int]] = {}  # vertex bit -> facets through it
+        self.union = 0
+        self._ordered = None
+        self.load(masks)
+
+    def load(self, masks) -> None:
+        """Make masks the facets, changing the tables where they differ."""
+        new = set(masks)
+        for f in self.facets - new:
+            self._remove(f)
+        for f in new - self.facets:
+            self._add(f)
+        self.top = max(map(int.bit_count, self.facets), default=0)  # d + 1
+
+    def _add(self, f: int) -> None:
+        self.facets.add(f)
+        self.union |= f
+        for v in _low_bits(f):
+            self.ridges.setdefault(f ^ v, []).append(f)
+            self.star.setdefault(v, []).append(f)
+
+    def _remove(self, f: int) -> None:
+        self.facets.remove(f)
+        for v in _low_bits(f):
+            holders, through = self.ridges[f ^ v], self.star[v]
+            holders.remove(f)
+            through.remove(f)
+            if not holders:
+                del self.ridges[f ^ v]
+            if not through:
+                del self.star[v]
+                self.union ^= v
+
+    def has_face(self, face: int) -> bool:
+        if not face:
+            return True
+        for g in self.star.get(face & -face, ()):
+            if g & face == face:
+                return True
+        return False
+
+    def restriction(self, sigma: int) -> int:
+        """The v in sigma for which ``sigma \\ {v}`` is a rim ridge: the only
+        beta that can attach sigma, as each other ``sigma \\ {v}`` contains
+        it; it does iff it is not a face (so not empty)."""
+        return sum(v for v in _low_bits(sigma) if len(self.ridges.get(sigma ^ v, ())) == 1)
+
+    # -- order ------------------------------------------------------------
+
+    def _order(self) -> None:
+        """For the live vertex set: the default fresh label, and `rank`,
+        each live vertex bit mapped to the bit of its position in the live
+        vertex order, or None when the bits rise along that order."""
+        if self._ordered == self.union:
+            return
+        bits = list(_low_bits(self.union))
+        live = [self.labels[v.bit_length() - 1] for v in bits]
+        numeric = all(isinstance(v, int) for v in live)
+        order = sorted(bits, key=lambda v: _label_order_key(self.labels[v.bit_length() - 1], numeric))
+        self.rank = None if order == bits else {v: 1 << p for p, v in enumerate(order)}
+        self.fresh = _unused_label(set(live), numeric)
+        self._ordered = self.union
+
+    def _rank(self, v: int) -> int:
+        return v if self.rank is None else self.rank.get(v, 1 << len(self.rank))
+
+    def _sorted(self, moves: list) -> list:
+        """Sort moves canonically by `_list_key` of the masks moved to their
+        positions.  A new label is the only vertex of each index-0 beta."""
+        self._order()
+        if self.rank is None:
+            key = _list_key
+        else:
+            key = lambda mask: _list_key(sum(map(self._rank, _low_bits(mask))))  # noqa: E731
+        moves.sort(key=lambda m: (m[1].bit_count(), key(m[0]), key(m[1])))
+        return moves
+
+    def face(self, mask: int) -> tuple:
+        """The labels of mask in the live vertex order, a new label last."""
+        self._order()
+        return tuple(self.labels[v.bit_length() - 1] for v in sorted(_low_bits(mask), key=self._rank))
+
+    def ascending(self, mask: int) -> tuple:
+        """The labels of mask in the order of their bits."""
+        return tuple(self.labels[v.bit_length() - 1] for v in _low_bits(mask))
+
+    def _fresh_bit(self, fresh: Label | None) -> int:
+        self._order()
+        label = self.fresh if fresh is None else fresh
+        if label not in self.bit:
+            self.bit[label] = 1 << len(self.labels)
+            self.labels.append(label)
+        return self.bit[label]
+
+    def complex(self) -> Complex:
+        return Complex(self.ascending(f) for f in self.facets)
+
+    # -- moves ------------------------------------------------------------
+
+    def bistellar(self, lo: int, hi: int, fresh: Label | None = None) -> list[tuple[int, int]]:
+        """The moves of `bistellar_options`, as mask pairs."""
+        d = self.top - 1
+        lo, hi = max(lo, 0), min(hi, d)
+        moves = []
+        if lo == 0 and hi >= 0:
+            new = self._fresh_bit(fresh)
+            moves = [(f, new) for f in self.facets if f.bit_count() == d + 1]
+        if hi >= max(lo, 1):
+            seen = set()
+            for r, fs in self.ridges.items():
+                for f, g in itertools.combinations(fs, 2) if r.bit_count() == d else ():
+                    sigma = f | g
+                    if sigma in seen:
+                        continue
+                    seen.add(sigma)
+                    # f and g give the two vertices outside r
+                    beta = sigma ^ r
+                    for v in _low_bits(r):
+                        if sigma ^ v in self.facets:
+                            beta |= v
+                    if lo <= beta.bit_count() - 1 <= hi and not self.has_face(beta):
+                        moves.append((sigma ^ beta, beta))
+        return self._sorted(moves)
+
+    def shelling(self, max_index: int, fresh: Label | None = None) -> list[tuple[int, int]]:
+        """The moves of `shelling_options`, as mask pairs."""
+        rim = [r for r, fs in self.ridges.items() if len(fs) == 1]
+        moves = []
+        if max_index >= 0:
+            new = self._fresh_bit(fresh)
+            moves = [(r, new) for r in rim]
+        if max_index >= 1:
+            by_sub: dict[int, list[int]] = {}
+            for r in rim:
+                for u in _low_bits(r):
+                    by_sub.setdefault(r ^ u, []).append(r)
+            for sigma in {f | g for group in by_sub.values() for f, g in itertools.combinations(group, 2)}:
+                if sigma in self.facets:
+                    continue
+                beta = self.restriction(sigma)
+                if beta.bit_count() - 1 <= max_index and not self.has_face(beta):
+                    moves.append((sigma ^ beta, beta))
+        return self._sorted(moves)
+
+    def flip(self, a: int, b: int, move: BistellarMove) -> None:
+        """Apply a bistellar move, checked as `bistellar_valid` checks it."""
+        reason = (
+            "empty-beta" if not b
+            else "overlap" if a & b
+            else "wrong-dimensions" if a.bit_count() + b.bit_count() != self.top + 1
+            else ("beta-not-fresh" if b & self.union else None if a in self.facets else "alpha-not-a-facet")
+            if b.bit_count() == 1
+            else "beta-vertex-unknown" if b & ~self.union
+            else "beta-already-a-face" if self.has_face(b)
+            else "attachment-not-induced" if any(a | b ^ v not in self.facets for v in _low_bits(b))
+            else None
+        )
+        if reason is not None:
+            raise InvalidMove(reason, move)
+        for v in _low_bits(b):
+            self._remove(a | b ^ v)
+        for u in _low_bits(a):
+            self._add(a ^ u | b)
+
+    def attach(self, a: int, b: int, move: ShellingMove) -> None:
+        """Apply a shelling move, checked as `shelling_valid` checks it."""
+        sigma = a | b
+        holders = [len(self.ridges.get(sigma ^ v, ())) for v in _low_bits(b)]
+        reason = (
+            "empty-beta" if not b
+            else "overlap" if a & b
+            else "wrong-dimensions" if sigma.bit_count() != self.top
+            else "facet-already-present" if sigma in self.facets
+            else "beta-already-a-face" if self.has_face(b)
+            else "attachment-not-induced" if 0 in holders
+            else "attachment-ridge-interior" if any(n != 1 for n in holders)
+            else None
+        )
+        if reason is not None:
+            raise InvalidMove(reason, move)
+        self._add(sigma)
 
 
 # -- certificates ------------------------------------------------------------

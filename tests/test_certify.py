@@ -46,16 +46,18 @@ from sx.errors import (
 from sx.growth import grow_shelled_ball, grow_stacked_sphere, grow_stellated_sphere
 from sx.homology import _boundary_columns, _rank, screen_homology_sphere
 from sx.moves import (
+    BistellarMove,
     MoveCertificate,
     ShellingMove,
     apply_bistellar,
     apply_shelling,
     bistellar_options,
+    flip_facets,
     is_standard_sphere,
     reverse_move,
 )
 from test_complexes import oracle_dual_graph
-from test_moves import boundary_certificate
+from test_moves import boundary_certificate, complex_bistellar_options
 
 RP2 = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
        (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)]
@@ -584,6 +586,80 @@ def test_a_search_cut_short_is_unknown():
                 assert v.status == UNKNOWN, (s.facets, lo, budget)
                 cut_cases += 1
     assert cut_cases >= 10
+
+
+# ``_exhaustive_search`` as it was before it ran on facet masks, verbatim apart
+# from its name and the Complex-based enumerator it calls: a state is a
+# frozenset of facets, and a Complex is built at every node to list its moves.
+
+
+def oracle_exhaustive_search(s: Complex, lo: int, budget: SearchBudget):
+    d = s.dimension
+
+    def children(facets: frozenset):
+        opts = complex_bistellar_options(Complex(facets), lo, d)
+        return ((mv, flip_facets(facets, mv)) for mv in reversed(opts))
+
+    def is_goal(facets: frozenset) -> bool:
+        # a pure d-complex with d + 2 facets on d + 2 vertices
+        return len(facets) == d + 2 and len(frozenset().union(*facets)) == d + 2
+
+    states, trail, nodes, cut = _memo_dfs(
+        [s.facet_sets], children, is_goal, budget, budget.max_moves
+    )
+    return trail, states[-1] if states else None, nodes, cut
+
+
+def _search_agrees(s: Complex, lo: int, max_nodes: int):
+    budget = SearchBudget(max_nodes=max_nodes)
+    got = _exhaustive_search(s, lo, budget)
+    assert got == oracle_exhaustive_search(s, lo, budget), (s.facets, lo, max_nodes)
+    return got
+
+
+def test_exhaustive_search_matches_the_facet_set_search(differential_complexes, sigma):
+    # every closed input, at every lower index and two node budgets: the
+    # same trail, final facet set, node count and cut.  The inputs include
+    # the Poincaré homology spheres bl_sigma3_16 and s5_18.
+    rng = random.Random(41)
+    spheres = [c for c in differential_complexes if c.classify().closed]
+    assert sigma in spheres and fixture("s5_18").complex in spheres
+    for dim in (1, 2, 3):
+        for steps in (4, 12):
+            spheres.append(grow_stellated_sphere(dim, dim + 1, steps, rng)[0])
+    outcomes = set()
+    for s in spheres:
+        for lo in range(s.dimension + 1):
+            for max_nodes in (50, 300):
+                trail, _, nodes, cut = _search_agrees(s, lo, max_nodes)
+                outcomes.add((trail is not None, cut))
+    assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+def test_exhaustive_search_orders_a_fresh_string_label(dfm):
+    # w1 is new to the cross-polytope and to the unflippable sphere with
+    # labels x0..x15, so it sorts last in the index-0 moves that bring it
+    # in; once it has joined, string order puts it before every x and y
+    _search_agrees(cross_polytope(3), 0, 300)
+    relabelled = dfm.rename({v: f"x{v}" for v in dfm.vertices})
+    trail, _, nodes, cut = _search_agrees(relabelled, 0, 300)
+    assert (nodes, cut) == (131, False)
+    assert trail[0].beta == ("w1",) and trail[0].index == 0
+    assert trail[1] == BistellarMove(alpha=("x4", "x7", "x9"), beta=("w1", "x0"))
+
+
+def test_exhaustive_search_turns_numeric_when_the_last_string_label_goes():
+    # with the string label "a" the vertex order is 1, 10, 2, 3, 4, a; the
+    # first child removes "a", and from then on 10 sorts after 4
+    s = standard_sphere(2)
+    s = apply_bistellar(s, BistellarMove(alpha=(1, 2, 3), beta=(10,)))
+    s = apply_bistellar(s, BistellarMove(alpha=(1, 2, 10), beta=("a",)))
+    assert s.vertices == (1, 10, 2, 3, 4, "a")
+    for lo in range(3):
+        trail, _, _, _ = _search_agrees(s, lo, 300)
+        if lo:
+            assert trail[0] == BistellarMove(alpha=("a",), beta=(1, 10, 2))
+            assert trail[1] == BistellarMove(alpha=(10,), beta=(1, 2, 3))
 
 
 def test_memo_dfs_path_never_exceeds_max_depth():

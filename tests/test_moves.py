@@ -20,13 +20,12 @@ from sx import (
     standard_ball,
     standard_sphere,
 )
-from sx.complexes import fresh_label
 from sx.constructions import klee_novik
 from sx.corpus import fixture, fixture_names
 from sx.errors import BadDimension, InvalidMove, ReplayFailure
 from sx.growth import grow_shelled_ball, grow_stellated_sphere
 from sx.moves import (
-    _attachment_split,
+    _Masks,
     ball_from_stellated_certificate,
     bistellar_valid,
     reverse_move,
@@ -89,7 +88,7 @@ def oracle_bistellar_moves(x, lo, hi):
 def oracle_shelling_moves(y, max_index):
     """Oracle: try every (d+1)-set over the vertices and one fresh label,
     and every split of it, straight through ``shelling_valid``; the split
-    ``_attachment_split`` finds must be the only valid one."""
+    ``complex_attachment_split`` finds must be the only valid one."""
     new = fresh_label(y)
     found = set()
     for sigma in map(frozenset, itertools.combinations(list(y.vertices) + [new], y.dimension + 1)):
@@ -100,7 +99,7 @@ def oracle_shelling_moves(y, max_index):
             if shelling_valid(y, ShellingMove(alpha=tuple(sigma - beta), beta=tuple(beta))) is None
         ]
         assert len(valid) <= 1
-        assert _attachment_split(y, sigma) == (valid[0] if valid else None)
+        assert complex_attachment_split(y, sigma) == (valid[0] if valid else None)
         found.update(m for m in valid if len(m[1]) - 1 <= max_index)
     return found
 
@@ -230,6 +229,151 @@ def scan_bistellar_options(x, lo, hi, fresh=None):
     return opts
 
 
+# -- the Complex-based enumerators and growers, kept as reference oracles ------
+#
+# The enumerators and growers as they were before they ran on the facet masks
+# of ``sx.moves._Masks``, verbatim apart from their names: each enumerator
+# reads a ``Complex``, and each grower builds a ``Complex`` per step and
+# validates each move through ``apply_*``.  ``fresh_label`` is the fresh
+# label they took, as it was in ``sx.complexes``.
+
+
+def fresh_label(x: Complex, reserved=()):
+    """A deterministic vertex label not used by ``x`` (nor in ``reserved``)."""
+    used = set(x.vertex_set) | set(reserved)
+    if x._numeric:
+        top = max((v for v in used if isinstance(v, int)), default=-1)
+        return top + 1
+    i = 1
+    while f"w{i}" in used:
+        i += 1
+    return f"w{i}"
+
+
+def complex_bistellar_options(
+    x: Complex, lo: int, hi: int, fresh=None
+) -> list[BistellarMove]:
+    d = x.dimension
+    opts: list[BistellarMove] = []
+    lo = max(lo, 0)
+    hi = min(hi, d)
+    if lo == 0 and hi >= 0:
+        new = fresh if fresh is not None else fresh_label(x)
+        opts = [BistellarMove(alpha=f, beta=(new,)) for f in x.facets if len(f) == d + 1]
+    if hi >= max(lo, 1):
+        ridges = (fs for r, fs in x._ridge_incidence.items() if len(r) == d)
+        for sigma in {f | g for fs in ridges for f, g in itertools.combinations(fs, 2)}:
+            beta = frozenset(v for v in sigma if sigma - {v} in x.facet_sets)
+            if lo <= len(beta) - 1 <= hi and not x.has_face(beta):
+                opts.append(BistellarMove(alpha=x.face_tuple(sigma - beta), beta=x.face_tuple(beta)))
+    complex_sort_moves(x, opts)
+    return opts
+
+
+def complex_sort_moves(x: Complex, opts: list) -> None:
+    """Order moves by index, then alpha and beta in x's vertex order; a label
+    new to x sorts last."""
+    pos = x._vertex_pos
+    n = len(pos)
+    opts.sort(
+        key=lambda m: (
+            m.index,
+            [pos.get(v, n) for v in m.alpha],
+            [pos.get(v, n) for v in m.beta],
+        )
+    )
+
+
+def complex_attachment_split(y: Complex, sigma: frozenset) -> tuple | None:
+    """The unique (alpha, beta) split attaching facet sigma to y, if any."""
+    beta = frozenset(v for v in sigma if len(y._ridge_incidence.get(sigma - {v}, ())) == 1)
+    if y.has_face(beta):
+        return None
+    return (sigma - beta, beta)
+
+
+def complex_shelling_options(y: Complex, max_index: int, fresh=None) -> list[ShellingMove]:
+    rim = [r for r, fs in y._ridge_incidence.items() if len(fs) == 1]
+    opts: list[ShellingMove] = []
+    if max_index >= 0:
+        new = fresh if fresh is not None else fresh_label(y)
+        opts = [ShellingMove(alpha=y.face_tuple(r), beta=(new,)) for r in rim]
+    if max_index >= 1:
+        by_sub: dict[frozenset, list[frozenset]] = {}
+        for r in rim:
+            for u in r:
+                by_sub.setdefault(r - {u}, []).append(r)
+        for sigma in {f | g for group in by_sub.values() for f, g in itertools.combinations(group, 2)}:
+            if sigma in y.facet_sets:
+                continue
+            split = complex_attachment_split(y, sigma)
+            if split is None:
+                continue
+            alpha, beta = split
+            if len(beta) - 1 <= max_index:
+                opts.append(
+                    ShellingMove(alpha=y.face_tuple(alpha), beta=y.face_tuple(beta))
+                )
+    complex_sort_moves(y, opts)
+    return opts
+
+
+def complex_shelling_moves_from_facet_order(facet_order) -> list[ShellingMove]:
+    facets = [frozenset(f) for f in facet_order]
+    order = Complex(facets)
+    y = Complex([facets[0]])
+    moves = []
+    for step, sigma in enumerate(facets[1:], start=1):
+        split = complex_attachment_split(y, sigma)
+        if split is None:
+            raise ReplayFailure(step, f"facet {sorted(map(str, sigma))} does not attach by a shelling move")
+        alpha, beta = split
+        move = ShellingMove(alpha=order.face_tuple(alpha), beta=order.face_tuple(beta))
+        y = apply_shelling(y, move)
+        moves.append(move)
+    return moves
+
+
+def oracle_grow_shelled_ball(dim, k, steps, rng):
+    ball = standard_ball(dim)
+    seed = ball
+    moves = []
+    for _ in range(steps):
+        opts = complex_shelling_options(ball, max_index=k - 1)
+        if not opts:
+            break
+        mv = opts[rng.randrange(len(opts))]
+        ball = apply_shelling(ball, mv)
+        moves.append(mv)
+    cert = MoveCertificate(
+        kind="shelling",
+        start_digest=seed.digest,
+        moves=tuple(moves),
+        result_digest=ball.digest,
+    )
+    return ball, cert
+
+
+def oracle_grow_stellated_sphere(dim, k, steps, rng):
+    sphere = standard_sphere(dim)
+    seed = sphere
+    moves = []
+    for _ in range(steps):
+        opts = complex_bistellar_options(sphere, 0, k - 1)
+        if not opts:
+            break
+        mv = opts[rng.randrange(len(opts))]
+        sphere = apply_bistellar(sphere, mv)
+        moves.append(mv)
+    cert = MoveCertificate(
+        kind="bistellar",
+        start_digest=seed.digest,
+        moves=tuple(moves),
+        result_digest=sphere.digest,
+    )
+    return sphere, cert
+
+
 def _pairs(moves):
     return [(m.alpha, m.beta) for m in moves]
 
@@ -267,6 +411,8 @@ def differential_cases():
         Complex([(1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 3, 4), (3, 4, 5), (5, 6), (7,)]),
         Complex([(1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 3, 6), (1, 2, 4, 5), (2, 3, 4, 5), (4, 6)]),
         Complex([("a", "b", 1), ("a", "b", 2), ("a", "b", 3), (1, 2, 3), ("a", 1, 2), ("c",)]),
+        # rim ridges of three sizes: the alpha (1,) sorts before (1, 2), a prefix
+        Complex([(1, 2, 3), (1, 4), (2, 5)]),
         klee_novik(1, 3),
         klee_novik(2, 5),
         standard_sphere(0),
@@ -302,6 +448,69 @@ def test_bistellar_options_match_the_facet_scan():
                 assert _pairs(bistellar_options(x, lo, hi)) == want, (x.facets, lo, hi)
     x = DIFFERENTIAL_CASES[1]
     assert _pairs(bistellar_options(x, 0, 1, fresh="z")) == _pairs(scan_bistellar_options(x, 0, 1, fresh="z"))
+
+
+def test_options_match_the_complex_enumerators():
+    # the mask enumerator against the Complex-based code it replaced, at
+    # every index range, with the default and an explicit fresh label
+    for x in DIFFERENTIAL_CASES:
+        for lo in range(-1, x.dimension + 2):
+            for hi in range(lo, x.dimension + 2):
+                assert bistellar_options(x, lo, hi) == complex_bistellar_options(x, lo, hi), (x.facets, lo, hi)
+        for max_index in range(-1, x.dimension + 1):
+            assert shelling_options(x, max_index) == complex_shelling_options(x, max_index), (x.facets, max_index)
+        assert bistellar_options(x, 0, 1, fresh="z") == complex_bistellar_options(x, 0, 1, fresh="z")
+        assert shelling_options(x, 1, fresh=0) == complex_shelling_options(x, 1, fresh=0)
+
+
+def test_growers_match_their_oracles():
+    # the same complex, certificate and rng draws over seeds x dim 1-5 x
+    # k 1..dim+1 x steps up to 30
+    for seed, dim, steps in itertools.product(range(3), range(1, 6), (0, 4, 13, 30)):
+        for k, (grow, oracle) in itertools.product(
+            range(1, dim + 2),
+            ((grow_shelled_ball, oracle_grow_shelled_ball),
+             (grow_stellated_sphere, oracle_grow_stellated_sphere)),
+        ):
+            rng_a, rng_b = random.Random(seed), random.Random(seed)
+            got, got_cert = grow(dim, k, steps, rng_a)
+            want, want_cert = oracle(dim, k, steps, rng_b)
+            assert got == want and got.digest == want.digest, (grow.__name__, seed, dim, k, steps)
+            assert got_cert.to_json() == want_cert.to_json(), (grow.__name__, seed, dim, k, steps)
+            assert rng_a.random() == rng_b.random()
+
+
+def test_growers_raise_invalid_move_from_the_mask_checks():
+    # the grower's own checks, not a replay, stop a move that does not apply
+    x = standard_sphere(2)
+    m = _Masks(x.vertices, x._facet_masks)
+    bits = {v: m.bit[v] for v in x.vertices}
+    for alpha, beta, reason in (
+        ((1, 2, 3), (4,), "beta-not-fresh"),
+        ((1, 2), (3, 4), "beta-already-a-face"),
+        ((1, 2), (3,), "wrong-dimensions"),
+    ):
+        mv = BistellarMove(alpha=alpha, beta=beta)
+        assert bistellar_valid(x, mv) == reason
+        with pytest.raises(InvalidMove) as err:
+            m.flip(sum(bits[v] for v in alpha), sum(bits[v] for v in beta), mv)
+        assert err.value.reason == reason
+    y = from_facets([[1, 2, 3], [2, 3, 4]])
+    m = _Masks(y.vertices, y._facet_masks)
+    mv = ShellingMove(alpha=(1,), beta=(2, 4))
+    assert shelling_valid(y, mv) == "beta-already-a-face"
+    with pytest.raises(InvalidMove) as err:
+        m.attach(m.bit[1], m.bit[2] | m.bit[4], mv)
+    assert err.value.reason == "beta-already-a-face"
+
+
+def test_grow_shelled_ball_needs_dimension_one():
+    # the point's one rim ridge is ∅, so attaching along it grows the
+    # 0-sphere, which is no ball
+    with pytest.raises(BadDimension):
+        grow_shelled_ball(0, 1, 3, random.Random(1))
+    ball, cert = grow_shelled_ball(1, 1, 3, random.Random(1))
+    assert ball.dimension == 1 and len(ball.facets) == 4 and not ball.classify().closed
 
 
 def test_listed_bistellar_options_are_valid():
@@ -575,6 +784,19 @@ def test_shelling_moves_from_facet_order_use_the_vertex_order():
     moves = shelling_moves_from_facet_order([(1, 2, 3, 10), (2, 3, 10, 9), (2, 10, 9, 11)])
     assert moves == [ShellingMove(alpha=(2, 3, 10), beta=(9,)),
                      ShellingMove(alpha=(2, 9, 10), beta=(11,))]
+
+
+def test_shelling_moves_from_facet_order_match_the_complex_replay(lutz_b2):
+    from sx.corpus import LUTZ_B2_SHELLING_ORDER
+
+    for order in (LUTZ_B2_SHELLING_ORDER, [(1, 2, 3, 10), (2, 3, 10, 9), (2, 10, 9, 11)],
+                  [("a", 2, 3), (2, 3, 10), (3, 10, "b"), ("a", 3, "b")]):
+        assert shelling_moves_from_facet_order(order) == complex_shelling_moves_from_facet_order(order)
+    for bad in ([(1, 2, 3, 4), (5, 6, 7, 8)], [(1, 2, 3), (1, 2, 3)], [(1, 2, 3), (2, 3, 4, 5)]):
+        with pytest.raises(ReplayFailure):
+            complex_shelling_moves_from_facet_order(bad)
+        with pytest.raises(ReplayFailure):
+            shelling_moves_from_facet_order(bad)
 
 
 def test_certificate_transport_round_trip():
