@@ -9,17 +9,21 @@ join.  Both validity checks reduce to small face-membership conditions
 derived below; the reasons they report are machine-readable so searches
 can prune on them.
 
-Moves are listed by one enumerator on facet bitmasks, `_Masks`, which the
-growers and the stellatedness search carry from move to move and the two
-public enumerators run once.  The order is one invariant: by index, then
-alpha, then beta, as lists of positions in the vertex order of the live
-complex (numeric when every live label is an integer), a new label last.
+Moves are listed, checked and applied on facet bitmasks, `_Masks`, which
+the growers, the stellatedness search and replay carry from move to move
+and the public checks and enumerators run once; each rule is written once,
+as `_Masks.flip_reason` and `_Masks.attach_reason`.  The order is one
+invariant: by index, then alpha, then beta, as lists of positions in the
+vertex order of the live complex (numeric when every live label is an
+integer), a new label last.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
@@ -66,10 +70,6 @@ class ShellingMove:
     @property
     def index(self) -> int:
         return len(self.beta) - 1
-
-    @property
-    def facet(self) -> frozenset:
-        return frozenset(self.alpha) | frozenset(self.beta)
 
     def as_dict(self) -> dict:
         return {"alpha": list(self.alpha), "beta": list(self.beta)}
@@ -126,46 +126,15 @@ def bistellar_valid(x: Complex, move: BistellarMove) -> str | None:
     For index >= 1 the induced-subcomplex condition is equivalent to:
     every ``alpha ∪ (beta \\ {b})`` is a face and beta itself is not.
     For index 0, beta must be a single label new to the complex and alpha
-    a facet.
+    a facet.  A face that repeats a label is rejected first.
     """
-    a, b = frozenset(move.alpha), frozenset(move.beta)
-    d = x.dimension
-    if not b:
-        return "empty-beta"
-    if a & b:
-        return "overlap"
-    if len(a) + len(b) != d + 2:
-        return "wrong-dimensions"
-    if move.index == 0:
-        if next(iter(b)) in x.vertex_set:
-            return "beta-not-fresh"
-        if a not in x.facet_sets:
-            return "alpha-not-a-facet"
-        return None
-    if not b <= x.vertex_set:
-        return "beta-vertex-unknown"
-    if x.has_face(b):
-        return "beta-already-a-face"
-    for v in b:
-        if not x.has_face(a | (b - {v})):
-            return "attachment-not-induced"
-    return None
-
-
-def flip_facets(facets: frozenset, move: BistellarMove) -> frozenset:
-    """The facet set after a move already checked to apply: the facets
-    ``alpha ∪ (beta \\ {v})`` give way to the ``(alpha \\ {u}) ∪ beta``."""
-    a, b = frozenset(move.alpha), frozenset(move.beta)
-    removed = {a | (b - {v}) for v in b}
-    added = {(a - {u}) | b for u in a}
-    return (facets - removed) | added
+    return _reason(x, move, _Masks.flip_reason)
 
 
 def apply_bistellar(x: Complex, move: BistellarMove) -> Complex:
-    reason = bistellar_valid(x, move)
-    if reason is not None:
-        raise InvalidMove(reason, move)
-    return Complex(flip_facets(x.facet_sets, move))
+    m = _Masks(x.vertices, x._facet_masks)
+    m.flip(*m.pair(move), move)
+    return m.complex()
 
 
 def bistellar_options(
@@ -200,38 +169,26 @@ def shelling_valid(y: Complex, move: ShellingMove) -> str | None:
     of exactly one facet, so weak pseudomanifolds stay weak
     pseudomanifolds), and beta must not be a face of y.  (For an index-0
     move this forces the beta vertex to be fresh, because single labels
-    of y are faces.)
+    of y are faces.)  A face that repeats a label is rejected first.
     """
-    a, b = frozenset(move.alpha), frozenset(move.beta)
-    if not b:
-        return "empty-beta"
-    if a & b:
-        return "overlap"
-    sigma = a | b
-    d = y.dimension
-    if len(sigma) != d + 1:
-        return "wrong-dimensions"
-    if sigma in y.facet_sets:
-        return "facet-already-present"
-    if b <= y.vertex_set and y.has_face(b):
-        return "beta-already-a-face"
-    for v in b:
-        ridge = sigma - {v}
-        if not ridge <= y.vertex_set:
-            return "attachment-not-induced"
-        holders = y._ridge_incidence.get(ridge)
-        if holders is None:
-            return "attachment-not-induced"
-        if len(holders) != 1:
-            return "attachment-ridge-interior"
-    return None
+    return _reason(y, move, _Masks.attach_reason)
 
 
 def apply_shelling(y: Complex, move: ShellingMove) -> Complex:
-    reason = shelling_valid(y, move)
-    if reason is not None:
-        raise InvalidMove(reason, move)
-    return Complex(set(y.facet_sets) | {move.facet})
+    m = _Masks(y.vertices, y._facet_masks)
+    m.attach(*m.pair(move), move)
+    return m.complex()
+
+
+def _reason(x: Complex, move, rule) -> str | None:
+    """What rule, `_Masks.flip_reason` or `_Masks.attach_reason`, says of
+    move on x."""
+    m = _Masks(x.vertices, x._facet_masks)
+    try:
+        a, b = m.pair(move)
+    except InvalidMove as exc:
+        return exc.reason
+    return rule(m, a, b)
 
 
 def shelling_options(y: Complex, max_index: int, fresh: Label | None = None) -> list[ShellingMove]:
@@ -292,7 +249,8 @@ def _list_key(mask: int) -> str:
 
 
 def _flip_masks(facets: tuple, a: int, b: int) -> tuple:
-    """`flip_facets` on a sorted tuple of facet masks."""
+    """The sorted tuple of facet masks after a move (a, b) already checked
+    to apply: the facets ``a ∪ (b \\ {v})`` give way to the ``(a \\ {u}) ∪ b``."""
     removed = {a | b ^ v for v in _low_bits(b)}
     return tuple(sorted([f for f in facets if f not in removed] + [a ^ u | b for u in _low_bits(a)]))
 
@@ -300,9 +258,10 @@ def _flip_masks(facets: tuple, a: int, b: int) -> tuple:
 class _Masks:
     """A complex's facets as vertex bitmasks, bit i for ``labels[i]``, with
     its ridge table and vertex stars, changed in place by each move; the
-    map only grows, by fresh labels.  Moves are (alpha, beta) mask pairs in
-    the canonical order, which is recomputed only when the live vertex set
-    changes."""
+    map only grows, by new labels.  Moves are (alpha, beta) mask pairs,
+    listed in the canonical order, which is recomputed only when the live
+    vertex set changes, and checked by the one rule of each kind,
+    `flip_reason` and `attach_reason`."""
 
     def __init__(self, labels, masks=()):
         self.labels = list(labels)
@@ -395,13 +354,23 @@ class _Masks:
         """The labels of mask in the order of their bits."""
         return tuple(self.labels[v.bit_length() - 1] for v in _low_bits(mask))
 
-    def _fresh_bit(self, fresh: Label | None) -> int:
-        self._order()
-        label = self.fresh if fresh is None else fresh
+    def _bit(self, label: Label) -> int:
         if label not in self.bit:
             self.bit[label] = 1 << len(self.labels)
             self.labels.append(label)
         return self.bit[label]
+
+    def _fresh_bit(self, fresh: Label | None) -> int:
+        self._order()
+        return self._bit(self.fresh if fresh is None else fresh)
+
+    def pair(self, move) -> tuple[int, int]:
+        """A move's alpha and beta as masks, a label new to the map on a new
+        bit; InvalidMove if a face repeats a label, before any rule."""
+        a, b = (functools.reduce(operator.or_, map(self._bit, f), 0) for f in (move.alpha, move.beta))
+        if a.bit_count() + b.bit_count() != len(move.alpha) + len(move.beta):
+            raise InvalidMove("repeated-label", move)
+        return a, b
 
     def complex(self) -> Complex:
         return Complex(self.ascending(f) for f in self.facets)
@@ -453,9 +422,9 @@ class _Masks:
                     moves.append((sigma ^ beta, beta))
         return self._sorted(moves)
 
-    def flip(self, a: int, b: int, move: BistellarMove) -> None:
-        """Apply a bistellar move, checked as `bistellar_valid` checks it."""
-        reason = (
+    def flip_reason(self, a: int, b: int) -> str | None:
+        """The rule of `bistellar_valid`, on masks."""
+        return (
             "empty-beta" if not b
             else "overlap" if a & b
             else "wrong-dimensions" if a.bit_count() + b.bit_count() != self.top + 1
@@ -466,18 +435,25 @@ class _Masks:
             else "attachment-not-induced" if any(a | b ^ v not in self.facets for v in _low_bits(b))
             else None
         )
+
+    def flip(self, a: int, b: int, move: BistellarMove) -> None:
+        """Apply a bistellar move; InvalidMove if `flip_reason` objects."""
+        reason = self.flip_reason(a, b)
         if reason is not None:
             raise InvalidMove(reason, move)
         for v in _low_bits(b):
             self._remove(a | b ^ v)
         for u in _low_bits(a):
             self._add(a ^ u | b)
+        if not a:  # no facet added: the dimension may drop, and no facet left is {∅}
+            self.load(self.facets or [0])
 
-    def attach(self, a: int, b: int, move: ShellingMove) -> None:
-        """Apply a shelling move, checked as `shelling_valid` checks it."""
+    def attach_reason(self, a: int, b: int) -> str | None:
+        """The rule of `shelling_valid`, on masks: a missing ridge is
+        reported before an interior one."""
         sigma = a | b
         holders = [len(self.ridges.get(sigma ^ v, ())) for v in _low_bits(b)]
-        reason = (
+        return (
             "empty-beta" if not b
             else "overlap" if a & b
             else "wrong-dimensions" if sigma.bit_count() != self.top
@@ -487,9 +463,13 @@ class _Masks:
             else "attachment-ridge-interior" if any(n != 1 for n in holders)
             else None
         )
+
+    def attach(self, a: int, b: int, move: ShellingMove) -> None:
+        """Apply a shelling move; InvalidMove if `attach_reason` objects."""
+        reason = self.attach_reason(a, b)
         if reason is not None:
             raise InvalidMove(reason, move)
-        self._add(sigma)
+        self._add(a | b)
 
 
 # -- certificates ------------------------------------------------------------
@@ -545,6 +525,17 @@ class MoveCertificate:
         )
 
 
+def _replay(m: _Masks, step, moves) -> Complex:
+    """Apply moves in place to m by step, `_Masks.flip` or `_Masks.attach`;
+    ReplayFailure names the first that does not apply."""
+    for i, move in enumerate(moves, start=1):
+        try:
+            step(m, *m.pair(move), move)
+        except InvalidMove as exc:
+            raise ReplayFailure(i, exc.reason) from exc
+    return m.complex()
+
+
 def replay(cert: MoveCertificate, start: Complex | None = None) -> tuple[Complex, int]:
     """Replay a certificate; returns the final complex and the move count.
 
@@ -560,13 +551,8 @@ def replay(cert: MoveCertificate, start: Complex | None = None) -> tuple[Complex
         start = fixture(cert.start_name).complex
     if start.digest != cert.start_digest:
         raise ReplayFailure(0, "starting complex digest mismatch")
-    current = start
-    apply = apply_bistellar if cert.kind == "bistellar" else apply_shelling
-    for i, move in enumerate(cert.moves, start=1):
-        try:
-            current = apply(current, move)
-        except InvalidMove as exc:
-            raise ReplayFailure(i, exc.reason) from exc
+    step = _Masks.flip if cert.kind == "bistellar" else _Masks.attach
+    current = _replay(_Masks(start.vertices, start._facet_masks), step, cert.moves)
     if cert.result_digest is not None and current.digest != cert.result_digest:
         raise ReplayFailure(len(cert.moves), "result digest mismatch")
     return current, len(cert.moves)
@@ -584,10 +570,5 @@ def ball_from_stellated_certificate(cert: MoveCertificate, start_sphere: Complex
         raise ValueError("expected a bistellar certificate")
     if start_sphere.digest != cert.start_digest:
         raise ReplayFailure(0, "starting sphere digest mismatch")
-    ball = Complex([frozenset(start_sphere.vertex_set)])
-    for i, move in enumerate(cert.moves, start=1):
-        try:
-            ball = apply_shelling(ball, ShellingMove(alpha=move.alpha, beta=move.beta))
-        except InvalidMove as exc:
-            raise ReplayFailure(i, exc.reason) from exc
-    return ball
+    ball = _Masks(start_sphere.vertices, [(1 << len(start_sphere.vertices)) - 1])
+    return _replay(ball, _Masks.attach, cert.moves)

@@ -52,12 +52,11 @@ from sx.moves import (
     apply_bistellar,
     apply_shelling,
     bistellar_options,
-    flip_facets,
     is_standard_sphere,
     reverse_move,
 )
 from test_complexes import oracle_dual_graph
-from test_moves import boundary_certificate, complex_bistellar_options
+from test_moves import boundary_certificate, complex_bistellar_options, flip_facets
 
 RP2 = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
        (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)]

@@ -1,7 +1,11 @@
 """Bistellar and shelling moves against definition-level oracles."""
 
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -374,6 +378,123 @@ def oracle_grow_stellated_sphere(dim, k, steps, rng):
     return sphere, cert
 
 
+# -- the frozenset move checks and replay, kept as reference oracles -----------
+#
+# The checks, ``apply_*``, ``replay`` and the ball lift as they were before
+# they ran on ``sx.moves._Masks``, verbatim apart from their names and
+# ``move.facet`` spelled out: each check reads a ``Complex``, and each apply
+# builds a ``Complex`` from frozensets.
+
+
+def complex_bistellar_valid(x: Complex, move: BistellarMove) -> str | None:
+    a, b = frozenset(move.alpha), frozenset(move.beta)
+    d = x.dimension
+    if not b:
+        return "empty-beta"
+    if a & b:
+        return "overlap"
+    if len(a) + len(b) != d + 2:
+        return "wrong-dimensions"
+    if move.index == 0:
+        if next(iter(b)) in x.vertex_set:
+            return "beta-not-fresh"
+        if a not in x.facet_sets:
+            return "alpha-not-a-facet"
+        return None
+    if not b <= x.vertex_set:
+        return "beta-vertex-unknown"
+    if x.has_face(b):
+        return "beta-already-a-face"
+    for v in b:
+        if not x.has_face(a | (b - {v})):
+            return "attachment-not-induced"
+    return None
+
+
+def flip_facets(facets: frozenset, move: BistellarMove) -> frozenset:
+    """The facet set after a move already checked to apply: the facets
+    ``alpha ∪ (beta \\ {v})`` give way to the ``(alpha \\ {u}) ∪ beta``."""
+    a, b = frozenset(move.alpha), frozenset(move.beta)
+    removed = {a | (b - {v}) for v in b}
+    added = {(a - {u}) | b for u in a}
+    return (facets - removed) | added
+
+
+def complex_apply_bistellar(x: Complex, move: BistellarMove) -> Complex:
+    reason = complex_bistellar_valid(x, move)
+    if reason is not None:
+        raise InvalidMove(reason, move)
+    return Complex(flip_facets(x.facet_sets, move))
+
+
+def complex_shelling_valid(y: Complex, move: ShellingMove) -> str | None:
+    a, b = frozenset(move.alpha), frozenset(move.beta)
+    if not b:
+        return "empty-beta"
+    if a & b:
+        return "overlap"
+    sigma = a | b
+    d = y.dimension
+    if len(sigma) != d + 1:
+        return "wrong-dimensions"
+    if sigma in y.facet_sets:
+        return "facet-already-present"
+    if b <= y.vertex_set and y.has_face(b):
+        return "beta-already-a-face"
+    for v in b:
+        ridge = sigma - {v}
+        if not ridge <= y.vertex_set:
+            return "attachment-not-induced"
+        holders = y._ridge_incidence.get(ridge)
+        if holders is None:
+            return "attachment-not-induced"
+        if len(holders) != 1:
+            return "attachment-ridge-interior"
+    return None
+
+
+def complex_apply_shelling(y: Complex, move: ShellingMove) -> Complex:
+    reason = complex_shelling_valid(y, move)
+    if reason is not None:
+        raise InvalidMove(reason, move)
+    return Complex(set(y.facet_sets) | {frozenset(move.alpha) | frozenset(move.beta)})
+
+
+def complex_replay(cert: MoveCertificate, start: Complex | None = None) -> tuple[Complex, int]:
+    if start is None:
+        if cert.start_name is None:
+            raise ReplayFailure(0, "no starting complex given and no fixture name in certificate")
+        from sx.corpus import fixture
+
+        start = fixture(cert.start_name).complex
+    if start.digest != cert.start_digest:
+        raise ReplayFailure(0, "starting complex digest mismatch")
+    current = start
+    apply = complex_apply_bistellar if cert.kind == "bistellar" else complex_apply_shelling
+    for i, move in enumerate(cert.moves, start=1):
+        try:
+            current = apply(current, move)
+        except InvalidMove as exc:
+            raise ReplayFailure(i, exc.reason) from exc
+    if cert.result_digest is not None and current.digest != cert.result_digest:
+        raise ReplayFailure(len(cert.moves), "result digest mismatch")
+    return current, len(cert.moves)
+
+
+def complex_ball_from_stellated_certificate(cert: MoveCertificate, start_sphere: Complex) -> Complex:
+    if cert.kind != "bistellar":
+        raise ValueError("expected a bistellar certificate")
+    if start_sphere.digest != cert.start_digest:
+        raise ReplayFailure(0, "starting sphere digest mismatch")
+    ball = Complex([frozenset(start_sphere.vertex_set)])
+    for i, move in enumerate(cert.moves, start=1):
+        try:
+            ball = complex_apply_shelling(ball, ShellingMove(alpha=move.alpha, beta=move.beta))
+        except InvalidMove as exc:
+            raise ReplayFailure(i, exc.reason) from exc
+    return ball
+
+
 def _pairs(moves):
     return [(m.alpha, m.beta) for m in moves]
 
@@ -564,6 +685,192 @@ def test_has_face_matches_the_facet_scan():
     empty = Complex.empty()
     assert empty.has_face(frozenset())
     assert not empty.has_face({1})
+
+
+def _outcome(fn, *args):
+    """fn's result, or the kind, step and reason of the move error it raised."""
+    try:
+        return fn(*args)
+    except (InvalidMove, ReplayFailure) as exc:
+        return type(exc).__name__, getattr(exc, "step", None), exc.reason
+
+
+def _ridge_order_matters(y, move):
+    """Whether the frozenset shelling check's reason rests on set order:
+    beta takes ridges both missing from y and interior to it."""
+    sigma = frozenset(move.alpha) | frozenset(move.beta)
+    holders = {len(y._ridge_incidence.get(sigma - {v}, ())) for v in move.beta}
+    return 0 in holders and max(holders) > 1
+
+
+def move_probes(x):
+    """Every listed option and its reverse, as label pairs, then malformed
+    pairs: empty beta, overlap, wrong sizes, unknown labels, and index 0 on
+    an existing label."""
+    new = fresh_label(x)
+    listed = _pairs(bistellar_options(x, 0, x.dimension) + shelling_options(x, x.dimension))
+    facet, vs = x.facets[0], x.vertices
+    malformed = [
+        (facet, ()),
+        (facet, facet[:1]),
+        (facet, (new, fresh_label(x, [new]))),
+        (facet[1:], (new,)),
+        (facet + (new,), ()),
+        (facet, ("unknown",)),
+        (("unknown",) + facet[1:], (new,)),
+        (facet[1:], ("unknown", new)),
+        (facet, vs[-1:]),
+        (facet[1:], vs[:1]),
+    ]
+    return listed + [(b, a) for a, b in listed], malformed
+
+
+def test_move_checks_match_the_frozenset_oracles(differential_complexes):
+    # reason tokens agree on every probe, each read as a bistellar and as a
+    # shelling move, and so do applied complexes, on every probe that applies
+    # and every malformed one (an apply that fails raises the check's
+    # reason).  The frozenset shelling check is order-dependent where beta
+    # takes a missing and an interior ridge; there the missing one is named.
+    y = Complex([("a", "b", "c"), ("b", "c", "d")])
+    cases = [(x, *move_probes(x)) for x in differential_complexes] + [(y, [], [(("c",), ("b", "e"))])]
+    checked = reordered = 0
+    for x, listed, malformed in cases:
+        for alpha, beta in listed + malformed:
+            applies = (alpha, beta) in malformed
+            bm, sm = BistellarMove(alpha=alpha, beta=beta), ShellingMove(alpha=alpha, beta=beta)
+            reason = complex_bistellar_valid(x, bm)
+            assert bistellar_valid(x, bm) == reason, (x.facets, bm)
+            if reason is None or applies:
+                got, want = _outcome(apply_bistellar, x, bm), _outcome(complex_apply_bistellar, x, bm)
+                assert got == want and getattr(got, "digest", 0) == getattr(want, "digest", 0), (x.facets, bm)
+            reason = complex_shelling_valid(x, sm)
+            if reason in ("attachment-not-induced", "attachment-ridge-interior") and _ridge_order_matters(x, sm):
+                assert shelling_valid(x, sm) == "attachment-not-induced", (x.facets, sm)
+                reordered += 1
+                continue
+            assert shelling_valid(x, sm) == reason, (x.facets, sm)
+            if reason is None or applies:
+                got, want = _outcome(apply_shelling, x, sm), _outcome(complex_apply_shelling, x, sm)
+                assert got == want and getattr(got, "digest", 0) == getattr(want, "digest", 0), (x.facets, sm)
+            checked += 1
+    assert checked > 10000 and reordered == 1
+
+
+def _corrupted(cert, rng, probes):
+    """Copies of cert: its first half with the full result digest, and up
+    to four with a probe in place of one move, or after the last."""
+    moves = list(cert.moves)
+    cls = BistellarMove if cert.kind == "bistellar" else ShellingMove
+    out = [MoveCertificate(kind=cert.kind, start_digest=cert.start_digest, moves=tuple(moves[: len(moves) // 2]),
+                           result_digest=cert.result_digest)]
+    for alpha, beta in rng.sample(probes, min(len(probes), 4)):
+        i = rng.randrange(len(moves) + 1)
+        swapped = moves[:i] + [cls(alpha=alpha, beta=beta)] + moves[i + 1:]
+        out.append(MoveCertificate(kind=cert.kind, start_digest=cert.start_digest, moves=tuple(swapped)))
+    return out
+
+
+def test_replay_matches_the_frozenset_oracles():
+    # grown certificates, corrupted ones, and the ball lift of every sphere
+    # certificate (valid only when d >= 2k - 1): equal complexes, digests
+    # and ReplayFailure steps and reasons
+    rng = random.Random(1999)
+    failures = lifts_failed = 0
+    for dim, k, steps in itertools.product(range(1, 5), range(1, 6), (0, 5, 12)):
+        if k > dim + 1:
+            continue
+        for grow in (grow_shelled_ball, grow_stellated_sphere):
+            x, cert = grow(dim, k, steps, rng)
+            seed = standard_ball(dim) if grow is grow_shelled_ball else standard_sphere(dim)
+            probes = [p for z in (x, seed) for part in move_probes(z) for p in part]
+            for c in [cert] + _corrupted(cert, rng, probes):
+                got, want = _outcome(replay, c, seed), _outcome(complex_replay, c, seed)
+                assert got == want, (c.to_json(), got, want)
+                failures += isinstance(got[0], str)
+            if grow is grow_stellated_sphere:
+                got = _outcome(ball_from_stellated_certificate, cert, seed)
+                want = _outcome(complex_ball_from_stellated_certificate, cert, seed)
+                assert got == want and getattr(got, "digest", None) == getattr(want, "digest", None), cert.to_json()
+                lifts_failed += isinstance(got, tuple)
+    assert failures > 50 and lifts_failed > 0
+
+
+def test_replay_tracks_a_dimension_drop():
+    # a move with empty alpha adds no facet: the triangle's boundary leaves
+    # {∅}, where a point can be coned on, and a non-pure complex drops to
+    # its point, which an index-0 move of dimension 0 then replaces
+    cases = [
+        (standard_sphere(1), [((), (1, 2, 3)), ((), (9,)), ((), (9,))]),
+        (Complex([(1, 2), (1, 3), (2, 3), (4,)]), [((), (1, 2, 3)), ((4,), (5,)), ((5,), (4,))]),
+        (Complex([(1, 2), (1, 3), (2, 3), (4,)]), [((), (1, 2, 3)), ((4,), (1, 5))]),
+    ]
+    for start, moves in cases:
+        cert = MoveCertificate(kind="bistellar", start_digest=start.digest,
+                               moves=tuple(BistellarMove(alpha=a, beta=b) for a, b in moves))
+        assert _outcome(replay, cert, start) == _outcome(complex_replay, cert, start), moves
+    final, _ = replay(MoveCertificate(kind="bistellar", start_digest=cases[1][0].digest,
+                                      moves=(BistellarMove(alpha=(), beta=(1, 2, 3)),)), cases[1][0])
+    assert final == Complex([(4,)])
+
+
+SHELLING_ORDER_SCRIPT = """
+from sx import Complex
+from sx.errors import InvalidMove, ReplayFailure
+from sx.moves import MoveCertificate, ShellingMove, apply_shelling, replay, shelling_valid
+y = Complex([("a", "b", "c"), ("b", "c", "d")])
+mv = ShellingMove(alpha=("c",), beta=("b", "e"))
+out = [shelling_valid(y, mv)]
+try:
+    apply_shelling(y, mv)
+except InvalidMove as exc:
+    out.append(exc.reason)
+try:
+    replay(MoveCertificate(kind="shelling", start_digest=y.digest, moves=(mv,)), y)
+except ReplayFailure as exc:
+    out.append(exc.reason)
+print(" ".join(out))
+"""
+
+
+def test_shelling_reason_does_not_depend_on_the_hash_seed():
+    # beta = {b, e}: the ridge {c, e} is missing and {b, c} is interior; the
+    # frozenset check answered by set order, so by PYTHONHASHSEED
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for seed in range(8):
+        env = dict(os.environ, PYTHONHASHSEED=str(seed), PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", SHELLING_ORDER_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert out.split() == ["attachment-not-induced"] * 3, (seed, out)
+
+
+def test_moves_that_repeat_a_label_are_rejected_first():
+    s = standard_sphere(2)
+    for alpha, beta in (((1, 1, 2, 3), (9,)), ((1, 2, 3), (9, 9)), ((1, 1), (2, 3)), ((), (1, 1, 2, 3))):
+        mv = BistellarMove(alpha=alpha, beta=beta)
+        assert bistellar_valid(s, mv) == "repeated-label", mv
+        with pytest.raises(InvalidMove) as err:
+            apply_bistellar(s, mv)
+        assert err.value.reason == "repeated-label"
+        cert = MoveCertificate(kind="bistellar", start_digest=s.digest,
+                               moves=(BistellarMove(alpha=(1, 2, 3), beta=(5,)), mv))
+        with pytest.raises(ReplayFailure) as err:
+            replay(cert, s)
+        assert (err.value.step, err.value.reason) == (2, "repeated-label")
+    b = standard_ball(2)
+    for alpha, beta in (((2, 3, 3), (4,)), ((2, 3), (4, 4)), ((), (4, 4, 5))):
+        mv = ShellingMove(alpha=alpha, beta=beta)
+        assert shelling_valid(b, mv) == "repeated-label", mv
+        with pytest.raises(InvalidMove) as err:
+            apply_shelling(b, mv)
+        assert err.value.reason == "repeated-label"
+        with pytest.raises(ReplayFailure) as err:
+            replay(MoveCertificate(kind="shelling", start_digest=b.digest, moves=(mv,)), b)
+        assert (err.value.step, err.value.reason) == (1, "repeated-label")
+    # a label in both faces is still an overlap
+    assert shelling_valid(b, ShellingMove(alpha=(1,), beta=(1, 2))) == "overlap"
+    # the frozenset checks accepted the first and misread the second
+    assert complex_bistellar_valid(s, BistellarMove(alpha=(1, 1, 2, 3), beta=(9,))) is None
+    assert complex_bistellar_valid(s, BistellarMove(alpha=(1, 2, 3), beta=(9, 9))) == "beta-vertex-unknown"
 
 
 # -- standard objects -----------------------------------------------------------
