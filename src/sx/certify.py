@@ -43,7 +43,9 @@ from .moves import (
     MoveCertificate,
     ShellingMove,
     _flip_masks,
+    _live_rank,
     _Masks,
+    _named,
     is_standard_sphere,
     replay,
     reverse_move,
@@ -363,7 +365,7 @@ def _exhaustive_search(s: Complex, lo: int, budget: SearchBudget):
     sphere was not reached.
     """
     d = s.dimension
-    m = _Masks(s.vertices)
+    m = _Masks(s)
 
     def children(state: tuple):
         m.load(state)
@@ -380,8 +382,8 @@ def _exhaustive_search(s: Complex, lo: int, budget: SearchBudget):
         return None, None, nodes, cut
     moves = []
     for state, (a, b) in zip(states, trail):
-        m.load(state)
-        moves.append(BistellarMove(alpha=m.face(a), beta=m.face(b)))
+        rank = _live_rank(m.labels, functools.reduce(operator.or_, state))
+        moves.append(BistellarMove(alpha=_named(m.labels, rank, a), beta=_named(m.labels, rank, b)))
     return moves, frozenset(frozenset(m.ascending(f)) for f in states[-1]), nodes, cut
 
 

@@ -11,6 +11,7 @@ verdicts echo --seed, and identical argv reproduce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -137,6 +138,7 @@ def _add_source(p: argparse.ArgumentParser, *options: str):
         p.add_argument(name, **_OPTIONS[name])
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="sx", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -6,7 +6,7 @@ Every grower returns the complex together with the certificate that
 built it, so structural cross-checks can transport certificates
 instead of searching.
 
-A grower carries facet masks with their ridge table and stars from move
+A grower carries facet masks with their stars and move lists from move
 to move (`moves._Masks`) and builds one `Complex` at the end; each step
 draws from the list `shelling_options` or `bistellar_options` would give.
 """
@@ -36,7 +36,7 @@ __all__ = [
 def _grow(seed: Complex, kind: str, options, steps: int, rng: random.Random):
     """``steps`` moves drawn uniformly from ``options(masks)``, each checked
     as it is applied; stops early when there is none."""
-    m = _Masks(seed.vertices, seed._facet_masks)
+    m = _Masks(seed)
     cls, apply = (BistellarMove, m.flip) if kind == "bistellar" else (ShellingMove, m.attach)
     moves = []
     for _ in range(steps):

@@ -12,16 +12,19 @@ can prune on them.
 Moves are listed, checked and applied on facet bitmasks, `_Masks`, which
 the growers, the stellatedness search and replay carry from move to move
 and the public checks and enumerators run once; each rule is written once,
-as `_Masks.flip_reason` and `_Masks.attach_reason`.  The order is one
-invariant: by index, then alpha, then beta, as lists of positions in the
-vertex order of the live complex (numeric when every live label is an
-integer), a new label last.
+as `_Masks.flip_reason` and `_Masks.attach_reason`.  The move lists are
+kept in step with the facets (`_Spans`): a move changes only the options
+through the ridges of the facets it touches, and the first listing builds
+the lists, so replay and the single-call checks never pay for them.  The
+order is one invariant: by index, then alpha, then beta, as lists of
+positions in the vertex order of the live complex (numeric when every live
+label is an integer), a new label last.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
-import itertools
 import json
 import operator
 from dataclasses import dataclass, field
@@ -132,7 +135,7 @@ def bistellar_valid(x: Complex, move: BistellarMove) -> str | None:
 
 
 def apply_bistellar(x: Complex, move: BistellarMove) -> Complex:
-    m = _Masks(x.vertices, x._facet_masks)
+    m = _Masks(x)
     m.flip(*m.pair(move), move)
     return m.complex()
 
@@ -154,7 +157,7 @@ def bistellar_options(
     such union gives ``beta = {v in sigma : sigma \\ {v} is a facet}`` and
     ``alpha = sigma \\ beta``, a valid move iff beta is not a face.
     """
-    m = _Masks(x.vertices, x._facet_masks)
+    m = _Masks(x)
     return [BistellarMove(alpha=m.face(a), beta=m.face(b)) for a, b in m.bistellar(lo, hi, fresh)]
 
 
@@ -175,7 +178,7 @@ def shelling_valid(y: Complex, move: ShellingMove) -> str | None:
 
 
 def apply_shelling(y: Complex, move: ShellingMove) -> Complex:
-    m = _Masks(y.vertices, y._facet_masks)
+    m = _Masks(y)
     m.attach(*m.pair(move), move)
     return m.complex()
 
@@ -183,7 +186,7 @@ def apply_shelling(y: Complex, move: ShellingMove) -> Complex:
 def _reason(x: Complex, move, rule) -> str | None:
     """What rule, `_Masks.flip_reason` or `_Masks.attach_reason`, says of
     move on x."""
-    m = _Masks(x.vertices, x._facet_masks)
+    m = _Masks(x)
     try:
         a, b = m.pair(move)
     except InvalidMove as exc:
@@ -201,9 +204,10 @@ def shelling_options(y: Complex, max_index: int, fresh: Label | None = None) -> 
     other b, and ``sigma \\ {b}`` must be a rim ridge too.  That ridge
     meets the first one in a (d-2)-face, so every valid sigma is the union
     of two rim ridges that differ in one vertex, and only those unions are
-    tried, each split as `_Masks.restriction` says.
+    tried, each split with beta the v for which ``sigma \\ {v}`` is a rim
+    ridge (`_Spans`).
     """
-    m = _Masks(y.vertices, y._facet_masks)
+    m = _Masks(y)
     return [ShellingMove(alpha=m.face(a), beta=m.face(b)) for a, b in m.shelling(max_index, fresh)]
 
 
@@ -215,12 +219,14 @@ def shelling_moves_from_facet_order(facet_order: Sequence[Iterable[Label]]) -> l
     list their vertices in the vertex order of the complex of all facets.
     """
     facets = [frozenset(f) for f in facet_order]
-    m = _Masks(Complex(facets).vertices)
+    m = _Masks(Complex(facets))
     masks = [sum(m.bit[v] for v in f) for f in facets]
     m.load(masks[:1])
     moves = []
     for step, sigma in enumerate(masks[1:], start=1):
-        beta = m.restriction(sigma)
+        # the v for which sigma \ {v} is a rim ridge: the one beta that can
+        # attach sigma, as each other sigma \ {v} contains it
+        beta = sum(v for v in _low_bits(sigma) if m._holders(sigma ^ v) == 1)
         if m.has_face(beta):
             raise ReplayFailure(step, f"facet {sorted(map(str, facets[step]))} does not attach by a shelling move")
         alpha = sigma ^ beta
@@ -248,6 +254,27 @@ def _list_key(mask: int) -> str:
     return bin(mask)[:1:-1].replace("0", "2") if mask else ""
 
 
+def _live_rank(labels: list, union: int) -> dict | None:
+    """`rank` for the live vertex bits in union: each mapped to the bit of
+    its position in the live vertex order, or None when the bits rise along
+    that order."""
+    bits = list(_low_bits(union))
+    live = [labels[v.bit_length() - 1] for v in bits]
+    numeric = all(isinstance(v, int) for v in live)
+    order = [v for _, v in sorted(zip([_label_order_key(v, numeric) for v in live], bits))]
+    return None if order == bits else {v: 1 << p for p, v in enumerate(order)}
+
+
+def _positions(rank: dict | None, mask: int) -> int:
+    """mask's bits moved to their positions under rank, a new label last."""
+    return mask if rank is None else sum(rank.get(v, 1 << len(rank)) for v in _low_bits(mask))
+
+
+def _named(labels: list, rank: dict | None, mask: int) -> tuple:
+    """The labels of mask in the live vertex order rank gives, a new label last."""
+    return tuple(labels[v.bit_length() - 1] for v in sorted(_low_bits(mask), key=lambda v: _positions(rank, v)))
+
+
 def _flip_masks(facets: tuple, a: int, b: int) -> tuple:
     """The sorted tuple of facet masks after a move (a, b) already checked
     to apply: the facets ``a ∪ (b \\ {v})`` give way to the ``(a \\ {u}) ∪ b``."""
@@ -255,23 +282,110 @@ def _flip_masks(facets: tuple, a: int, b: int) -> tuple:
     return tuple(sorted([f for f in facets if f not in removed] + [a ^ u | b for u in _low_bits(a)]))
 
 
+class _Spans:
+    """The moves of one kind, kept in step with its cells: the facets of
+    top dimension for bistellar moves, the rim ridges for shelling moves.
+    A span is the union sigma of two cells of one size that differ in one
+    vertex, and its beta the v in sigma for which ``sigma \\ {v}`` is a
+    cell; its move ``(sigma \\ beta, beta)`` is listed when `valid` admits
+    it.  A cell that comes or goes makes the spans through its faces dirty,
+    and a facet that comes or goes the spans whose beta it contains, as only
+    then can beta become or stop being a face; `listed` settles them.
+    `moves` holds the listed moves in canonical order, each cell c first as
+    the index-0 move ``(0, key, "", c, 0)`` whose new vertex is filled in
+    when it is listed."""
+
+    def __init__(self, m: "_Masks", valid, cells):
+        self.valid = valid  # valid(m, sigma, beta)
+        self.cells: set[int] = set()
+        self.faces: dict[int, list[int]] = {}  # face -> cells through it
+        self.spans: dict[int, tuple] = {}  # sigma -> (beta, its entry in `moves` or None)
+        self.holding: tuple[dict, dict] = ({}, {})  # [listed][beta] -> sigmas
+        self.moves: list[tuple] = []  # (index, key(alpha), key(beta), alpha, beta), sorted
+        self.dirty: set[int] = set()
+        for c in cells:
+            self.toggle(m, c)
+
+    def toggle(self, m: "_Masks", c: int) -> None:
+        """Make c a cell, or no longer one if it is."""
+        added = c not in self.cells
+        (self.cells.add if added else self.cells.remove)(c)
+        entry = (0, m.key(c), "", c, 0)
+        if added:
+            bisect.insort(self.moves, entry)
+        else:
+            del self.moves[bisect.bisect_left(self.moves, entry)]
+        for v in _low_bits(c):
+            through = self.faces.setdefault(c ^ v, [])
+            (through.append if added else through.remove)(c)
+            self.dirty.update(map(c.__or__, through))
+            if not through:
+                del self.faces[c ^ v]
+
+    def touch(self, m: "_Masks", f: int, added: bool) -> None:
+        """Facet f came or went: recheck the spans whose beta it contains,
+        the listed ones if it came and the others if their beta is no
+        longer a face."""
+        holding, sub = self.holding[added], f
+        while sub:
+            if sub in holding and (added or not m.has_face(sub)):
+                self.dirty.update(holding[sub])
+            sub = (sub - 1) & f
+
+    def listed(self, m: "_Masks", lo: int, hi: int, new: int) -> list[tuple[int, int]]:
+        """The moves of index lo..hi in canonical order, new the vertex of
+        the index-0 moves."""
+        while self.dirty and hi >= 1:
+            self._settle(m, self.dirty.pop())
+        i, j = bisect.bisect_left(self.moves, (lo,)), bisect.bisect_left(self.moves, (hi + 1,))
+        return [(a, b or new) for _, _, _, a, b in self.moves[i:j]]
+
+    def _settle(self, m: "_Masks", sigma: int) -> None:
+        beta, rest = 0, sigma
+        while rest:
+            v = rest & -rest
+            rest ^= v
+            if sigma ^ v in self.cells:
+                beta |= v
+        beta = beta if beta.bit_count() > 1 else 0
+        valid = bool(beta) and self.valid(m, sigma, beta)
+        old, entry = self.spans.get(sigma, (0, None))
+        if (old, entry is not None) == (beta, valid):
+            return
+        if entry is not None:
+            del self.moves[bisect.bisect_left(self.moves, entry)]
+        if old:
+            holding = self.holding[entry is not None]
+            holding[old].discard(sigma)
+            if not holding[old]:
+                del holding[old]
+            del self.spans[sigma]
+        if beta:
+            alpha = sigma ^ beta
+            entry = (beta.bit_count() - 1, m.key(alpha), m.key(beta), alpha, beta) if valid else None
+            if valid:
+                bisect.insort(self.moves, entry)
+            self.spans[sigma] = beta, entry
+            self.holding[valid].setdefault(beta, set()).add(sigma)
+
+
 class _Masks:
     """A complex's facets as vertex bitmasks, bit i for ``labels[i]``, with
-    its ridge table and vertex stars, changed in place by each move; the
-    map only grows, by new labels.  Moves are (alpha, beta) mask pairs,
-    listed in the canonical order, which is recomputed only when the live
-    vertex set changes, and checked by the one rule of each kind,
-    `flip_reason` and `attach_reason`."""
+    its vertex stars, changed in place by each move; the map only grows, by
+    new labels.  Moves are (alpha, beta) mask pairs, checked by the one rule
+    of each kind, `flip_reason` and `attach_reason`, and listed from move
+    tables (`_Spans`) that the first listing builds and every later change
+    of a facet keeps in step; they are built again when the dimension or the
+    live vertex order changes."""
 
-    def __init__(self, labels, masks=()):
-        self.labels = list(labels)
+    def __init__(self, x: Complex):
+        self.labels = list(x.vertices)
         self.bit = {v: 1 << i for i, v in enumerate(self.labels)}
-        self.facets: set[int] = set()
-        self.ridges: dict[int, list[int]] = {}  # ridge -> facets through it
-        self.star: dict[int, list[int]] = {}  # vertex bit -> facets through it
-        self.union = 0
-        self._ordered = None
-        self.load(masks)
+        self.facets: set[int] = set(x._facet_masks)
+        self.star = {1 << i: list(fs) for i, fs in enumerate(x._mask_star)}  # vertex bit -> facets through it
+        self.union = (1 << len(self.labels)) - 1
+        self.top = x.dimension + 1  # d + 1
+        self._ordered = self._flips = self._shells = self._built = None
 
     def load(self, masks) -> None:
         """Make masks the facets, changing the tables where they differ."""
@@ -280,26 +394,43 @@ class _Masks:
             self._remove(f)
         for f in new - self.facets:
             self._add(f)
-        self.top = max(map(int.bit_count, self.facets), default=0)  # d + 1
+        self.top = max(map(int.bit_count, self.facets), default=0)
 
     def _add(self, f: int) -> None:
         self.facets.add(f)
         self.union |= f
         for v in _low_bits(f):
-            self.ridges.setdefault(f ^ v, []).append(f)
             self.star.setdefault(v, []).append(f)
+        self._track(f, True)
 
     def _remove(self, f: int) -> None:
         self.facets.remove(f)
         for v in _low_bits(f):
-            holders, through = self.ridges[f ^ v], self.star[v]
-            holders.remove(f)
+            through = self.star[v]
             through.remove(f)
-            if not holders:
-                del self.ridges[f ^ v]
             if not through:
                 del self.star[v]
                 self.union ^= v
+        self._track(f, False)
+
+    def _track(self, f: int, added: bool) -> None:
+        """Keep the move tables that are built in step with facet f."""
+        if self._flips is not None:
+            if f.bit_count() == self.top:
+                self._flips.toggle(self, f)
+            self._flips.touch(self, f, added)
+        if self._shells is not None:
+            self._shells.touch(self, f, added)
+            for v in _low_bits(f):
+                if (self._holders(f ^ v) == 1) != (f ^ v in self._shells.cells):
+                    self._shells.toggle(self, f ^ v)
+
+    def _tables(self) -> None:
+        """Drop the move tables if the dimension or the live vertex order,
+        and so every key, has changed since they were built."""
+        self._order()
+        if self._built != (self.top, self.rank):
+            self._built, self._flips, self._shells = (self.top, self.rank), None, None
 
     def has_face(self, face: int) -> bool:
         if not face:
@@ -309,46 +440,27 @@ class _Masks:
                 return True
         return False
 
-    def restriction(self, sigma: int) -> int:
-        """The v in sigma for which ``sigma \\ {v}`` is a rim ridge: the only
-        beta that can attach sigma, as each other ``sigma \\ {v}`` contains
-        it; it does iff it is not a face (so not empty)."""
-        return sum(v for v in _low_bits(sigma) if len(self.ridges.get(sigma ^ v, ())) == 1)
+    def _holders(self, ridge: int) -> int:
+        """The number of facets through ridge with one vertex more."""
+        n = ridge.bit_count() + 1
+        return sum(g & ridge == ridge and g.bit_count() == n for g in self.star.get(ridge & -ridge, self.facets))
 
     # -- order ------------------------------------------------------------
 
     def _order(self) -> None:
-        """For the live vertex set: the default fresh label, and `rank`,
-        each live vertex bit mapped to the bit of its position in the live
-        vertex order, or None when the bits rise along that order."""
-        if self._ordered == self.union:
-            return
-        bits = list(_low_bits(self.union))
-        live = [self.labels[v.bit_length() - 1] for v in bits]
-        numeric = all(isinstance(v, int) for v in live)
-        order = sorted(bits, key=lambda v: _label_order_key(self.labels[v.bit_length() - 1], numeric))
-        self.rank = None if order == bits else {v: 1 << p for p, v in enumerate(order)}
-        self.fresh = _unused_label(set(live), numeric)
-        self._ordered = self.union
+        """`rank` for the live vertex set."""
+        if self._ordered != self.union:
+            self.rank = _live_rank(self.labels, self.union)
+            self._ordered = self.union
 
-    def _rank(self, v: int) -> int:
-        return v if self.rank is None else self.rank.get(v, 1 << len(self.rank))
-
-    def _sorted(self, moves: list) -> list:
-        """Sort moves canonically by `_list_key` of the masks moved to their
-        positions.  A new label is the only vertex of each index-0 beta."""
-        self._order()
-        if self.rank is None:
-            key = _list_key
-        else:
-            key = lambda mask: _list_key(sum(map(self._rank, _low_bits(mask))))  # noqa: E731
-        moves.sort(key=lambda m: (m[1].bit_count(), key(m[0]), key(m[1])))
-        return moves
+    def key(self, mask: int) -> str:
+        """mask's sort key under the `rank` the tables were built for."""
+        return _list_key(_positions(self._built[1], mask))
 
     def face(self, mask: int) -> tuple:
         """The labels of mask in the live vertex order, a new label last."""
         self._order()
-        return tuple(self.labels[v.bit_length() - 1] for v in sorted(_low_bits(mask), key=self._rank))
+        return _named(self.labels, self.rank, mask)
 
     def ascending(self, mask: int) -> tuple:
         """The labels of mask in the order of their bits."""
@@ -361,8 +473,10 @@ class _Masks:
         return self.bit[label]
 
     def _fresh_bit(self, fresh: Label | None) -> int:
-        self._order()
-        return self._bit(self.fresh if fresh is None else fresh)
+        if fresh is None:
+            live = {self.labels[v.bit_length() - 1] for v in _low_bits(self.union)}
+            fresh = _unused_label(live, all(isinstance(v, int) for v in live))
+        return self._bit(fresh)
 
     def pair(self, move) -> tuple[int, int]:
         """A move's alpha and beta as masks, a label new to the map on a new
@@ -379,48 +493,20 @@ class _Masks:
 
     def bistellar(self, lo: int, hi: int, fresh: Label | None = None) -> list[tuple[int, int]]:
         """The moves of `bistellar_options`, as mask pairs."""
-        d = self.top - 1
-        lo, hi = max(lo, 0), min(hi, d)
-        moves = []
-        if lo == 0 and hi >= 0:
-            new = self._fresh_bit(fresh)
-            moves = [(f, new) for f in self.facets if f.bit_count() == d + 1]
-        if hi >= max(lo, 1):
-            seen = set()
-            for r, fs in self.ridges.items():
-                for f, g in itertools.combinations(fs, 2) if r.bit_count() == d else ():
-                    sigma = f | g
-                    if sigma in seen:
-                        continue
-                    seen.add(sigma)
-                    # f and g give the two vertices outside r
-                    beta = sigma ^ r
-                    for v in _low_bits(r):
-                        if sigma ^ v in self.facets:
-                            beta |= v
-                    if lo <= beta.bit_count() - 1 <= hi and not self.has_face(beta):
-                        moves.append((sigma ^ beta, beta))
-        return self._sorted(moves)
+        lo, hi = max(lo, 0), min(hi, self.top - 1)
+        self._tables()
+        if self._flips is None:
+            top_facets = [f for f in self.facets if f.bit_count() == self.top]
+            self._flips = _Spans(self, lambda m, sigma, beta: not m.has_face(beta), top_facets)
+        return self._flips.listed(self, lo, hi, self._fresh_bit(fresh) if lo == 0 <= hi else 0)
 
     def shelling(self, max_index: int, fresh: Label | None = None) -> list[tuple[int, int]]:
         """The moves of `shelling_options`, as mask pairs."""
-        rim = [r for r, fs in self.ridges.items() if len(fs) == 1]
-        moves = []
-        if max_index >= 0:
-            new = self._fresh_bit(fresh)
-            moves = [(r, new) for r in rim]
-        if max_index >= 1:
-            by_sub: dict[int, list[int]] = {}
-            for r in rim:
-                for u in _low_bits(r):
-                    by_sub.setdefault(r ^ u, []).append(r)
-            for sigma in {f | g for group in by_sub.values() for f, g in itertools.combinations(group, 2)}:
-                if sigma in self.facets:
-                    continue
-                beta = self.restriction(sigma)
-                if beta.bit_count() - 1 <= max_index and not self.has_face(beta):
-                    moves.append((sigma ^ beta, beta))
-        return self._sorted(moves)
+        self._tables()
+        if self._shells is None:
+            rim = [f ^ v for f in self.facets for v in _low_bits(f) if self._holders(f ^ v) == 1]
+            self._shells = _Spans(self, lambda m, sigma, beta: sigma not in m.facets and not m.has_face(beta), rim)
+        return self._shells.listed(self, 0, max_index, self._fresh_bit(fresh) if max_index >= 0 else 0)
 
     def flip_reason(self, a: int, b: int) -> str | None:
         """The rule of `bistellar_valid`, on masks."""
@@ -452,7 +538,7 @@ class _Masks:
         """The rule of `shelling_valid`, on masks: a missing ridge is
         reported before an interior one."""
         sigma = a | b
-        holders = [len(self.ridges.get(sigma ^ v, ())) for v in _low_bits(b)]
+        holders = [self._holders(sigma ^ v) for v in _low_bits(b)]
         return (
             "empty-beta" if not b
             else "overlap" if a & b
@@ -552,7 +638,7 @@ def replay(cert: MoveCertificate, start: Complex | None = None) -> tuple[Complex
     if start.digest != cert.start_digest:
         raise ReplayFailure(0, "starting complex digest mismatch")
     step = _Masks.flip if cert.kind == "bistellar" else _Masks.attach
-    current = _replay(_Masks(start.vertices, start._facet_masks), step, cert.moves)
+    current = _replay(_Masks(start), step, cert.moves)
     if cert.result_digest is not None and current.digest != cert.result_digest:
         raise ReplayFailure(len(cert.moves), "result digest mismatch")
     return current, len(cert.moves)
@@ -570,5 +656,4 @@ def ball_from_stellated_certificate(cert: MoveCertificate, start_sphere: Complex
         raise ValueError("expected a bistellar certificate")
     if start_sphere.digest != cert.start_digest:
         raise ReplayFailure(0, "starting sphere digest mismatch")
-    ball = _Masks(start_sphere.vertices, [(1 << len(start_sphere.vertices)) - 1])
-    return _replay(ball, _Masks.attach, cert.moves)
+    return _replay(_Masks(Complex([start_sphere.vertices])), _Masks.attach, cert.moves)

@@ -183,6 +183,28 @@ def test_usage_error_exit_64(capsys):
     assert err.value.code == 64
 
 
+def test_one_process_answers_as_fresh_processes_do(capsys):
+    # main builds its parser once per process: a success, a usage error and
+    # a command that relies on defaults, each run twice in this process,
+    # print what a fresh process prints and exit as it does
+    cases = [
+        ["info", "fixtures:lutz_s2_8"],
+        ["flips", "--lo", "-1", "--hi", "1", "fixtures:lutz_s2_8"],
+        ["certify", "stellated", "fixtures:ziegler_s2_10"],
+    ]
+    fresh = [
+        subprocess.run([sys.executable, "-m", "sx.cli", *argv], capture_output=True, text=True)
+        for argv in cases
+    ]
+    assert [p.returncode for p in fresh] == [0, 64, 0]
+    for argv, want in zip(cases + cases, fresh + fresh):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        assert (code, capsys.readouterr().out) == (want.returncode, want.stdout), argv
+
+
 def test_parse_error_exit_65(capsys, tmp_path):
     bad = tmp_path / "bad.fac"
     bad.write_text("# only comments\n")

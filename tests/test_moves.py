@@ -29,6 +29,8 @@ from sx.corpus import fixture, fixture_names
 from sx.errors import BadDimension, InvalidMove, ReplayFailure
 from sx.growth import grow_shelled_ball, grow_stellated_sphere
 from sx.moves import (
+    _list_key,
+    _low_bits,
     _Masks,
     ball_from_stellated_certificate,
     bistellar_valid,
@@ -495,6 +497,94 @@ def complex_ball_from_stellated_certificate(cert: MoveCertificate, start_sphere:
     return ball
 
 
+# -- the from-scratch move listing, kept as a reference oracle -----------------
+#
+# ``_Masks.bistellar`` and ``_Masks.shelling`` as they were before the move
+# lists were kept in step with the facets, with the ridge-table
+# ``restriction`` and the sort they read, verbatim apart from their names:
+# each call relists every ridge of the state and sorts every move.
+# ``ScratchMasks`` gives them what they read of a live ``_Masks``: its
+# facets, a ridge table built from them, and its live vertex order and
+# fresh label.
+
+
+class ScratchMasks:
+    def __init__(self, m):
+        self.m = m
+        self.ridges: dict[int, list[int]] = {}
+        for f in m.facets:
+            for v in _low_bits(f):
+                self.ridges.setdefault(f ^ v, []).append(f)
+
+    def __getattr__(self, name):
+        return getattr(self.m, name)
+
+    def restriction(self, sigma: int) -> int:
+        """The v in sigma for which ``sigma \\ {v}`` is a rim ridge: the only
+        beta that can attach sigma, as each other ``sigma \\ {v}`` contains
+        it; it does iff it is not a face (so not empty)."""
+        return sum(v for v in _low_bits(sigma) if len(self.ridges.get(sigma ^ v, ())) == 1)
+
+    def _rank(self, v: int) -> int:
+        return v if self.rank is None else self.rank.get(v, 1 << len(self.rank))
+
+    def _sorted(self, moves: list) -> list:
+        """Sort moves canonically by `_list_key` of the masks moved to their
+        positions.  A new label is the only vertex of each index-0 beta."""
+        self._order()
+        if self.rank is None:
+            key = _list_key
+        else:
+            key = lambda mask: _list_key(sum(map(self._rank, _low_bits(mask))))  # noqa: E731
+        moves.sort(key=lambda m: (m[1].bit_count(), key(m[0]), key(m[1])))
+        return moves
+
+    def bistellar(self, lo: int, hi: int, fresh=None) -> list[tuple[int, int]]:
+        """The moves of `bistellar_options`, as mask pairs."""
+        d = self.top - 1
+        lo, hi = max(lo, 0), min(hi, d)
+        moves = []
+        if lo == 0 and hi >= 0:
+            new = self._fresh_bit(fresh)
+            moves = [(f, new) for f in self.facets if f.bit_count() == d + 1]
+        if hi >= max(lo, 1):
+            seen = set()
+            for r, fs in self.ridges.items():
+                for f, g in itertools.combinations(fs, 2) if r.bit_count() == d else ():
+                    sigma = f | g
+                    if sigma in seen:
+                        continue
+                    seen.add(sigma)
+                    # f and g give the two vertices outside r
+                    beta = sigma ^ r
+                    for v in _low_bits(r):
+                        if sigma ^ v in self.facets:
+                            beta |= v
+                    if lo <= beta.bit_count() - 1 <= hi and not self.has_face(beta):
+                        moves.append((sigma ^ beta, beta))
+        return self._sorted(moves)
+
+    def shelling(self, max_index: int, fresh=None) -> list[tuple[int, int]]:
+        """The moves of `shelling_options`, as mask pairs."""
+        rim = [r for r, fs in self.ridges.items() if len(fs) == 1]
+        moves = []
+        if max_index >= 0:
+            new = self._fresh_bit(fresh)
+            moves = [(r, new) for r in rim]
+        if max_index >= 1:
+            by_sub: dict[int, list[int]] = {}
+            for r in rim:
+                for u in _low_bits(r):
+                    by_sub.setdefault(r ^ u, []).append(r)
+            for sigma in {f | g for group in by_sub.values() for f, g in itertools.combinations(group, 2)}:
+                if sigma in self.facets:
+                    continue
+                beta = self.restriction(sigma)
+                if beta.bit_count() - 1 <= max_index and not self.has_face(beta):
+                    moves.append((sigma ^ beta, beta))
+        return self._sorted(moves)
+
+
 def _pairs(moves):
     return [(m.alpha, m.beta) for m in moves]
 
@@ -584,6 +674,69 @@ def test_options_match_the_complex_enumerators():
         assert shelling_options(x, 1, fresh=0) == complex_shelling_options(x, 1, fresh=0)
 
 
+def assert_lists_match(m: _Masks) -> None:
+    """m's move lists at every index range equal the scratch listing, a
+    fresh `_Masks` of the same facets and the Complex-based enumerators."""
+    x = m.complex()
+    scratch, fresh = ScratchMasks(m), _Masks(x)
+
+    def named(masks, moves):
+        return [(masks.face(a), masks.face(b)) for a, b in moves]
+
+    for lo in range(x.dimension + 1):
+        for hi in range(lo, x.dimension + 1):
+            got = m.bistellar(lo, hi)
+            assert got == scratch.bistellar(lo, hi), (x.facets, lo, hi)
+            assert named(m, got) == named(fresh, fresh.bistellar(lo, hi)), (x.facets, lo, hi)
+            assert named(m, got) == _pairs(complex_bistellar_options(x, lo, hi)), (x.facets, lo, hi)
+    for max_index in range(-1, x.dimension + 1):
+        got = m.shelling(max_index)
+        assert got == scratch.shelling(max_index), (x.facets, max_index)
+        assert named(m, got) == named(fresh, fresh.shelling(max_index)), (x.facets, max_index)
+        assert named(m, got) == _pairs(complex_shelling_options(x, max_index)), (x.facets, max_index)
+
+
+def _relabelled(x: Complex, names) -> Complex:
+    return x.rename(dict(zip(x.vertices, names)))
+
+
+def test_move_lists_kept_in_step_match_the_scratch_listing():
+    # seeded flips and attaches, with loads back to earlier states as the
+    # search makes when it backtracks, and one load down a dimension
+    rng = random.Random(20)
+    starts = [grow_stellated_sphere(d, d + 1, 6, rng)[0] for d in (1, 2, 3, 4)]
+    starts += [grow_shelled_ball(d, d, 6, rng)[0] for d in (1, 2, 3, 4)]
+    # string labels that a fresh label w1 sorts between, and mixed labels
+    # whose order turns numeric when the string goes: the order changes
+    starts += [
+        _relabelled(grow_stellated_sphere(2, 3, 4, rng)[0], ["a", "b", "x", "y", "z", "zz", "zzz", "zzzz"]),
+        _relabelled(grow_shelled_ball(2, 2, 4, rng)[0], ["a", "x", "y", "z", "zz", "zzz"]),
+        _relabelled(standard_sphere(2), [1, 2, 10, "s"]),
+        _relabelled(grow_shelled_ball(3, 2, 3, rng)[0], [1, 2, 10, "s", 3, 4, 5]),
+    ]
+    starts += [x for x in DIFFERENTIAL_CASES[-9:-2] if not x.is_pure]
+    for x in starts:
+        m = _Masks(x)
+        seen = [frozenset(m.facets)]
+        for step in range(12):
+            assert_lists_match(m)
+            roll = rng.random()
+            flips = m.bistellar(0, m.top - 1)
+            attaches = [mv for mv in m.shelling(m.top - 1) if m.attach_reason(*mv) is None]
+            if step == 9:
+                m.load({f ^ (f & -f) for f in m.facets if f.bit_count() == m.top})
+            elif roll < 0.25 or not flips and not attaches:
+                m.load(rng.choice(seen))
+            elif roll < 0.65 and flips or not attaches:
+                a, b = rng.choice(flips)
+                m.flip(a, b, BistellarMove(alpha=m.face(a), beta=m.face(b)))
+            else:
+                a, b = rng.choice(attaches)
+                m.attach(a, b, ShellingMove(alpha=m.face(a), beta=m.face(b)))
+            seen.append(frozenset(m.facets))
+        assert_lists_match(m)
+
+
 def test_growers_match_their_oracles():
     # the same complex, certificate and rng draws over seeds x dim 1-5 x
     # k 1..dim+1 x steps up to 30
@@ -604,7 +757,7 @@ def test_growers_match_their_oracles():
 def test_growers_raise_invalid_move_from_the_mask_checks():
     # the grower's own checks, not a replay, stop a move that does not apply
     x = standard_sphere(2)
-    m = _Masks(x.vertices, x._facet_masks)
+    m = _Masks(x)
     bits = {v: m.bit[v] for v in x.vertices}
     for alpha, beta, reason in (
         ((1, 2, 3), (4,), "beta-not-fresh"),
@@ -617,7 +770,7 @@ def test_growers_raise_invalid_move_from_the_mask_checks():
             m.flip(sum(bits[v] for v in alpha), sum(bits[v] for v in beta), mv)
         assert err.value.reason == reason
     y = from_facets([[1, 2, 3], [2, 3, 4]])
-    m = _Masks(y.vertices, y._facet_masks)
+    m = _Masks(y)
     mv = ShellingMove(alpha=(1,), beta=(2, 4))
     assert shelling_valid(y, mv) == "beta-already-a-face"
     with pytest.raises(InvalidMove) as err:
