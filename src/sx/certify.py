@@ -253,6 +253,14 @@ def certify_k_shelled(b: Complex, k: int, budget: SearchBudget | None = None) ->
     at most k vertices and is not a face of P (so it is not empty).  No
     other beta can be valid, because for v outside beta the face
     ``sigma \\ {v}`` contains beta, so it is not a face of P either.
+
+    The attachment of facet j is memoised on ``near = nbr[j] & P``, its
+    shelled neighbours: every facet through a ridge of j other than j is a
+    neighbour of j, in any pure complex, so R and the facets through R
+    depend on (j, near) alone; only whether one of those is in P is asked
+    at each node.  A pseudomanifold gives at most 2^(d+1) entries a facet,
+    any complex at most one a facet and node, and the memo dies with the
+    call.
     """
     budget = budget or SearchBudget()
     if not b.is_pure or b.is_empty_complex:
@@ -277,21 +285,31 @@ def certify_k_shelled(b: Complex, k: int, budget: SearchBudget | None = None) ->
     for i, rs in enumerate(ridges):
         for v, _ in rs:
             star[v] = star.get(v, 0) | 1 << i
+    memo: list[dict] = [{} for _ in range(m)]  # facet j -> near -> attachment
+
+    def attachment(j: int, near: int) -> tuple:
+        """(through, move): facet j's move onto shelled neighbours near and
+        the facets through its beta, or -1 and None when j has no move."""
+        beta = [v for v, r in ridges[j] if (r & near).bit_count() == 1]
+        if not beta or len(beta) > k:
+            return -1, None
+        through = -1
+        for v in beta:
+            through &= star[v]
+        alpha = tuple(v for v in facets[j] if v not in beta)
+        return through, ShellingMove(alpha=alpha, beta=tuple(beta))
 
     def children(state: int):
         for j in range(m):
             # a facet that shares no ridge with P has an empty restriction face
-            if state >> j & 1 or not nbr[j] & state:
+            near = nbr[j] & state
+            if not near or state >> j & 1:
                 continue
-            beta = [v for v, r in ridges[j] if (r & state).bit_count() == 1]
-            if len(beta) > k:
-                continue
-            holders = state
-            for v in beta:
-                holders &= star[v]
-            if not holders:
-                alpha = tuple(v for v in facets[j] if v not in beta)
-                yield ShellingMove(alpha=alpha, beta=tuple(beta)), state | 1 << j
+            hit = memo[j].get(near)
+            if hit is None:
+                hit = memo[j][near] = attachment(j, near)
+            if not hit[0] & state:
+                yield hit[1], state | 1 << j
 
     full = (1 << m) - 1
     states, moves, nodes, cut = _memo_dfs(

@@ -135,9 +135,13 @@ def bistellar_valid(x: Complex, move: BistellarMove) -> str | None:
 
 
 def apply_bistellar(x: Complex, move: BistellarMove) -> Complex:
+    """x after move; InvalidMove if `bistellar_valid` objects.  Only the
+    facets the move touches are turned from masks into labels."""
     m = _Masks(x)
-    m.flip(*m.pair(move), move)
-    return m.complex()
+    a, b = m.pair(move)
+    m.flip(a, b, move)
+    gone = {frozenset(m.ascending(a | b ^ v)) for v in _low_bits(b)}
+    return Complex([*(x.facet_sets - gone), *(m.ascending(a ^ u | b) for u in _low_bits(a))])
 
 
 def bistellar_options(
@@ -178,9 +182,11 @@ def shelling_valid(y: Complex, move: ShellingMove) -> str | None:
 
 
 def apply_shelling(y: Complex, move: ShellingMove) -> Complex:
+    """y after move; InvalidMove if `shelling_valid` objects."""
     m = _Masks(y)
-    m.attach(*m.pair(move), move)
-    return m.complex()
+    a, b = m.pair(move)
+    m.attach(a, b, move)
+    return Complex([*y.facet_sets, m.ascending(a | b)])
 
 
 def _reason(x: Complex, move, rule) -> str | None:

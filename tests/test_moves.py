@@ -909,6 +909,39 @@ def test_move_checks_match_the_frozenset_oracles(differential_complexes):
     assert checked > 10000 and reordered == 1
 
 
+def _mask_applied(x, move):
+    """x after move through the mask state, every facet turned back into
+    labels: the apply that `apply_bistellar` and `apply_shelling` replace."""
+    m = _Masks(x)
+    (m.flip if isinstance(move, BistellarMove) else m.attach)(*m.pair(move), move)
+    return m.complex()
+
+
+def test_apply_matches_the_mask_state(differential_complexes):
+    # every listed move, index 0 and those that remove a vertex among them,
+    # and moves with empty alpha that leave {∅} or a lower-dimensional
+    # facet: the same complex, digest and vertex order, or the same reason
+    # (on a non-pure complex a listed shelling move can fail its check)
+    drops = [
+        (standard_sphere(1), BistellarMove(alpha=(), beta=(1, 2, 3))),
+        (Complex([(1, 2), (1, 3), (2, 3), (4,)]), BistellarMove(alpha=(), beta=(1, 2, 3))),
+    ]
+    cases = drops + [
+        (x, mv)
+        for x in differential_complexes
+        for mv in bistellar_options(x, 0, x.dimension) + shelling_options(x, x.dimension)
+    ]
+    kinds = set()
+    for x, mv in cases:
+        apply = apply_bistellar if isinstance(mv, BistellarMove) else apply_shelling
+        got, want = _outcome(apply, x, mv), _outcome(_mask_applied, x, mv)
+        assert got == want, (x.facets, mv)
+        if isinstance(got, Complex):
+            assert (got.digest, got.vertices) == (want.digest, want.vertices), (x.facets, mv)
+            kinds.add((type(mv).__name__, mv.index == 0, len(got.vertices) - len(x.vertices)))
+    assert {("BistellarMove", True, 1), ("BistellarMove", False, -1), ("ShellingMove", True, 1)} <= kinds
+
+
 def _corrupted(cert, rng, probes):
     """Copies of cert: its first half with the full result digest, and up
     to four with a probe in place of one move, or after the last."""
