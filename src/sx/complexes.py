@@ -5,11 +5,9 @@ is enumerated lazily and memoized per dimension.  Vertex labels are
 integers or short strings, ordered numerically when every label of the
 complex is an integer and by string value otherwise, so that all derived
 orderings (facet lists, digests, move enumerations) are deterministic
-across runs.  `Complex.face_index` is the one canonical face order: each
-face's row per dimension, which every boundary matrix is indexed by.
-`Complex._facet_masks` is the one bitmask encoding of the facets, bit i
-for the vertex at position i, that connectivity, normality and the
-homology screens' collapse read.  `Complex._ridge_masks` is the one dual
+across runs.  `Complex._facet_masks` is the one bitmask encoding of the
+facets, bit i for the vertex at position i, that connectivity, normality,
+homology and tightness read.  `Complex._ridge_masks` is the one dual
 graph, the facets through each ridge as a mask over facet indices.
 """
 
@@ -170,17 +168,6 @@ class Complex:
                 for c in itertools.combinations(fs, r):
                     tier.add(frozenset(c))
         return {k: frozenset(v) for k, v in by_dim.items()}
-
-    @cached_property
-    def face_index(self) -> dict[int, dict[tuple, int]]:
-        """Per dimension from -1, each face's canonical tuple mapped to its
-        row; rows follow the faces' vertex positions lexicographically."""
-        pos, verts = self._vertex_pos, self.vertices
-        index = {}
-        for k, faces in self._faces_by_dim.items():
-            rows = sorted(tuple(sorted(pos[v] for v in f)) for f in faces)
-            index[k] = {tuple(verts[i] for i in r): n for n, r in enumerate(rows)}
-        return index
 
     def faces(self, dim: int) -> frozenset:
         """All faces of the given dimension (``-1`` yields ``{∅}``)."""

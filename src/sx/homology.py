@@ -12,8 +12,10 @@ divided by the gcd of its entries).  The ranks go top-down with clearing:
 the columns of ∂_k at the pivot rows of ∂_{k+1}, reduced over the same
 field, are dropped before ∂_k is eliminated, which leaves its rank
 unchanged.  Every rank is exact over Q and every F_p; nothing here is
-floating point.  `_boundary_columns` assembles the full boundary maps over
-`Complex.face_index`, for the induced maps of `certify`.
+floating point.  Given the vertex mask A of an induced subcomplex Y,
+`_reduce` reduces the relative chain complex of the pair instead: the
+faces inside A start dead, so `_residual_betti` gives the relative Betti
+numbers β_j(X, Y) that `certify` decides tightness by.
 
 The screens collapse first: a greedy collapse on the facet bitmasks that
 ends at a point settles the homology over Z, and so over every field, with
@@ -63,19 +65,6 @@ def check_field(field: int) -> int:
 
 def field_name(field: int) -> str:
     return "Q" if field == 0 else f"F{field}"
-
-
-def _boundary_columns(x: Complex, k: int) -> list[dict[int, int]]:
-    """Columns of the k-th boundary map of the reduced chain complex.
-
-    Rows and columns follow `Complex.face_index`; k = 0 yields the
-    augmentation map, whose one row is the empty face.
-    """
-    rows = x.face_index[k - 1]
-    return [
-        {rows[f[:j] + f[j + 1:]]: (-1) ** j for j in range(len(f))}
-        for f in x.face_index.get(k, ())
-    ]
 
 
 def _divide_by_gcd(col: dict[int, int]) -> None:
@@ -134,31 +123,34 @@ def _pivot_rows(cols: list[dict[int, int]], field: int) -> set[int]:
     return set(pivots)
 
 
-def _rank(cols: list[dict[int, int]], field: int) -> int:
-    return len(_pivot_rows(cols, field))
-
-
-def _reduce(masks) -> list[list[int]]:
-    """The cells of the complex generated by the facet bitmasks that survive
+def _reduce(masks, inside: int | None = None) -> list[list[int]]:
+    """The cells of the complex generated by the bitmasks that survive
     reduction over Z, grouped by size: out[s] holds the residual cells with s
-    vertices, s = 0 (the empty face) to the largest facet size.
+    vertices, s = 0 (the empty face) to the largest generator size.
 
     Every face is a cell, ∅ (mask 0) the augmentation cell.  The faces are
-    built top-down from the facets, each with its cofaces, a smaller facet
-    joining at its own size.  A first in, first out queue then removes pairs
-    (a, b) of live cells, a a face of b, wherever b has exactly one live
-    face a (a coreduction) or a has exactly one live coface b (a free-face
-    collapse); the first pair is (∅, lowest vertex).  Simplicial incidences
-    are ±1, a unit over Z, so each pair is an elementary reduction, and its
-    correction term [c:a]·[b:a]⁻¹·∂b vanishes on the cells left: ∂b has no
-    other live face in a coreduction, and no other live c has a as a face
-    in a collapse.  The live cells with the original incidences restricted
-    to them therefore form a chain complex with the homology of the
-    complex over Z, so over Q and every F_p.
+    built top-down from the generators, each with its cofaces, a smaller
+    generator joining at its own size unless it is already a face.  With
+    `inside`, the vertex mask A of an induced subcomplex Y, the cells are
+    those of the chain complex of the pair: the faces inside A, ∅ among
+    them, start dead, and face and coface counts count live cells only.  A
+    first in, first out queue then removes pairs (a, b) of live cells, a a
+    face of b, wherever b has exactly one live face a (a coreduction) or a
+    has exactly one live coface b (a free-face collapse); without `inside`
+    the first pair is (∅, lowest vertex), and with it the queue starts at
+    every cell with one live face.  Simplicial incidences are ±1, a unit
+    over Z, so each pair is an elementary reduction, and its correction
+    term [c:a]·[b:a]⁻¹·∂b vanishes on the cells left: ∂b has no other live
+    face in a coreduction, and no other live c has a as a face in a
+    collapse.  The live cells with the original incidences restricted to
+    them therefore form a chain complex with the homology of the complex
+    over Z, or of the pair, so over Q and every F_p.
     """
     by_size: dict[int, list[int]] = {}
+    union = 0
     for g in masks:
         by_size.setdefault(g.bit_count(), []).append(g)
+        union |= g
     top = max(by_size)
     # cell i is the face cells[i]; faces[i] and cofaces[i] list cell ids.
     # The ids run by size downwards, so a layer is built in id order.
@@ -169,6 +161,8 @@ def _reduce(masks) -> list[list[int]]:
     layer: list[int] = []
     for size in range(top, -1, -1):
         for g in by_size.get(size, ()):
+            if g in index:
+                continue
             index[g] = len(cells)
             cells.append(g)
             cofaces.append([])
@@ -192,10 +186,16 @@ def _reduce(masks) -> list[list[int]]:
                 b ^= low
             faces.append(ids)
         layer = below
-    live = [True] * len(cells)
-    n_face = [len(ids) for ids in faces]
-    n_cof = [len(ids) for ids in cofaces]
-    queue = deque([index[1]])  # the lowest vertex, to pair with ∅
+    if inside is None:
+        live = [True] * len(cells)
+        n_face = [len(ids) for ids in faces]
+        n_cof = [len(ids) for ids in cofaces]
+        queue = deque([index[union & -union]])  # the lowest vertex, to pair with ∅
+    else:
+        live = [c & ~inside != 0 for c in cells]
+        n_face = [sum(live[f] for f in ids) for ids in faces]
+        n_cof = [sum(live[t] for t in ids) for ids in cofaces]
+        queue = deque(i for i, n in enumerate(n_face) if n == 1)
     queue.extend(i for i, n in enumerate(n_cof) if n == 1)
 
     def remove(c: int) -> None:
@@ -234,12 +234,11 @@ def _residual_betti(cells: list[list[int]], field: int) -> tuple[int, ...]:
     of `_reduce` over one field.
 
     ∂ of a cell b has the entry (−1)^j at its face b ^ bit, j the rank of
-    the bit among b's set bits, the sign of `_boundary_columns`.  Ranks go
-    from the top down with clearing, over this one field throughout: a
-    pivot of ∂_{k+1} keyed at row r is a reduced column, so a k-cycle whose
-    lowest row is r; from the highest such r down, column r of ∂_k is
-    therefore a combination of the columns not cleared, and dropping the
-    cleared ones keeps the rank.
+    the bit among b's set bits.  Ranks go from the top down with clearing,
+    over this one field throughout: a pivot of ∂_{k+1} keyed at row r is a
+    reduced column, so a k-cycle whose lowest row is r; from the highest
+    such r down, column r of ∂_k is therefore a combination of the columns
+    not cleared, and dropping the cleared ones keeps the rank.
     """
     ranks = [0] * (len(cells) + 1)
     cleared: set[int] = set()

@@ -203,15 +203,15 @@ def _reason(x: Complex, move, rule) -> str | None:
 def shelling_options(y: Complex, max_index: int, fresh: Label | None = None) -> list[ShellingMove]:
     """All shelling moves of index <= max_index applicable to y.
 
-    Every rim ridge (a ridge in exactly one facet) is coned to one explicit
-    fresh vertex (index 0).  A move of index >= 1 attaches a facet
-    ``sigma = ridge ∪ {v}`` with v a vertex of y.  All proper faces of the
-    rim ridge are faces of y, and so is {v}, so beta contains v and some
-    other b, and ``sigma \\ {b}`` must be a rim ridge too.  That ridge
-    meets the first one in a (d-2)-face, so every valid sigma is the union
-    of two rim ridges that differ in one vertex, and only those unions are
-    tried, each split with beta the v for which ``sigma \\ {v}`` is a rim
-    ridge (`_Spans`).
+    Every rim ridge (a ridge of a top-dimensional facet in no other facet
+    of its size) is coned to one explicit fresh vertex (index 0).  A move
+    of index >= 1 attaches a facet ``sigma = ridge ∪ {v}`` with v a vertex
+    of y.  All proper faces of the rim ridge are faces of y, and so is {v},
+    so beta contains v and some other b, and ``sigma \\ {b}`` must be a rim
+    ridge too.  That ridge meets the first one in a (d-2)-face, so every
+    valid sigma is the union of two rim ridges that differ in one vertex,
+    and only those unions are tried, each split with beta the v for which
+    ``sigma \\ {v}`` is a rim ridge (`_Spans`).
     """
     m = _Masks(y)
     return [ShellingMove(alpha=m.face(a), beta=m.face(b)) for a, b in m.shelling(max_index, fresh)]
@@ -427,7 +427,7 @@ class _Masks:
             self._flips.touch(self, f, added)
         if self._shells is not None:
             self._shells.touch(self, f, added)
-            for v in _low_bits(f):
+            for v in _low_bits(f) if f.bit_count() == self.top else ():
                 if (self._holders(f ^ v) == 1) != (f ^ v in self._shells.cells):
                     self._shells.toggle(self, f ^ v)
 
@@ -510,7 +510,8 @@ class _Masks:
         """The moves of `shelling_options`, as mask pairs."""
         self._tables()
         if self._shells is None:
-            rim = [f ^ v for f in self.facets for v in _low_bits(f) if self._holders(f ^ v) == 1]
+            top_facets = [f for f in self.facets if f.bit_count() == self.top]
+            rim = [f ^ v for f in top_facets for v in _low_bits(f) if self._holders(f ^ v) == 1]
             self._shells = _Spans(self, lambda m, sigma, beta: sigma not in m.facets and not m.has_face(beta), rim)
         return self._shells.listed(self, 0, max_index, self._fresh_bit(fresh) if max_index >= 0 else 0)
 

@@ -37,6 +37,7 @@ from sx.constructions import clique_closure, klee_novik, stacked_ball_closure
 from sx.corpus import fixture
 from sx.errors import (
     DimensionTooHigh,
+    EmptyInput,
     GuardExceeded,
     NotABall,
     NotNormalPseudomanifold,
@@ -44,7 +45,7 @@ from sx.errors import (
     SxError,
 )
 from sx.growth import grow_shelled_ball, grow_stacked_sphere, grow_stellated_sphere
-from sx.homology import _boundary_columns, _rank, screen_homology_sphere
+from sx.homology import _pivot_rows, screen_homology_sphere
 from sx.moves import (
     BistellarMove,
     MoveCertificate,
@@ -55,7 +56,7 @@ from sx.moves import (
     is_standard_sphere,
     reverse_move,
 )
-from test_complexes import oracle_dual_graph
+from test_complexes import oracle_boundary_columns, oracle_dual_graph
 from test_moves import boundary_certificate, complex_bistellar_options, flip_facets
 
 RP2 = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
@@ -1194,7 +1195,10 @@ def test_tightness_beta_condition_non_integer_refutes():
 def test_tight_balls_and_spheres():
     for d in (1, 2, 3):
         assert is_tight_exhaustive(standard_ball(d), 2).proved
-        assert is_tight_exhaustive(standard_sphere(d), 0).proved
+        sphere = standard_sphere(d)
+        assert is_tight_exhaustive(sphere, 0).proved
+        # it runs on the facet masks: no face lattice is built
+        assert "_faces_by_dim" not in vars(sphere)
 
 
 def test_cone_over_sphere_not_tight():
@@ -1214,6 +1218,11 @@ def test_disconnected_induced_subcomplex_refutes_tightness():
 def test_tightness_guard():
     with pytest.raises(GuardExceeded):
         is_tight_exhaustive(cross_polytope(8), 2, guard=16)
+
+
+def test_tightness_of_the_empty_complex_is_an_input_error():
+    with pytest.raises(EmptyInput):
+        is_tight_exhaustive(Complex.empty(), 2)
 
 
 def oracle_kernel_basis(cols, field):
@@ -1256,6 +1265,45 @@ def oracle_kernel_basis(cols, field):
     return kernel
 
 
+def _rank(cols, field):
+    return len(_pivot_rows(cols, field))
+
+
+def oracle_induced_rank_injective(x, y, j, field, x_cache):
+    """Injectivity of reduced H_j(y) -> H_j(x) for an induced subcomplex y:
+    the former `certify._induced_rank_injective`, rows from `sorted_faces`.
+
+    The kernel is (B_j(x) ∩ C_j(y)) / B_j(y), since every boundary of x is
+    a cycle and the cycles of x inside C_j(y) are the cycles of y.  Deleting
+    the rows of y's j-faces from ∂_{j+1}(x) leaves a matrix of rank
+    dim B_j(x) - dim(B_j(x) ∩ C_j(y)), so three exact ranks decide the map.
+    x_cache holds x's columns and rank per degree j.
+    """
+    if j not in x_cache:
+        cols = oracle_boundary_columns(x, j + 1)
+        x_cache[j] = (cols, _rank(cols, field))
+    bx_cols, bx_rank = x_cache[j]
+    rows = {frozenset(f): i for i, f in enumerate(x.sorted_faces(x.faces(j)))}
+    y_rows = {rows[f] for f in y.faces(j)}
+    outside_y = [{i: v for i, v in col.items() if i not in y_rows} for col in bx_cols]
+    by_rank = _rank(oracle_boundary_columns(y, j + 1), field)
+    return bx_rank - _rank(outside_y, field) == by_rank
+
+
+def oracle_is_tight_by_induced_ranks(x, field):
+    """The former `is_tight_exhaustive`: one `Complex` per vertex subset and
+    the full boundary columns of x and of it, three ranks per degree."""
+    x_cache: dict = {}
+    verts = x.vertices
+    for size in range(1, len(verts)):
+        for combo in itertools.combinations(verts, size):
+            y = x.induced(combo)
+            for j in range(0, y.dimension + 1):
+                if not oracle_induced_rank_injective(x, y, j, field, x_cache):
+                    return REFUTED, {"vertices": [str(v) for v in combo], "dimension": j}
+    return PROVED, {"subsets_checked": 2 ** len(verts) - 2}
+
+
 def orientation_sign(face, reordered):
     """Sign of the permutation that turns the tuple face into reordered."""
     perm = [face.index(v) for v in reordered]
@@ -1272,11 +1320,11 @@ def oracle_is_tight(x, field):
         for combo in itertools.combinations(verts, size):
             y = x.induced(combo)
             for j in range(y.dimension + 1):
-                z_basis = oracle_kernel_basis(_boundary_columns(y, j), field)
+                z_basis = oracle_kernel_basis(oracle_boundary_columns(y, j), field)
                 if not z_basis:
                     continue
-                by_rank = _rank(_boundary_columns(y, j + 1), field)
-                bx_cols = _boundary_columns(x, j + 1)
+                by_rank = _rank(oracle_boundary_columns(y, j + 1), field)
+                bx_cols = oracle_boundary_columns(x, j + 1)
                 x_index = {frozenset(f): i for i, f in enumerate(x.sorted_faces(x.faces(j)))}
                 y_faces = y.sorted_faces(y.faces(j))
                 # a face that x orders unlike y (mixed labels) changes sign
@@ -1318,10 +1366,48 @@ def test_tightness_agrees_with_kernel_basis_oracle():
     outcomes = set()
     for x in complexes:
         for field in (0, 2, 3):
-            v = is_tight_exhaustive(x, field)
-            assert (v.status, v.witness) == oracle_is_tight(x, field), (x.facets, field)
-            outcomes.add(v.witness.get("dimension"))
+            outcomes.add(assert_tightness_matches(x, field).get("dimension"))
     assert outcomes == {None, 0, 1, 2}
+
+
+def assert_tightness_matches(x, field):
+    """The relative-Betti path against the induced-rank path it replaced and
+    the kernel-basis oracle: equal status and witness; returns the witness."""
+    v = is_tight_exhaustive(x, field)
+    got = (v.status, v.witness)
+    assert got == oracle_is_tight_by_induced_ranks(x, field), (x.facets, field)
+    assert got == oracle_is_tight(x, field), (x.facets, field)
+    return v.witness
+
+
+def seven_vertex_torus():
+    """The 7-vertex torus: {i, i+1, i+3} and {i, i+2, i+3} mod 7."""
+    return Complex([(i % 7 + 1, (i + a) % 7 + 1, (i + 3) % 7 + 1) for i in range(7) for a in (1, 2)])
+
+
+def kuehnel_k39():
+    """Kühnel's 9-vertex 3-manifold K³₉: the boundary of the nine 4-simplices
+    {i, ..., i+4} mod 9 (Results Math. 9, 1986), not orientable."""
+    return Complex([[(i + j) % 9 + 1 for j in range(5)] for i in range(9)]).boundary()
+
+
+def test_tightness_matches_the_induced_rank_path(differential_complexes):
+    # every member on at most 11 vertices, all but the corpus complexes on
+    # 16 to 19 (the oracles build a complex per vertex subset), and the
+    # 7-vertex torus and K³₉, pinned
+    small = [x for x in differential_complexes if len(x.vertices) <= 11]
+    assert len(small) >= 180
+    outcomes = set()
+    for x in small:
+        for field in (0, 2, 3):
+            outcomes.add(assert_tightness_matches(x, field).get("dimension"))
+    assert outcomes == {None, 0, 1, 2}
+    torus, k39 = seven_vertex_torus(), kuehnel_k39()
+    assert torus.f_vector() == (7, 21, 14) and k39.f_vector() == (9, 36, 54, 27)
+    for field in (0, 2):
+        assert assert_tightness_matches(torus, field) == {"subsets_checked": 126}
+    assert assert_tightness_matches(k39, 2) == {"subsets_checked": 510}
+    assert assert_tightness_matches(k39, 0) == {"vertices": ["1", "2", "3", "4"], "dimension": 2}
 
 
 # -- structural cross-checks ------------------------------------

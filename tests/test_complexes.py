@@ -21,7 +21,6 @@ from sx.errors import (
     VertexClash,
 )
 from sx.growth import grow_shelled_ball
-from sx.homology import _boundary_columns
 
 
 def closure_f_vector(facets):
@@ -520,10 +519,3 @@ def test_classification_and_links_match_the_link_complex_oracle(differential_com
         seen.add(tuple(flags.values()) + (x.is_connected,))
     # normal and not, pseudomanifold and not, connected and not all occur
     assert len(seen) >= 6
-
-
-def test_boundary_columns_match_the_sorted_faces_oracle(differential_complexes):
-    for x in differential_complexes:
-        for k in range(x.dimension + 2):
-            assert _boundary_columns(x, k) == oracle_boundary_columns(x, k), (x.facets, k)
-            assert list(x.face_index.get(k, ())) == x.sorted_faces(x.faces(k))

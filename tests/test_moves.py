@@ -115,6 +115,11 @@ def oracle_shelling_moves(y, max_index):
 # The simple enumerators the indexed ones replace, verbatim except that face
 # membership goes through the facet scan ``scan_has_face`` and links through
 # ``scan_link``, so that no part of the reference rests on the index it checks.
+# The shelling rim here, in ``complex_shelling_options`` and in
+# ``ScratchMasks.shelling`` takes only the ridges of top-dimensional facets:
+# taken from every facet, on a non-pure complex it listed moves that
+# ``shelling_valid`` rejects (``wrong-dimensions``), and so did the code under
+# test.
 
 
 def scan_has_face(x, face):
@@ -163,7 +168,7 @@ def scan_attachment_split(y, sigma):
 
 def scan_shelling_options(y, max_index, fresh=None):
     d = y.dimension
-    rim = [r for r, fs in y._ridge_incidence.items() if len(fs) == 1]
+    rim = [r for r, fs in y._ridge_incidence.items() if len(fs) == 1 and len(r) == d]
     opts = []
     seen = set()
     new = fresh if fresh is not None else fresh_label(y)
@@ -299,7 +304,7 @@ def complex_attachment_split(y: Complex, sigma: frozenset) -> tuple | None:
 
 
 def complex_shelling_options(y: Complex, max_index: int, fresh=None) -> list[ShellingMove]:
-    rim = [r for r, fs in y._ridge_incidence.items() if len(fs) == 1]
+    rim = [r for r, fs in y._ridge_incidence.items() if len(fs) == 1 and len(r) == y.dimension]
     opts: list[ShellingMove] = []
     if max_index >= 0:
         new = fresh if fresh is not None else fresh_label(y)
@@ -566,7 +571,7 @@ class ScratchMasks:
 
     def shelling(self, max_index: int, fresh=None) -> list[tuple[int, int]]:
         """The moves of `shelling_options`, as mask pairs."""
-        rim = [r for r, fs in self.ridges.items() if len(fs) == 1]
+        rim = [r for r, fs in self.ridges.items() if len(fs) == 1 and r.bit_count() == self.top - 1]
         moves = []
         if max_index >= 0:
             new = self._fresh_bit(fresh)
@@ -672,6 +677,26 @@ def test_options_match_the_complex_enumerators():
             assert shelling_options(x, max_index) == complex_shelling_options(x, max_index), (x.facets, max_index)
         assert bistellar_options(x, 0, 1, fresh="z") == complex_bistellar_options(x, 0, 1, fresh="z")
         assert shelling_options(x, 1, fresh=0) == complex_shelling_options(x, 1, fresh=0)
+
+
+def test_listed_shelling_options_pass_the_check(differential_complexes):
+    # from the definition: every listed move applies, and on the smaller
+    # inputs the list is every valid move there is, with one fresh label
+    seen = 0
+    for x in differential_complexes:
+        opts = shelling_options(x, x.dimension)
+        for mv in opts:
+            assert shelling_valid(x, mv) is None, (x.facets, mv)
+        if len(x.vertices) <= 8:
+            listed = {(frozenset(mv.alpha), frozenset(mv.beta)) for mv in opts}
+            assert listed == oracle_shelling_moves(x, x.dimension), x.facets
+        seen += not x.is_pure
+    assert seen
+    # a point beside an edge: the point's empty ridge is no rim ridge
+    assert shelling_options(Complex([(6,), (2, 7)]), 1) == [
+        ShellingMove(alpha=(2,), beta=(8,)),
+        ShellingMove(alpha=(7,), beta=(8,)),
+    ]
 
 
 def assert_lists_match(m: _Masks) -> None:
@@ -921,7 +946,6 @@ def test_apply_matches_the_mask_state(differential_complexes):
     # every listed move, index 0 and those that remove a vertex among them,
     # and moves with empty alpha that leave {∅} or a lower-dimensional
     # facet: the same complex, digest and vertex order, or the same reason
-    # (on a non-pure complex a listed shelling move can fail its check)
     drops = [
         (standard_sphere(1), BistellarMove(alpha=(), beta=(1, 2, 3))),
         (Complex([(1, 2), (1, 3), (2, 3), (4,)]), BistellarMove(alpha=(), beta=(1, 2, 3))),
