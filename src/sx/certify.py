@@ -17,7 +17,7 @@ import operator
 from collections import deque
 from dataclasses import dataclass, field
 
-from .complexes import Complex
+from .complexes import Complex, _bits, _face_lattice
 from .constructions import stacked_ball_closure
 from .errors import (
     DimensionTooHigh,
@@ -111,25 +111,21 @@ def _faces_out(x: Complex, faces) -> list[list]:
     return [list(f) for f in x.sorted_faces(faces)]
 
 
-def _bits(mask: int):
-    """The indices of the set bits of mask, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 # -- stackedness ---------------------------------------------------------------
 
 
-def _interior_face(ball: Complex, bd: Complex, top: int) -> tuple[int, tuple] | None:
-    """(m, face) for the first face of ball of dimension m <= top that bd
-    lacks, lowest m first and then in ball's vertex order, which compares
-    positions and so mixed labels too; None when there is none."""
+def _interior_face(ball: Complex, top: int) -> tuple[int, tuple] | None:
+    """(m, face) for the first face of ball of dimension m <= top that is
+    not on its boundary, lowest m first and then in ball's vertex order,
+    which compares positions and so mixed labels too; None when there is
+    none.  The boundary faces are the lattice of ball's boundary ridges, as
+    masks over ball's own vertex positions."""
+    pos = ball._vertex_pos
+    rim = set(_face_lattice([sum(1 << pos[u] for u in f if u != v) for f, v in ball._rim()]).cells)
     for m in range(top + 1):
-        inner = ball.faces(m) - bd.faces(m)
+        inner = [c for c in ball._lattice.of_size(m + 1) if c not in rim]
         if inner:
-            return m, ball.sorted_faces(inner)[0]
+            return m, ball.sorted_faces(map(ball._labels, inner))[0]
     return None
 
 
@@ -142,11 +138,9 @@ def is_k_stacked_ball(b: Complex, k: int, fields=DEFAULT_FIELDS) -> Verdict:
     screen = screen_homology_ball(b, fields)
     if not screen.passed:
         raise NotABall(screen.detail)
-    d = b.dimension - 1
-    bd = b.boundary()
-    top = d - k
+    top = b.dimension - 1 - k
     notes = (screen.render_note(),)
-    hit = _interior_face(b, bd, top)
+    hit = _interior_face(b, top)
     if hit is not None:
         m, w = hit
         return Verdict(
@@ -156,7 +150,7 @@ def is_k_stacked_ball(b: Complex, k: int, fields=DEFAULT_FIELDS) -> Verdict:
         PROVED,
         witness={
             "skeleton_checked_up_to": top,
-            "face_counts": [len(b.faces(m)) for m in range(0, max(top + 1, 0))],
+            "face_counts": list(b.f_vector()[: max(top + 1, 0)]),
         },
         notes=notes,
     )
@@ -543,7 +537,7 @@ def certify_k_stacked_sphere(
         inner = screen_homology_ball(ball, fields)
         if not inner.passed:
             return Verdict(REFUTED, witness={"reason": f"closure: {inner.detail}"}, notes=notes)
-        hit = _interior_face(ball, s, d - k)
+        hit = _interior_face(ball, d - k)
         if hit is not None:
             return Verdict(
                 REFUTED,
@@ -801,22 +795,22 @@ def is_tight_exhaustive(x: Complex, field: int, guard: int = 16) -> Verdict:
     H̃_j(Y) → H̃_j(x), the long exact sequence of the pair (x, Y) gives
     β_j(x, Y) − β̃_j(x) + β̃_j(Y) = k_j + k_{j−1}, with k_{−1} = 0 as Y is
     not empty.  So each k_j follows from three Betti numbers: β̃(x) once,
-    β̃(Y) from `_reduce` on the generators g & A, and β(x, Y) from
-    `_reduce` with the faces inside A dead; an acyclic Y needs no β(x, Y),
-    as k_j <= β̃_j(Y)."""
+    β̃(Y) from `_reduce` on the lattice of the generators g & A, and
+    β(x, Y) from `_reduce` on x's own lattice with the faces inside A dead;
+    an acyclic Y needs no β(x, Y), as k_j <= β̃_j(Y)."""
     check_field(field)
     n = len(x.vertices)
     if n > guard:
         raise GuardExceeded(f"{n} vertices exceed the guard {guard}")
     bx = betti(x, field)  # EmptyInput on the empty complex
-    masks = x._facet_masks
+    masks, lattice = x._facet_masks, x._lattice
     for size in range(1, n):
         for combo in itertools.combinations(range(n), size):
             a = sum(1 << i for i in combo)
-            by = _residual_betti(_reduce([g & a for g in masks]), field)
+            by = _residual_betti(_reduce(_face_lattice([g & a for g in masks])), field)
             if not any(by):
                 continue
-            rel = _residual_betti(_reduce(masks, a), field)
+            rel = _residual_betti(_reduce(lattice, a), field)
             k = 0
             for j, b in enumerate(by):
                 k = rel[j] - bx[j] + b - k

@@ -1,23 +1,27 @@
 """Immutable facet-based simplicial complexes and their basic queries.
 
-A complex is stored by its inclusion-maximal faces only; the face lattice
-is enumerated lazily and memoized per dimension.  Vertex labels are
-integers or short strings, ordered numerically when every label of the
-complex is an integer and by string value otherwise, so that all derived
-orderings (facet lists, digests, move enumerations) are deterministic
-across runs.  `Complex._facet_masks` is the one bitmask encoding of the
-facets, bit i for the vertex at position i, that connectivity, normality,
-homology and tightness read.  `Complex._ridge_masks` is the one dual
-graph, the facets through each ridge as a mask over facet indices.
+A complex is stored by its inclusion-maximal faces only.  Vertex labels
+are integers or short strings, ordered numerically when every label of
+the complex is an integer and by string value otherwise, so that all
+derived orderings (facet lists, digests, move enumerations) are
+deterministic across runs.  `Complex._facet_masks` is the one bitmask
+encoding of the facets, bit i for the vertex at position i, that
+connectivity, normality, homology and tightness read.  `Complex._lattice`
+is the one face lattice, built once per complex from those masks by
+`_face_lattice`: each face a mask with its faces and cofaces, and each
+face size one contiguous id range, which the face counts, `faces`,
+missing faces, the stackedness checks, the closures and the homology
+reduction read.  `Complex._ridge_masks` is the one dual graph, the
+facets through each ridge as a mask over facet indices.
 """
 
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from math import comb
+from typing import Iterable, NamedTuple
 
 from .errors import (
     EmptyFace,
@@ -136,51 +140,39 @@ class Complex:
     def is_empty_complex(self) -> bool:
         return self.dimension == -1
 
-    @cached_property
-    def _vertex_star(self) -> dict[Label, list[FaceSet]]:
-        """Map each vertex to the facets containing it."""
-        star: dict[Label, list[FaceSet]] = {}
-        for facet in self._facets:
-            for v in facet:
-                star.setdefault(v, []).append(facet)
-        return star
-
     def has_face(self, face: Iterable[Label]) -> bool:
-        f = frozenset(face)
-        if len(f) - 1 > self.dimension:
-            return False
-        if not f:
-            return True
-        # every facet through f is in the star of each of f's vertices
-        return any(f <= g for g in self._vertex_star.get(next(iter(f)), ()))
+        pos = self._vertex_pos
+        f = 0
+        for v in face:
+            i = pos.get(v)
+            if i is None:
+                return False
+            f |= 1 << i
+        # every facet through f is in the star of f's lowest vertex
+        return not f or any(g & f == f for g in self._mask_star[(f & -f).bit_length() - 1])
 
     def __contains__(self, face) -> bool:
         return self.has_face(face)
 
     @cached_property
-    def _faces_by_dim(self) -> dict[int, frozenset]:
-        by_dim: dict[int, set] = {k: set() for k in range(-1, self.dimension + 1)}
-        by_dim[-1].add(frozenset())
-        for facet in self._facets:
-            fs = sorted(facet, key=self._vertex_pos.get)
-            for r in range(1, len(fs) + 1):
-                tier = by_dim[r - 1]
-                for c in itertools.combinations(fs, r):
-                    tier.add(frozenset(c))
-        return {k: frozenset(v) for k, v in by_dim.items()}
+    def _lattice(self) -> _Lattice:
+        """The face lattice of the facet masks, built once."""
+        return _face_lattice(self._facet_masks)
+
+    def _labels(self, mask: int) -> tuple:
+        """The face with the given vertex mask, in canonical vertex order."""
+        verts = self.vertices
+        return tuple(verts[i] for i in _bits(mask))
 
     def faces(self, dim: int) -> frozenset:
-        """All faces of the given dimension (``-1`` yields ``{∅}``)."""
+        """All faces of the given dimension (``-1`` yields ``{∅}``), built
+        from the lattice's masks on each call."""
         if dim < -1 or dim > self.dimension:
             return frozenset()
-        return self._faces_by_dim[dim]
-
-    def all_faces(self, include_empty: bool = False):
-        for k in range(-1 if include_empty else 0, self.dimension + 1):
-            yield from self._faces_by_dim[k]
+        return frozenset(frozenset(self._labels(c)) for c in self._lattice.of_size(dim + 1))
 
     def f_vector(self) -> tuple[int, ...]:
-        return tuple(len(self._faces_by_dim[k]) for k in range(0, self.dimension + 1))
+        return tuple(len(ids) for ids in self._lattice.sizes[1:])
 
     @cached_property
     def euler_characteristic(self) -> int:
@@ -244,19 +236,10 @@ class Complex:
     # -- pseudomanifold structure --------------------------------------------
 
     @cached_property
-    def _ridge_incidence(self) -> dict[FaceSet, tuple[FaceSet, ...]]:
-        """Map each (d-1)-face to the facets containing it (pure complexes)."""
-        ridges: dict[FaceSet, list] = {}
-        for facet in self._facets:
-            for v in facet:
-                ridges.setdefault(facet - {v}, []).append(facet)
-        return {r: tuple(fs) for r, fs in ridges.items()}
-
-    @cached_property
     def is_weak_pseudomanifold(self) -> bool:
         if self.is_empty_complex or not self.is_pure:
             return False
-        return all(len(fs) <= 2 for fs in self._ridge_incidence.values())
+        return all(r.bit_count() <= 2 for rs in self._ridge_masks for _, r in rs)
 
     def _require_weak_pseudomanifold(self):
         if not self.is_weak_pseudomanifold:
@@ -267,20 +250,33 @@ class Complex:
     def boundary(self) -> "Complex":
         """Facets are the ridges lying in exactly one facet; ``{∅}`` if none."""
         self._require_weak_pseudomanifold()
-        return Complex(r for r, fs in self._ridge_incidence.items() if len(fs) == 1)
+        return Complex([u for u in f if u != v] for f, v in self._rim())
 
     @cached_property
     def _ridge_masks(self) -> tuple[tuple[tuple[Label, int], ...], ...]:
         """The dual graph: for each facet of `facets`, in that order, and
         each vertex v of it, v with the mask over facet indices of the
-        facets through the ridge ``facet \\ {v}``.  A facet's neighbours
-        are the OR of its masks minus its own bit (see `_neighbour_masks`)."""
-        index = {frozenset(f): i for i, f in enumerate(self.facets)}
-        incidence = self._ridge_incidence
+        facets through the ridge ``facet \\ {v}``, read off the facets'
+        vertex masks.  A facet's neighbours are the OR of its masks minus
+        its own bit (see `_neighbour_masks`)."""
+        pos = self._vertex_pos
+        masks = [sum(1 << pos[v] for v in f) for f in self.facets]
+        through: dict[int, int] = {}
+        for i, g in enumerate(masks):
+            for j in _bits(g):
+                through[g ^ 1 << j] = through.get(g ^ 1 << j, 0) | 1 << i
         return tuple(
-            tuple((v, sum(1 << index[g] for g in incidence[fs - {v}])) for v in f)
-            for f, fs in zip(self.facets, index)
+            tuple((v, through[g ^ 1 << pos[v]]) for v in f)
+            for f, g in zip(self.facets, masks)
         )
+
+    def _rim(self):
+        """(facet, v) for each ridge ``facet \\ {v}`` that lies in that
+        facet only, facets in `facets` order."""
+        for f, rs in zip(self.facets, self._ridge_masks):
+            for v, r in rs:
+                if r & (r - 1) == 0:
+                    yield f, v
 
     @cached_property
     def _neighbour_masks(self) -> tuple[int, ...]:
@@ -306,11 +302,8 @@ class Complex:
         """For each vertex position, the masks of the facets through it."""
         star: tuple[list[int], ...] = tuple([] for _ in self.vertices)
         for g in self._facet_masks:
-            b = g
-            while b:
-                low = b & -b
-                star[low.bit_length() - 1].append(g)
-                b ^= low
+            for i in _bits(g):
+                star[i].append(g)
         return star
 
     def _mask_link_is_connected(self, f: int) -> bool:
@@ -336,9 +329,7 @@ class Complex:
             [nbr | 1 << i for i, nbr in enumerate(self._neighbour_masks)]
         )
         normal = weak and self._has_connected_low_links()
-        closed = weak and not [
-            1 for fs in self._ridge_incidence.values() if len(fs) == 1
-        ]
+        closed = weak and next(self._rim(), None) is None
         return Classification(
             pure=pure,
             weak_pseudomanifold=weak,
@@ -367,42 +358,104 @@ class Complex:
                 higher = 0
                 for g in star:
                     higher |= g
-                higher &= -1 << f.bit_length()
-                while higher:
-                    low = higher & -higher
-                    stack.append((f | low, [g for g in star if g & low]))
-                    higher ^= low
+                for i in _bits(higher & -1 << f.bit_length()):
+                    stack.append((f | 1 << i, [g for g in star if g >> i & 1]))
         return True
 
     # -- combinatorial queries -------------------------------------------------
 
     def missing_faces(self, max_dim: int) -> list[tuple]:
         """All non-faces of dimension <= max_dim with every proper subset a face."""
+        lattice, n = self._lattice, len(self.vertices)
         found = []
         for size in range(2, max_dim + 2):
-            lower = self._faces_by_dim.get(size - 2, frozenset())
-            present = self._faces_by_dim.get(size - 1, frozenset())
-            seen = set()
+            lower, present = set(lattice.of_size(size - 1)), set(lattice.of_size(size))
+            # each candidate is reached once, from itself minus its highest vertex
             for f in lower:
-                for v in self.vertices:
-                    if v in f:
-                        continue
-                    cand = f | {v}
-                    if cand in seen or cand in present:
-                        continue
-                    seen.add(cand)
-                    if all(cand - {u} in lower for u in cand):
+                for i in range(f.bit_length(), n):
+                    cand = f | 1 << i
+                    if cand not in present and all(cand ^ 1 << j in lower for j in _bits(cand)):
                         found.append(cand)
-        return self.sorted_faces(found)
+        return self.sorted_faces(map(self._labels, found))
 
     def is_l_neighborly(self, l: int) -> bool:
         if not 1 <= l <= len(self.vertices):
             raise ValueError(f"l must be in [1, {len(self.vertices)}]")
         if l - 1 > self.dimension:
             return False
-        from math import comb
+        return len(self._lattice.sizes[l]) == comb(len(self.vertices), l)
 
-        return len(self._faces_by_dim[l - 1]) == comb(len(self.vertices), l)
+
+def _bits(mask: int):
+    """The indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class _Lattice(NamedTuple):
+    """A face lattice on vertex bitmasks: cell i is the face cells[i],
+    faces[i] and cofaces[i] list the ids of its faces and cofaces one
+    vertex away, and sizes[s] is the range of the ids of the cells with s
+    vertices, s = 0 (∅ alone) to the largest generator size."""
+
+    cells: list[int]
+    faces: list[list[int]]
+    cofaces: list[list[int]]
+    sizes: list[range]
+
+    def of_size(self, s: int) -> list[int]:
+        """The cells with s vertices; none above the largest size."""
+        ids = self.sizes[s] if s < len(self.sizes) else range(0)
+        return self.cells[ids.start:ids.stop]
+
+
+def _face_lattice(generators) -> _Lattice:
+    """Every face of the complex generated by the bitmasks, built top-down,
+    each with its faces and cofaces: a layer's faces are its cells with one
+    bit dropped, and a smaller generator joins at its own size unless it
+    is already a face.  The ids run by size downwards, so a layer is built
+    in id order and each size is one contiguous range, ∅ (mask 0) last."""
+    by_size: dict[int, list[int]] = {}
+    for g in generators:
+        by_size.setdefault(g.bit_count(), []).append(g)
+    top = max(by_size)
+    index: dict[int, int] = {}
+    cells: list[int] = []
+    faces: list[list[int]] = []
+    cofaces: list[list[int]] = []
+    sizes = [range(0)] * (top + 1)
+    layer: list[int] = []
+    for size in range(top, -1, -1):
+        for g in by_size.get(size, ()):
+            if g in index:
+                continue
+            index[g] = len(cells)
+            cells.append(g)
+            cofaces.append([])
+            layer.append(g)
+        sizes[size] = range(len(cells) - len(layer), len(cells))
+        below = []
+        for t in layer:
+            i = len(faces)
+            ids = []
+            b = t
+            while b:
+                low = b & -b
+                j = index.get(t ^ low)
+                if j is None:
+                    j = index[t ^ low] = len(cells)
+                    cells.append(t ^ low)
+                    cofaces.append([i])
+                    below.append(t ^ low)
+                else:
+                    cofaces[j].append(i)
+                ids.append(j)
+                b ^= low
+            faces.append(ids)
+        layer = below
+    return _Lattice(cells, faces, cofaces, sizes)
 
 
 def _pieces_connected(pieces) -> bool:

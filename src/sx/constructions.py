@@ -8,7 +8,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterable
 
-from .complexes import Complex, Label
+from .complexes import Complex, Label, _bits
 from .errors import BadMatching, BadParameters, NotFacet, UnknownVertex, VertexClash
 from .moves import standard_ball
 
@@ -41,31 +41,26 @@ def vertex_ball(s: Complex, x: Label) -> Complex:
 def clique_closure(x: Complex, size: int) -> Complex:
     """All vertex sets whose subsets of size <= ``size`` are faces of x.
 
-    Computed levelwise from the (size-1)-skeleton upward, extending
-    qualifying sets one vertex at a time; never enumerates all 2^n subsets.
+    Computed levelwise on vertex bitmasks from the faces with ``size``
+    vertices upward: a set joins the next level when all its subsets one
+    vertex smaller are in the current one, and it is reached only from
+    itself minus its highest vertex; never enumerates all 2^n subsets.
     """
     if size < 1:
         raise ValueError("closure size must be >= 1")
-    maximal: set = set(x.facet_sets)
-    current = set(x.faces(size - 1))
+    n = len(x.vertices)
+    maximal = set(x._facet_masks)
+    current = set(x._lattice.of_size(size))
     while current:
-        nxt: set = set()
-        extendable: set = set()
-        verts = x.vertices
-        for a in current:
-            for v in verts:
-                if v in a:
-                    continue
-                cand = a | {v}
-                if cand in nxt:
-                    extendable.add(a)
-                    continue
-                if all((cand - {u}) in current for u in cand):
-                    nxt.add(cand)
-                    extendable.add(a)
-        maximal.update(current - extendable)
+        nxt = {
+            a | 1 << i
+            for a in current
+            for i in range(a.bit_length(), n)
+            if all((a ^ 1 << j) | 1 << i in current for j in _bits(a))
+        }
+        maximal.update(current - {c ^ 1 << j for c in nxt for j in _bits(c)})
         current = nxt
-    return Complex(maximal)
+    return Complex(map(x._labels, maximal))
 
 
 def stacked_ball_closure(s: Complex, k: int) -> Complex:
@@ -173,7 +168,7 @@ def klee_novik_automorphisms(k: int, d: int) -> dict[str, dict]:
 
 
 def _boundary_facet(x: Complex, f: frozenset) -> bool:
-    return len(x._ridge_incidence.get(f, ())) == 1
+    return any(frozenset(g) - {v} == f for g, v in x._rim())
 
 
 def connected_sum(

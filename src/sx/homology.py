@@ -1,9 +1,10 @@
 """Exact reduced simplicial homology over prime fields and the rationals.
 
-`betti` reduces first, then eliminates.  `_reduce` builds every face of
-the complex as a vertex bitmask from `Complex._facet_masks` and cancels
-pairs of cells over Z, by coreductions and free-face collapses; both keep
-the homology over Z, so over Q and every F_p.  `_residual_betti` then
+`betti` reduces first, then eliminates.  `_reduce` builds no faces: it
+reduces a given face lattice from `complexes._face_lattice`, a complex's
+own `Complex._lattice` or that of an induced subcomplex, by cancelling
+pairs of cells over Z with coreductions and free-face collapses; both
+keep the homology over Z, so over Q and every F_p.  `_residual_betti` then
 assembles the boundary maps of the cells left, one sparse dict of nonzero
 rows per column, and takes their ranks per field with the one sparse
 column eliminator, `_pivot_rows`: modulo p with pivots scaled to a leading
@@ -29,7 +30,7 @@ from collections import deque
 from dataclasses import dataclass
 from math import gcd
 
-from .complexes import Complex
+from .complexes import Complex, _bits, _Lattice
 from .errors import EmptyInput, FieldTooLarge
 
 DEFAULT_FIELDS: tuple[int, ...] = (0, 2, 3)
@@ -123,17 +124,16 @@ def _pivot_rows(cols: list[dict[int, int]], field: int) -> set[int]:
     return set(pivots)
 
 
-def _reduce(masks, inside: int | None = None) -> list[list[int]]:
-    """The cells of the complex generated by the bitmasks that survive
-    reduction over Z, grouped by size: out[s] holds the residual cells with s
-    vertices, s = 0 (the empty face) to the largest generator size.
+def _reduce(lattice: _Lattice, inside: int | None = None) -> list[list[int]]:
+    """The cells of a face lattice from `_face_lattice` that survive
+    reduction over Z, grouped by size: out[s] holds the residual cells with
+    s vertices, s = 0 (the empty face) to the largest generator size.
 
-    Every face is a cell, ∅ (mask 0) the augmentation cell.  The faces are
-    built top-down from the generators, each with its cofaces, a smaller
-    generator joining at its own size unless it is already a face.  With
+    Every face is a cell, ∅ (mask 0) the augmentation cell.  With
     `inside`, the vertex mask A of an induced subcomplex Y, the cells are
     those of the chain complex of the pair: the faces inside A, ∅ among
-    them, start dead, and face and coface counts count live cells only.  A
+    them, start dead, and face and coface counts count live cells only.
+    The counts are this call's own, so one lattice serves every A.  A
     first in, first out queue then removes pairs (a, b) of live cells, a a
     face of b, wherever b has exactly one live face a (a coreduction) or a
     has exactly one live coface b (a free-face collapse); without `inside`
@@ -146,51 +146,12 @@ def _reduce(masks, inside: int | None = None) -> list[list[int]]:
     them therefore form a chain complex with the homology of the complex
     over Z, or of the pair, so over Q and every F_p.
     """
-    by_size: dict[int, list[int]] = {}
-    union = 0
-    for g in masks:
-        by_size.setdefault(g.bit_count(), []).append(g)
-        union |= g
-    top = max(by_size)
-    # cell i is the face cells[i]; faces[i] and cofaces[i] list cell ids.
-    # The ids run by size downwards, so a layer is built in id order.
-    index: dict[int, int] = {}
-    cells: list[int] = []
-    faces: list[list[int]] = []
-    cofaces: list[list[int]] = []
-    layer: list[int] = []
-    for size in range(top, -1, -1):
-        for g in by_size.get(size, ()):
-            if g in index:
-                continue
-            index[g] = len(cells)
-            cells.append(g)
-            cofaces.append([])
-            layer.append(g)
-        below = []
-        for t in layer:
-            i = len(faces)
-            ids = []
-            b = t
-            while b:
-                low = b & -b
-                j = index.get(t ^ low)
-                if j is None:
-                    j = index[t ^ low] = len(cells)
-                    cells.append(t ^ low)
-                    cofaces.append([i])
-                    below.append(t ^ low)
-                else:
-                    cofaces[j].append(i)
-                ids.append(j)
-                b ^= low
-            faces.append(ids)
-        layer = below
+    cells, faces, cofaces, sizes = lattice
     if inside is None:
         live = [True] * len(cells)
         n_face = [len(ids) for ids in faces]
         n_cof = [len(ids) for ids in cofaces]
-        queue = deque([index[union & -union]])  # the lowest vertex, to pair with ∅
+        queue = deque([min(sizes[1], key=cells.__getitem__)])  # the lowest vertex, to pair with ∅
     else:
         live = [c & ~inside != 0 for c in cells]
         n_face = [sum(live[f] for f in ids) for ids in faces]
@@ -222,7 +183,7 @@ def _reduce(masks, inside: int | None = None) -> list[list[int]]:
             t = next(t for t in cofaces[c] if live[t])
             remove(c)
             remove(t)
-    out: list[list[int]] = [[] for _ in range(top + 1)]
+    out: list[list[int]] = [[] for _ in sizes]
     for c, alive in zip(cells, live):
         if alive:
             out[c.bit_count()].append(c)
@@ -249,14 +210,10 @@ def _residual_betti(cells: list[list[int]], field: int) -> tuple[int, ...]:
             if i in cleared:
                 continue
             col = {}
-            b, j = c, 0
-            while b:
-                low = b & -b
-                r = rows.get(c ^ low)
+            for j, v in enumerate(_bits(c)):
+                r = rows.get(c ^ 1 << v)
                 if r is not None:
                     col[r] = -1 if j & 1 else 1
-                b ^= low
-                j += 1
             cols.append(col)
         cleared = _pivot_rows(cols, field)
         ranks[s] = len(cleared)
@@ -270,7 +227,7 @@ def betti(x: Complex, field: int = 0) -> tuple[int, ...]:
     check_field(field)
     if x.is_empty_complex:
         raise EmptyInput("betti numbers of the empty complex are not defined here")
-    return _residual_betti(_reduce(x._facet_masks), field)
+    return _residual_betti(_reduce(x._lattice), field)
 
 
 def euler_characteristic(x: Complex) -> int:
@@ -380,7 +337,7 @@ def screen_homology_sphere(x: Complex, fields: tuple[int, ...] = DEFAULT_FIELDS)
         for f in fields:
             check_field(f)
         return ScreenVerdict(True, "sphere-screen", fields)
-    cells = _reduce(x._facet_masks)
+    cells = _reduce(x._lattice)
     for f in fields:
         check_field(f)
         b = _residual_betti(cells, f)
@@ -410,7 +367,7 @@ def screen_homology_ball(x: Complex, fields: tuple[int, ...] = DEFAULT_FIELDS) -
         for f in fields:
             check_field(f)
     else:
-        cells = _reduce(x._facet_masks)
+        cells = _reduce(x._lattice)
         for f in fields:
             check_field(f)
             b = _residual_betti(cells, f)

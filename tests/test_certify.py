@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 import sx.certify as certify_module
+import sx.complexes as complexes_module
 from sx import Complex, from_facets, replay, standard_ball, standard_sphere
 from sx.certify import (
     PROVED,
@@ -45,7 +46,7 @@ from sx.errors import (
     SxError,
 )
 from sx.growth import grow_shelled_ball, grow_stacked_sphere, grow_stellated_sphere
-from sx.homology import _pivot_rows, screen_homology_sphere
+from sx.homology import _pivot_rows, _reduce, screen_homology_sphere
 from sx.moves import (
     BistellarMove,
     MoveCertificate,
@@ -56,7 +57,13 @@ from sx.moves import (
     is_standard_sphere,
     reverse_move,
 )
-from test_complexes import oracle_boundary_columns, oracle_dual_graph
+from test_complexes import (
+    oracle_all_faces,
+    oracle_boundary,
+    oracle_boundary_columns,
+    oracle_dual_graph,
+    oracle_faces_by_dim,
+)
 from test_moves import boundary_certificate, complex_bistellar_options, flip_facets
 
 RP2 = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
@@ -134,6 +141,41 @@ def test_stacked_witnesses_order_mixed_labels_by_vertex_position():
         "reason": "closure has an interior face of low dimension",
         "interior_face": [1, "v3", "v5"],
     }
+
+
+def oracle_interior_face(ball: Complex, top: int):
+    """The former `_interior_face`: the faces of ball that its boundary
+    complex lacks, on the frozenset lattices of both."""
+    ours, theirs = oracle_faces_by_dim(ball), oracle_faces_by_dim(oracle_boundary(ball))
+    for m in range(top + 1):
+        inner = ours[m] - theirs.get(m, frozenset())
+        if inner:
+            return m, ball.sorted_faces(inner)[0]
+    return None
+
+
+def test_interior_faces_match_the_boundary_difference(dfm_ball, lutz_b2):
+    # the balls the `is_k_stacked_ball` tests decide, at every top
+    rng = random.Random(63)
+    grown = [grow_shelled_ball(rng.choice([2, 3]), 1, rng.randrange(2, 6), rng)[0] for _ in range(8)]
+    b = lutz_b2.join(standard_ball(2, ("a", "b", "c")))
+    glued = b.rename({v: f"{v}p" for v in b.vertices}).rename(
+        {f"{v}p": v for v in (2, 4, 5, "a", "b", "c")}
+    )
+    balls = [
+        standard_ball(4),
+        dfm_ball,
+        from_facets([[1, 2, 3, 4, 5], [2, 3, 4, 5, 6]]),
+        fixture("d4_16").complex,
+        fixture("d6_18").complex,
+        Complex(set(b.facet_sets) | set(glued.facet_sets)),
+        dfm_ball.join(standard_ball(1, ("a", "b"))),
+        *grown,
+    ]
+    for ball in balls:
+        for top in range(-1, ball.dimension + 1):
+            want = oracle_interior_face(ball, top)
+            assert certify_module._interior_face(ball, top) == want, (ball.facets, top)
 
 
 def test_is_k_stacked_ball_rejects_non_balls():
@@ -1017,7 +1059,7 @@ def oracle_collapse(b: Complex, seed: int = 0, restarts: int = 16) -> Verdict:
     sorts the free faces by raw labels, so mixed labels raise TypeError."""
     if b.is_empty_complex:
         raise NotWeakPseudomanifold("cannot collapse the empty complex")
-    base_faces = set(b.all_faces())
+    base_faces = set(oracle_all_faces(b))
     steps_total = 0
     for restart in range(restarts):
         rng = _oracle_rng(seed, restart)
@@ -1197,8 +1239,28 @@ def test_tight_balls_and_spheres():
         assert is_tight_exhaustive(standard_ball(d), 2).proved
         sphere = standard_sphere(d)
         assert is_tight_exhaustive(sphere, 0).proved
-        # it runs on the facet masks: no face lattice is built
-        assert "_faces_by_dim" not in vars(sphere)
+
+
+def test_tightness_builds_the_lattice_of_x_once(monkeypatch):
+    # every β(x, x[A]) reduces on x's own lattice, so `_face_lattice` runs
+    # once on x's facet masks; its other calls are the lattices of the x[A]
+    real, built, relative = complexes_module._face_lattice, [], []
+
+    def spy_lattice(generators):
+        built.append(tuple(generators))
+        return real(built[-1])
+
+    def spy_reduce(lattice, inside=None):
+        relative.append(inside)
+        return _reduce(lattice, inside)
+
+    monkeypatch.setattr(complexes_module, "_face_lattice", spy_lattice)
+    monkeypatch.setattr(certify_module, "_face_lattice", spy_lattice)
+    monkeypatch.setattr(certify_module, "_reduce", spy_reduce)
+    torus = seven_vertex_torus()  # a fresh complex: no lattice cached yet
+    assert is_tight_exhaustive(torus, 2).proved
+    assert built.count(torus._facet_masks) == 1
+    assert len([a for a in relative if a is not None]) >= 2
 
 
 def test_cone_over_sphere_not_tight():

@@ -3,6 +3,7 @@
 import itertools
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sx import Complex, from_facets, standard_ball, standard_sphere
-from sx.complexes import Classification
+from sx.complexes import Classification, FaceSet
 from sx.corpus import fixture
 from sx.errors import (
     EmptyFace,
@@ -360,9 +361,9 @@ def oracle_skeleton(x: Complex, dim: int) -> frozenset:
         return x.facet_sets
     if dim < 0:
         return frozenset({frozenset()})
-    maximal = set(x._faces_by_dim[dim])
+    maximal = set(oracle_faces_by_dim(x)[dim])
     for k in range(0, dim):
-        for f in x._faces_by_dim[k]:
+        for f in oracle_faces_by_dim(x)[k]:
             if not any(f < g for g in maximal):
                 maximal.add(f)
     return oracle_maximal(maximal)
@@ -385,6 +386,123 @@ def test_canonical_vertex_order_mixed_labels():
     assert c.vertices == (1, 2, "a", "b")
 
 
+# -- the frozenset face lattice, ridge map and label stars, as oracles ---------------
+
+
+@lru_cache(maxsize=64)
+def oracle_faces_by_dim(x: Complex) -> dict[int, frozenset]:
+    """The former `Complex._faces_by_dim`: every face as a frozenset, by
+    dimension, from the combinations of each facet."""
+    by_dim: dict[int, set] = {k: set() for k in range(-1, x.dimension + 1)}
+    by_dim[-1].add(frozenset())
+    for facet in x.facet_sets:
+        fs = sorted(facet, key=x._vertex_pos.get)
+        for r in range(1, len(fs) + 1):
+            tier = by_dim[r - 1]
+            for c in itertools.combinations(fs, r):
+                tier.add(frozenset(c))
+    return {k: frozenset(v) for k, v in by_dim.items()}
+
+
+def oracle_all_faces(x: Complex, include_empty: bool = False):
+    """The former `Complex.all_faces`."""
+    for k in range(-1 if include_empty else 0, x.dimension + 1):
+        yield from oracle_faces_by_dim(x)[k]
+
+
+@lru_cache(maxsize=64)
+def oracle_ridge_incidence(x: Complex) -> dict[FaceSet, tuple[FaceSet, ...]]:
+    """The former `Complex._ridge_incidence`: each facet minus one vertex,
+    mapped to the facets containing it."""
+    ridges: dict[FaceSet, list] = {}
+    for facet in x.facet_sets:
+        for v in facet:
+            ridges.setdefault(facet - {v}, []).append(facet)
+    return {r: tuple(fs) for r, fs in ridges.items()}
+
+
+@lru_cache(maxsize=64)
+def oracle_vertex_star(x: Complex) -> dict:
+    """The former `Complex._vertex_star`: each vertex label mapped to the
+    facets containing it."""
+    star: dict = {}
+    for facet in x.facet_sets:
+        for v in facet:
+            star.setdefault(v, []).append(facet)
+    return star
+
+
+def oracle_has_face(x: Complex, face) -> bool:
+    """The former `Complex.has_face`, on the label stars."""
+    f = frozenset(face)
+    if len(f) - 1 > x.dimension:
+        return False
+    if not f:
+        return True
+    return any(f <= g for g in oracle_vertex_star(x).get(next(iter(f)), ()))
+
+
+def oracle_missing_faces(x: Complex, max_dim: int) -> list[tuple]:
+    """The former `Complex.missing_faces`, on the frozenset lattice."""
+    by_dim = oracle_faces_by_dim(x)
+    found = []
+    for size in range(2, max_dim + 2):
+        lower = by_dim.get(size - 2, frozenset())
+        present = by_dim.get(size - 1, frozenset())
+        seen = set()
+        for f in lower:
+            for v in x.vertices:
+                if v in f:
+                    continue
+                cand = f | {v}
+                if cand in seen or cand in present:
+                    continue
+                seen.add(cand)
+                if all(cand - {u} in lower for u in cand):
+                    found.append(cand)
+    return x.sorted_faces(found)
+
+
+def oracle_boundary(x: Complex) -> Complex:
+    """The former `Complex.boundary`, on the frozenset ridge map."""
+    x._require_weak_pseudomanifold()
+    return Complex(r for r, fs in oracle_ridge_incidence(x).items() if len(fs) == 1)
+
+
+def oracle_ridge_masks(x: Complex) -> tuple:
+    """The former `Complex._ridge_masks`, on the frozenset ridge map."""
+    index = {frozenset(f): i for i, f in enumerate(x.facets)}
+    incidence = oracle_ridge_incidence(x)
+    return tuple(
+        tuple((v, sum(1 << index[g] for g in incidence[fs - {v}])) for v in f)
+        for f, fs in zip(x.facets, index)
+    )
+
+
+def test_mask_lattice_matches_the_frozenset_oracles(differential_complexes):
+    for x in differential_complexes + [Complex.empty()]:
+        by_dim, d, n = oracle_faces_by_dim(x), x.dimension, len(x.vertices)
+        for k in range(-2, d + 2):
+            assert x.faces(k) == by_dim.get(k, frozenset()), (x.facets, k)
+        assert x.f_vector() == tuple(len(by_dim[k]) for k in range(d + 1)), x.facets
+        assert x.missing_faces(d + 1) == oracle_missing_faces(x, d + 1), x.facets
+        for l in range(1, n + 1):
+            want = l - 1 <= d and len(by_dim[l - 1]) == comb(n, l)
+            assert x.is_l_neighborly(l) == want, (x.facets, l)
+        probes = list(oracle_all_faces(x, include_empty=True))
+        probes += map(frozenset, oracle_missing_faces(x, d + 1))
+        probes += [frozenset({"unknown"}), frozenset(x.vertices[:1]) | {-7}, frozenset(x.vertices)]
+        for f in probes:
+            assert x.has_face(f) == oracle_has_face(x, f), (x.facets, f)
+        assert x.classify() == oracle_classify(x), x.facets
+        if x.is_weak_pseudomanifold:
+            assert x.boundary() == oracle_boundary(x), x.facets
+            assert x._ridge_masks == oracle_ridge_masks(x), x.facets
+        else:
+            with pytest.raises(NotWeakPseudomanifold):
+                x.boundary()
+
+
 # -- differential tests against the link-Complex and sorted_faces definitions ---------
 
 
@@ -396,7 +514,7 @@ def oracle_is_connected(self) -> bool:
     if len(verts) == 1:
         return True
     adj: dict = {v: set() for v in verts}
-    for e in self._faces_by_dim.get(1, ()):
+    for e in oracle_faces_by_dim(self).get(1, ()):
         a, b = tuple(e)
         adj[a].add(b)
         adj[b].add(a)
@@ -417,7 +535,7 @@ def oracle_has_connected_low_links(self) -> bool:
     if self.dimension >= 1 and not oracle_is_connected(self):
         return False
     for k in range(0, self.dimension - 1):
-        for f in self._faces_by_dim[k]:
+        for f in oracle_faces_by_dim(self)[k]:
             if not oracle_is_connected(self.link(f)):
                 return False
     return True
@@ -463,7 +581,7 @@ def oracle_dual_graph(self) -> DualGraph:
     nodes = self.facets
     index = {frozenset(f): i for i, f in enumerate(nodes)}
     edges = set()
-    for fs in self._ridge_incidence.values():
+    for fs in oracle_ridge_incidence(self).values():
         if len(fs) == 2:
             i, j = index[fs[0]], index[fs[1]]
             edges.add((min(i, j), max(i, j)))
@@ -477,7 +595,7 @@ def oracle_classify(self) -> Classification:
     pseudo = weak and oracle_dual_graph(self).is_connected()
     normal = weak and oracle_has_connected_low_links(self)
     closed = weak and not [
-        1 for fs in self._ridge_incidence.values() if len(fs) == 1
+        1 for fs in oracle_ridge_incidence(self).values() if len(fs) == 1
     ]
     return Classification(
         pure=pure,
@@ -513,7 +631,7 @@ def test_classification_and_links_match_the_link_complex_oracle(differential_com
         assert x.is_connected == oracle_is_connected(x), x.facets
         # every face's link, facets (link {∅}) included, on the smaller inputs
         pos = x._vertex_pos
-        for f in x.all_faces() if len(x.facets) <= 100 else ():
+        for f in oracle_all_faces(x) if len(x.facets) <= 100 else ():
             mask = sum(1 << pos[v] for v in f)
             assert x._mask_link_is_connected(mask) == oracle_is_connected(x.link(f)), (x.facets, f)
         seen.add(tuple(flags.values()) + (x.is_connected,))

@@ -9,7 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import sx.complexes as complexes_module
+import sx.homology as homology_module
 from sx import Complex, from_facets, standard_ball, standard_sphere
+from sx.complexes import _face_lattice
 from sx.constructions import klee_novik
 from sx.corpus import fixture
 from sx.errors import EmptyInput, FieldTooLarge
@@ -142,18 +145,16 @@ def test_betti_of_the_largest_fixtures():
 
 
 def test_reduction_runs_on_the_facet_masks():
-    # ∂Δ^{d+1} reduces to one d-cell and the simplex Δ^d to nothing, and
-    # `betti` builds no tuple face lattice
+    # ∂Δ^{d+1} reduces to one d-cell and the simplex Δ^d to nothing
     for d in range(0, 6):
         sphere = standard_sphere(d)
-        assert [len(c) for c in _reduce(sphere._facet_masks)] == [0] * (d + 1) + [1]
+        assert [len(c) for c in _reduce(_face_lattice(sphere._facet_masks))] == [0] * (d + 1) + [1]
         assert betti(sphere, 0) == (0,) * d + (1,)
-        assert "_faces_by_dim" not in vars(sphere)
-        assert not any(_reduce(standard_ball(d)._facet_masks))
+        assert not any(_reduce(_face_lattice(standard_ball(d)._facet_masks)))
     rng = random.Random(5)
     for dim in (1, 2, 3, 4):
         ball, _ = grow_shelled_ball(dim, rng.randrange(1, dim + 1), rng.randrange(0, 12), rng)
-        assert not any(_reduce(ball._facet_masks)), ball.facets
+        assert not any(_reduce(_face_lattice(ball._facet_masks))), ball.facets
     # generators that are faces of others, repeated or not, and ∅ change
     # nothing: tightness reduces the generators g & A of an induced
     # subcomplex, which are such
@@ -162,9 +163,31 @@ def test_reduction_runs_on_the_facet_masks():
         extra = [g & rng.getrandbits(len(x.vertices)) for g in masks for _ in range(2)]
         extra += [0, masks[0], masks[0] & -masks[0]]
         for p in (0, 2):
-            want = _residual_betti(_reduce(masks), p)
-            assert _residual_betti(_reduce(masks + extra), p) == want, (x.facets, p)
-            assert _residual_betti(_reduce(extra[::-1] + masks), p) == want, (x.facets, p)
+            want = _residual_betti(_reduce(_face_lattice(masks)), p)
+            assert _residual_betti(_reduce(_face_lattice(masks + extra)), p) == want, (x.facets, p)
+            assert _residual_betti(_reduce(_face_lattice(extra[::-1] + masks)), p) == want, (x.facets, p)
+
+
+def test_betti_and_the_screens_share_one_lattice(monkeypatch):
+    # `betti` builds x's lattice, and the sphere screen, whose collapse of
+    # RP² minus a facet gets stuck at a circle, reduces that same lattice
+    real, built, reduced = complexes_module._face_lattice, [], []
+
+    def spy_lattice(generators):
+        built.append(tuple(generators))
+        return real(built[-1])
+
+    def spy_reduce(lattice, inside=None):
+        reduced.append(lattice)
+        return _reduce(lattice, inside)
+
+    monkeypatch.setattr(complexes_module, "_face_lattice", spy_lattice)
+    monkeypatch.setattr(homology_module, "_reduce", spy_reduce)
+    rp2 = Complex(RP2)
+    assert betti(rp2, 2) == (0, 1, 1)
+    assert not screen_homology_sphere(rp2).passed
+    assert built == [rp2._facet_masks]
+    assert len(reduced) == 2 and reduced[0] is reduced[1] is rp2._lattice
 
 
 def test_clearing_matches_all_columns_betti(differential_complexes):

@@ -40,6 +40,8 @@ from sx.moves import (
     shelling_valid,
 )
 
+from test_complexes import oracle_all_faces, oracle_ridge_incidence
+
 
 def boundary_certificate(cert: MoveCertificate, seed: Complex) -> MoveCertificate:
     """Oracle: transport a shelling certificate of a ball to a bistellar
@@ -75,7 +77,7 @@ def oracle_bistellar_moves(x, lo, hi):
                 if alpha & beta or x.has_face(beta):
                     continue
                 support = alpha | beta
-                induced = {f for f in x.all_faces() if f <= support}
+                induced = {f for f in oracle_all_faces(x) if f <= support}
                 expected = set()
                 for gb in range(len(beta)):
                     for part_b in itertools.combinations(sorted(beta, key=str), gb):
@@ -144,7 +146,7 @@ def scan_attachment_split(y, sigma):
         return None
     if len(fresh) == 1:
         alpha = sigma - fresh
-        if len(y._ridge_incidence.get(alpha, ())) == 1:
+        if len(oracle_ridge_incidence(y).get(alpha, ())) == 1:
             return (alpha, fresh)
         return None
     # all vertices known: beta = unique minimal non-face of y inside sigma
@@ -161,14 +163,14 @@ def scan_attachment_split(y, sigma):
         return None
     beta = minimal[0]
     for v in beta:
-        if len(y._ridge_incidence.get(sigma - {v}, ())) != 1:
+        if len(oracle_ridge_incidence(y).get(sigma - {v}, ())) != 1:
             return None
     return (sigma - beta, beta)
 
 
 def scan_shelling_options(y, max_index, fresh=None):
     d = y.dimension
-    rim = [r for r, fs in y._ridge_incidence.items() if len(fs) == 1 and len(r) == d]
+    rim = [r for r, fs in oracle_ridge_incidence(y).items() if len(fs) == 1 and len(r) == d]
     opts = []
     seen = set()
     new = fresh if fresh is not None else fresh_label(y)
@@ -272,7 +274,7 @@ def complex_bistellar_options(
         new = fresh if fresh is not None else fresh_label(x)
         opts = [BistellarMove(alpha=f, beta=(new,)) for f in x.facets if len(f) == d + 1]
     if hi >= max(lo, 1):
-        ridges = (fs for r, fs in x._ridge_incidence.items() if len(r) == d)
+        ridges = (fs for r, fs in oracle_ridge_incidence(x).items() if len(r) == d)
         for sigma in {f | g for fs in ridges for f, g in itertools.combinations(fs, 2)}:
             beta = frozenset(v for v in sigma if sigma - {v} in x.facet_sets)
             if lo <= len(beta) - 1 <= hi and not x.has_face(beta):
@@ -297,14 +299,14 @@ def complex_sort_moves(x: Complex, opts: list) -> None:
 
 def complex_attachment_split(y: Complex, sigma: frozenset) -> tuple | None:
     """The unique (alpha, beta) split attaching facet sigma to y, if any."""
-    beta = frozenset(v for v in sigma if len(y._ridge_incidence.get(sigma - {v}, ())) == 1)
+    beta = frozenset(v for v in sigma if len(oracle_ridge_incidence(y).get(sigma - {v}, ())) == 1)
     if y.has_face(beta):
         return None
     return (sigma - beta, beta)
 
 
 def complex_shelling_options(y: Complex, max_index: int, fresh=None) -> list[ShellingMove]:
-    rim = [r for r, fs in y._ridge_incidence.items() if len(fs) == 1 and len(r) == y.dimension]
+    rim = [r for r, fs in oracle_ridge_incidence(y).items() if len(fs) == 1 and len(r) == y.dimension]
     opts: list[ShellingMove] = []
     if max_index >= 0:
         new = fresh if fresh is not None else fresh_label(y)
@@ -452,7 +454,7 @@ def complex_shelling_valid(y: Complex, move: ShellingMove) -> str | None:
         ridge = sigma - {v}
         if not ridge <= y.vertex_set:
             return "attachment-not-induced"
-        holders = y._ridge_incidence.get(ridge)
+        holders = oracle_ridge_incidence(y).get(ridge)
         if holders is None:
             return "attachment-not-induced"
         if len(holders) != 1:
@@ -853,7 +855,7 @@ def test_every_option_is_undone_by_its_reverse(dim, k, steps, seed, sphere):
 def test_has_face_matches_the_facet_scan():
     rng = random.Random(7)
     for x in DIFFERENTIAL_CASES + [Complex.empty()]:
-        probes = list(x.all_faces(include_empty=True))
+        probes = list(oracle_all_faces(x, include_empty=True))
         probes += map(frozenset, x.missing_faces(x.dimension + 1))
         probes += [frozenset({"unknown"}), frozenset(x.vertices[:1]) | {-7}]
         probes.append(frozenset(x.vertices) | {fresh_label(x)})
@@ -877,7 +879,7 @@ def _ridge_order_matters(y, move):
     """Whether the frozenset shelling check's reason rests on set order:
     beta takes ridges both missing from y and interior to it."""
     sigma = frozenset(move.alpha) | frozenset(move.beta)
-    holders = {len(y._ridge_incidence.get(sigma - {v}, ())) for v in move.beta}
+    holders = {len(oracle_ridge_incidence(y).get(sigma - {v}, ())) for v in move.beta}
     return 0 in holders and max(holders) > 1
 
 

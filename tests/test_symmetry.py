@@ -27,6 +27,8 @@ from sx.symmetry import (
     permutation_cycles,
 )
 
+from test_complexes import oracle_vertex_star
+
 
 # -- reference oracle: backtracking to every element of the group ----------------
 
@@ -107,6 +109,7 @@ def _search_maps(x: Complex, y: Complex, first_only: bool):
     y_faces = [y.faces(k) for k in range(d + 1)]
     x_facets = x.facet_sets
     y_facets = y.facet_sets
+    x_star, y_star = oracle_vertex_star(x), oracle_vertex_star(y)
     import itertools
 
     mapping: dict = {}
@@ -121,13 +124,13 @@ def _search_maps(x: Complex, y: Complex, first_only: bool):
                 if (s in x_faces[r]) != (t in y_faces[r]):
                     return False
         done = set(prev)
-        for f in x._vertex_star[v]:
+        for f in x_star[v]:
             rest = f - {v}
             if rest <= done:
                 if frozenset(mapping[u] for u in rest) | {w} not in y_facets:
                     return False
         done_img = set(inverse)
-        for g in y._vertex_star[w]:
+        for g in y_star[w]:
             rest = g - {w}
             if rest <= done_img:
                 if frozenset(inverse[u] for u in rest) | {v} not in x_facets:
