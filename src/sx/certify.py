@@ -135,6 +135,8 @@ def is_k_stacked_ball(b: Complex, k: int, fields=DEFAULT_FIELDS) -> Verdict:
     A ball of dimension d+1 is k-stacked when every face of dimension
     <= d-k lies on the boundary.
     """
+    if not (0 <= k <= b.dimension):
+        raise ValueError(f"need 0 <= k <= {b.dimension}, got k={k}")
     screen = screen_homology_ball(b, fields)
     if not screen.passed:
         raise NotABall(screen.detail)
@@ -665,8 +667,8 @@ def ear_scan(
 
 
 def collapse(b: Complex, budget: SearchBudget | None = None) -> Verdict:
-    """Greedy free-face collapsing by the screens' engine,
-    `homology._collapses_to_point`, on the facet bitmasks.
+    """Greedy free-face collapsing by `homology._collapses_to_point` on
+    b's face lattice.
 
     PROVED returns the elementary collapse sequence down to one vertex, as
     (free face, coface) pairs; greedy incompleteness means failure only
@@ -676,7 +678,7 @@ def collapse(b: Complex, budget: SearchBudget | None = None) -> Verdict:
     budget = budget or SearchBudget()
     if b.is_empty_complex:
         raise NotWeakPseudomanifold("cannot collapse the empty complex")
-    result = _collapses_to_point(b._facet_masks)
+    result = _collapses_to_point(b._lattice)
     if result is None:
         return Verdict(
             UNKNOWN,
@@ -765,6 +767,8 @@ def tightness_beta_condition(m: Complex, k: int, field: int) -> Verdict:
     """Exact integer test of the middle Betti number formula
     binom(n-k-3, k+1) / binom(2k+3, k+1) for members of the class
     W_k(2k+1); a non-integer right side refutes outright."""
+    if not (0 <= k <= m.dimension):
+        raise ValueError(f"need 0 <= k <= {m.dimension}, got k={k}")
     check_field(field)
     n = len(m.vertices)
     num = math.comb(n - k - 3, k + 1)

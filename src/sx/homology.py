@@ -18,10 +18,11 @@ floating point.  Given the vertex mask A of an induced subcomplex Y,
 faces inside A start dead, so `_residual_betti` gives the relative Betti
 numbers β_j(X, Y) that `certify` decides tightness by.
 
-The screens collapse first: a greedy collapse on the facet bitmasks that
-ends at a point settles the homology over Z, and so over every field, with
-no elimination; where it gets stuck, they reduce the complex once and
-eliminate its residual field by field.
+The screens reduce a complex's own lattice once and eliminate its
+residual field by field.  `_collapses_to_point`, the greedy collapse that
+`certify.collapse` gives as a witness, runs on that same lattice with live
+flags and live-coface counts, so every face read here comes from
+`_face_lattice`, built at most once per `Complex`.
 """
 
 from __future__ import annotations
@@ -260,102 +261,73 @@ def _point_like(b: tuple[int, ...]) -> bool:
     return all(v == 0 for v in b)
 
 
-def _collapses_to_point(facets) -> tuple[list[tuple[int, int]], int] | None:
-    """Greedy elementary collapses of the complex generated by the facet
-    bitmasks: (steps, vertex) when they take it down to one vertex, else
-    None.
+def _collapses_to_point(lattice: _Lattice) -> tuple[list[tuple[int, int]], int] | None:
+    """Greedy elementary collapses of a face lattice from `_face_lattice`:
+    (steps, vertex) when they take it down to one vertex, else None.
 
-    Top-down by dimension: a face of the top size is removed together with
-    a free face below it, one that lies in no other face of that size, the
-    free faces taken first in, first out from a queue that holds each with
-    its coface set; once no face of the top size is left, the faces one
-    size smaller are the top.  steps lists the (free face, coface) mask
-    pairs in the order removed, and vertex is the mask of the vertex left.
-    Each step is a homotopy equivalence, so a result means the complex is
-    contractible; a tuple is truthy even with no steps.  None means only
-    that this order got stuck.
+    Size by size from the top size s down to 2, cells are killed with live
+    flags and live-coface counts: a first in, first out queue starts at the
+    cells of size s − 1 with one live coface, in id order; a cell popped
+    that still has one goes with that coface, and each face of the coface
+    whose count drops to 1 joins the queue.  A live cell of size s left
+    when the queue runs dry means the collapse is stuck.  steps lists the
+    (free face, coface) mask pairs in the order removed, and vertex is the
+    mask of the vertex left.  Each step is a homotopy equivalence, so a
+    result means the complex is contractible; a tuple is truthy even with
+    no steps.  None means only that this order got stuck.
     """
-    by_size: dict[int, list[int]] = {}
-    for g in facets:
-        by_size.setdefault(g.bit_count(), []).append(g)
+    cells, faces, cofaces, sizes = lattice
+    live = [True] * len(cells)
+    n_cof = [len(ids) for ids in cofaces]
     steps: list[tuple[int, int]] = []
-    top: set[int] = set()
-    for size in range(max(by_size), 1, -1):
-        top.update(by_size.get(size, ()))
-        cofaces: dict[int, set[int]] = {}
-        for t in top:
-            b = t
-            while b:
-                low = b & -b
-                ts = cofaces.get(t ^ low)
-                if ts is None:
-                    cofaces[t ^ low] = {t}
-                else:
-                    ts.add(t)
-                b ^= low
-        queue = deque(f for f, ts in cofaces.items() if len(ts) == 1)
+    for s in range(len(sizes) - 1, 1, -1):
+        queue = deque(f for f in sizes[s - 1] if n_cof[f] == 1)
         while queue:
             f = queue.popleft()
-            ts = cofaces[f]
-            if len(ts) != 1:  # its one coface went with another free face
+            if n_cof[f] != 1:  # dead, or its one coface went with another free face
                 continue
-            t = ts.pop()
-            del cofaces[f]
-            top.discard(t)
-            steps.append((f, t))
-            b = f
-            while b:
-                low = b & -b
-                ts = cofaces[t ^ low]
-                ts.discard(t)
-                if len(ts) == 1:
-                    queue.append(t ^ low)
-                b ^= low
-        if top:
+            t = next(t for t in cofaces[f] if live[t])
+            live[f] = live[t] = False
+            steps.append((cells[f], cells[t]))
+            for g in faces[t]:
+                n_cof[g] -= 1
+                if n_cof[g] == 1:
+                    queue.append(g)
+            for g in faces[f]:
+                n_cof[g] -= 1
+        if any(live[c] for c in sizes[s]):
             return None
-        top = set(cofaces)
-    top.update(by_size.get(1, ()))
-    if len(top) != 1:
-        return None
-    return steps, top.pop()
+    rest = [cells[v] for v in sizes[1] if live[v]]
+    return (steps, rest[0]) if len(rest) == 1 else None
 
 
-def screen_homology_sphere(x: Complex, fields: tuple[int, ...] = DEFAULT_FIELDS) -> ScreenVerdict:
-    """PASS iff x has the reduced homology of a d-sphere over every field.
-
-    If x minus its lowest facet (the least mask) collapses to a point, x
-    is a d-cell attached along its boundary to a contractible complex, so
-    x ≃ S^d and the elimination is skipped; otherwise x is reduced once and
-    its residual eliminated field by field.  Every ridge of a closed x lies in a second facet, so
-    the other facets still hold the removed facet's boundary.
-    """
-    fields = tuple(fields)
-    cls = x.classify()
-    if not (cls.normal_pseudomanifold and cls.closed):
-        return ScreenVerdict(False, "sphere-screen", fields, "not a closed normal pseudomanifold")
-    if _collapses_to_point(x._facet_masks[1:]):
-        for f in fields:
-            check_field(f)
-        return ScreenVerdict(True, "sphere-screen", fields)
+def _failing_field(x: Complex, fields: tuple[int, ...], like) -> str:
+    """The detail of the first field, in order, over which the reduced
+    Betti numbers of x are not `like`, or "" when there is none: x is
+    reduced once over Z and its residual eliminated field by field."""
     cells = _reduce(x._lattice)
     for f in fields:
         check_field(f)
         b = _residual_betti(cells, f)
-        if not _sphere_like(b):
-            return ScreenVerdict(
-                False, "sphere-screen", fields,
-                f"reduced betti over {field_name(f)} is {list(b)}",
-            )
-    return ScreenVerdict(True, "sphere-screen", fields)
+        if not like(b):
+            return f"reduced betti over {field_name(f)} is {list(b)}"
+    return ""
+
+
+def screen_homology_sphere(x: Complex, fields: tuple[int, ...] = DEFAULT_FIELDS) -> ScreenVerdict:
+    """PASS iff x is a closed normal pseudomanifold with the reduced
+    homology of a d-sphere over every field."""
+    fields = tuple(fields)
+    cls = x.classify()
+    if not (cls.normal_pseudomanifold and cls.closed):
+        return ScreenVerdict(False, "sphere-screen", fields, "not a closed normal pseudomanifold")
+    detail = _failing_field(x, fields, _sphere_like)
+    return ScreenVerdict(not detail, "sphere-screen", fields, detail)
 
 
 def screen_homology_ball(x: Complex, fields: tuple[int, ...] = DEFAULT_FIELDS) -> ScreenVerdict:
-    """PASS iff x is acyclic over every field and its boundary screens as a sphere.
-
-    If x collapses to a point it is acyclic over Z, and the elimination is
-    skipped; otherwise x is reduced once and its residual eliminated field
-    by field.
-    """
+    """PASS iff x is a normal pseudomanifold, acyclic over every field, whose
+    boundary screens as a sphere."""
     fields = tuple(fields)
     cls = x.classify()
     if not cls.normal_pseudomanifold:
@@ -363,19 +335,9 @@ def screen_homology_ball(x: Complex, fields: tuple[int, ...] = DEFAULT_FIELDS) -
     bd = x.boundary()
     if bd.is_empty_complex:
         return ScreenVerdict(False, "ball-screen", fields, "boundary is empty")
-    if _collapses_to_point(x._facet_masks):
-        for f in fields:
-            check_field(f)
-    else:
-        cells = _reduce(x._lattice)
-        for f in fields:
-            check_field(f)
-            b = _residual_betti(cells, f)
-            if not _point_like(b):
-                return ScreenVerdict(
-                    False, "ball-screen", fields,
-                    f"reduced betti over {field_name(f)} is {list(b)}",
-                )
+    detail = _failing_field(x, fields, _point_like)
+    if detail:
+        return ScreenVerdict(False, "ball-screen", fields, detail)
     if bd.dimension == 0:
         # boundary of a 1-ball: two points
         if len(bd.vertices) == 2:

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -93,3 +94,23 @@ def differential_complexes():
         if c is not None and len(c.facets) <= 400:
             out.append(c)
     return out
+
+
+def collapse_replays(c: Complex, witness: dict) -> bool:
+    """Replay a collapse witness on the set of nonempty faces of c.  The set
+    stays downward closed, so a face is free when exactly one face of one
+    more vertex contains it, and that face must be the step's coface."""
+    faces = {
+        frozenset(sub)
+        for f in c.facet_sets
+        for r in range(1, len(f) + 1)
+        for sub in itertools.combinations(f, r)
+    }
+    verts = c.vertex_set
+    for free, coface in witness["collapse_steps"]:
+        free, coface = frozenset(free), frozenset(coface)
+        above = [free | {v} for v in verts - free if free | {v} in faces]
+        if free not in faces or above != [coface]:
+            return False
+        faces -= {free, coface}
+    return len(witness["final_vertex"]) == 1 and faces == {frozenset(witness["final_vertex"])}

@@ -57,6 +57,7 @@ from sx.moves import (
     is_standard_sphere,
     reverse_move,
 )
+from conftest import collapse_replays
 from test_complexes import (
     oracle_all_faces,
     oracle_boundary,
@@ -181,6 +182,14 @@ def test_interior_faces_match_the_boundary_difference(dfm_ball, lutz_b2):
 def test_is_k_stacked_ball_rejects_non_balls():
     with pytest.raises(NotABall):
         is_k_stacked_ball(standard_sphere(2), 1)
+
+
+def test_is_k_stacked_ball_needs_k_within_the_dimension(lutz_b1):
+    for k in (-1, lutz_b1.dimension + 1, 9):
+        with pytest.raises(ValueError, match=f"need 0 <= k <= 3, got k={k}$"):
+            is_k_stacked_ball(lutz_b1, k)
+    # every d-ball is d-stacked: no face of dimension <= -1 is interior
+    assert is_k_stacked_ball(lutz_b1, lutz_b1.dimension).witness["skeleton_checked_up_to"] == -1
 
 
 def test_one_stacked_ball_verdicts(ziegler_b1, lutz_b1):
@@ -1103,26 +1112,6 @@ def oracle_collapse(b: Complex, seed: int = 0, restarts: int = 16) -> Verdict:
     )
 
 
-def collapse_replays(c: Complex, witness: dict) -> bool:
-    """Replay a collapse witness on the set of nonempty faces of c.  The set
-    stays downward closed, so a face is free when exactly one face of one
-    more vertex contains it, and that face must be the step's coface."""
-    faces = {
-        frozenset(sub)
-        for f in c.facet_sets
-        for r in range(1, len(f) + 1)
-        for sub in itertools.combinations(f, r)
-    }
-    verts = c.vertex_set
-    for free, coface in witness["collapse_steps"]:
-        free, coface = frozenset(free), frozenset(coface)
-        above = [free | {v} for v in verts - free if free | {v} in faces]
-        if free not in faces or above != [coface]:
-            return False
-        faces -= {free, coface}
-    return len(witness["final_vertex"]) == 1 and faces == {frozenset(witness["final_vertex"])}
-
-
 def test_collapse_matches_the_restarts_oracle(differential_complexes):
     ran = proved = 0
     for c in differential_complexes:
@@ -1232,6 +1221,13 @@ def test_tightness_beta_condition_non_integer_refutes():
     v = tightness_beta_condition(s, 1, 0)
     assert v.refuted
     assert "not an integer" in v.witness["reason"]
+
+
+def test_tightness_beta_condition_needs_k_within_the_dimension():
+    m = fixture("lutz_s3_8").complex
+    for k in (-1, 4, 5):
+        with pytest.raises(ValueError, match=f"need 0 <= k <= 3, got k={k}$"):
+            tightness_beta_condition(m, k, 2)
 
 
 def test_tight_balls_and_spheres():
@@ -1482,7 +1478,7 @@ def test_monotonicity_in_k():
         ball, _ = grow_shelled_ball(dim, 1, rng.randrange(2, 6), rng)
         for k in range(1, dim + 1):
             assert certify_k_shelled(ball, k).proved
-        for k in range(1, dim + 2):
+        for k in range(1, dim + 1):
             assert is_k_stacked_ball(ball, k).proved
 
 

@@ -72,6 +72,25 @@ def test_stacked_ball_dispatch(capsys):
     assert json.loads(out)["status"] == "PROVED"
 
 
+@pytest.mark.parametrize(
+    "cmd,k,src",
+    [
+        (["certify", "beta", "--field", "2"], "-1", "fixtures:lutz_s3_8"),
+        (["certify", "beta", "--field", "2"], "5", "fixtures:lutz_s3_8"),
+        (["stacked"], "-1", "fixtures:lutz_b1"),
+        (["stacked"], "9", "fixtures:lutz_b1"),
+    ],
+)
+def test_k_outside_the_dimension_exits_69_without_a_traceback(cmd, k, src):
+    # β̃_k and the stacked skeleton of these 3-dimensional inputs exist for
+    # 0 <= k <= 3 only: k = -1 once read β̃_3 and k = 5 raised IndexError;
+    # a ball took any k
+    argv = [sys.executable, "-m", "sx.cli", *cmd, "-k", k, src]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (69, "")
+    assert proc.stderr == f"error: need 0 <= k <= 3, got k={k}\n"
+
+
 def test_stacked_sphere_with_candidate(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys, "stacked", "-k", "2", "--candidate", "fixtures:dfm_b4_16", "fixtures:dfm_s3_16"

@@ -1,8 +1,10 @@
 """Homology ranks against an independent dense Fraction-arithmetic oracle and
-the elimination-only `betti` paths the reduction replaced, and the
-collapse-first screens against the elimination-only screens they replaced."""
+the elimination-only `betti` paths the reduction replaced, the screens on
+one reduction against the elimination-only screens, and the collapse on
+the face lattice against the coface-dict collapse it replaced."""
 
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,8 @@ from hypothesis import strategies as st
 import sx.complexes as complexes_module
 import sx.homology as homology_module
 from sx import Complex, from_facets, standard_ball, standard_sphere
-from sx.complexes import _face_lattice
+from sx.certify import collapse
+from sx.complexes import _bits, _face_lattice
 from sx.constructions import klee_novik
 from sx.corpus import fixture
 from sx.errors import EmptyInput, FieldTooLarge
@@ -34,6 +37,7 @@ from sx.homology import (
     screen_homology_sphere,
 )
 
+from conftest import collapse_replays
 from test_complexes import oracle_boundary_columns
 
 RP2 = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
@@ -168,9 +172,11 @@ def test_reduction_runs_on_the_facet_masks():
             assert _residual_betti(_reduce(_face_lattice(extra[::-1] + masks)), p) == want, (x.facets, p)
 
 
-def test_betti_and_the_screens_share_one_lattice(monkeypatch):
-    # `betti` builds x's lattice, and the sphere screen, whose collapse of
-    # RP² minus a facet gets stuck at a circle, reduces that same lattice
+def test_betti_and_the_screens_share_one_lattice(monkeypatch, ziegler_b2):
+    # `betti` builds x's lattice and the sphere screen reduces that same
+    # lattice; on a ball, `collapse` reads it too, and the ball screen
+    # builds only its boundary's lattice besides.  The screens never
+    # collapse.
     real, built, reduced = complexes_module._face_lattice, [], []
 
     def spy_lattice(generators):
@@ -181,13 +187,27 @@ def test_betti_and_the_screens_share_one_lattice(monkeypatch):
         reduced.append(lattice)
         return _reduce(lattice, inside)
 
+    def spy_collapse(lattice):
+        raise AssertionError("a screen collapsed")
+
     monkeypatch.setattr(complexes_module, "_face_lattice", spy_lattice)
     monkeypatch.setattr(homology_module, "_reduce", spy_reduce)
+    monkeypatch.setattr(homology_module, "_collapses_to_point", spy_collapse)
     rp2 = Complex(RP2)
     assert betti(rp2, 2) == (0, 1, 1)
     assert not screen_homology_sphere(rp2).passed
     assert built == [rp2._facet_masks]
     assert len(reduced) == 2 and reduced[0] is reduced[1] is rp2._lattice
+    ball = Complex(ziegler_b2.facets)
+    built.clear()
+    reduced.clear()
+    assert not any(betti(ball, 2))
+    assert screen_homology_ball(ball).passed
+    assert collapse(ball).proved  # `certify` holds its own `_collapses_to_point`
+    bd = ball.boundary()
+    assert built == [ball._facet_masks, bd._facet_masks]
+    assert len(reduced) == 3 and reduced[0] is reduced[1] is ball._lattice
+    assert reduced[2] == real(bd._facet_masks)  # `boundary` is not cached
 
 
 def test_clearing_matches_all_columns_betti(differential_complexes):
@@ -398,7 +418,7 @@ def test_homology_screen_of_largest_fixture():
     assert screen_homology_sphere(s619, (0, 2, 3)).passed
 
 
-# -- collapse-first screens against the elimination-only screens ------------------
+# -- the screens on one reduction against the elimination-only screens ----------
 
 
 def elimination_screen_sphere(x, fields=DEFAULT_FIELDS):
@@ -457,9 +477,9 @@ def _assert_screens_match(x, fields):
             new.__name__, x.facets, fields)
 
 
-def test_collapse_first_screens_match_the_elimination_screens(differential_complexes):
-    # the cone over RP² collapses and its boundary RP² does not screen as a
-    # sphere, so the ball screen fails after a collapse; the cone over the
+def test_screens_on_one_reduction_match_the_elimination_screens(differential_complexes):
+    # the cone over RP² is acyclic and its boundary RP² does not screen as
+    # a sphere, so the ball screen fails at the boundary; the cone over the
     # pinched torus is not normal (the link of its apex-pinch edge is two
     # circles).  RP² minus a triangle, a Möbius band, is a normal surface
     # with boundary that does not collapse to a point.
@@ -468,17 +488,13 @@ def test_collapse_first_screens_match_the_elimination_screens(differential_compl
     inputs = list(differential_complexes) + cones + [from_facets(RP2[1:])]
     inputs += [x.boundary() for x in inputs
                if x.is_weak_pseudomanifold and not x.classify().closed]
-    paths = {"passed": 0, "collapsed": 0, "eliminated": 0}
+    verdicts = {(screen, passed): 0 for screen in ("sphere", "ball") for passed in (True, False)}
     for i, x in enumerate(inputs):
         fields = DEFAULT_FIELDS if i % 2 else (2, 0, 5)
         _assert_screens_match(x, fields)
-        for screen in (screen_homology_sphere, screen_homology_ball):
-            paths["passed"] += screen(x, fields).passed
-        cls = x.classify()
-        if cls.normal_pseudomanifold:
-            masks = x._facet_masks[1:] if cls.closed else x._facet_masks
-            paths["collapsed" if _collapses_to_point(masks) else "eliminated"] += 1
-    assert min(paths.values()) >= 5, paths
+        verdicts["sphere", screen_homology_sphere(x, fields).passed] += 1
+        verdicts["ball", screen_homology_ball(x, fields).passed] += 1
+    assert min(verdicts.values()) >= 5, verdicts
 
 
 @settings(max_examples=60, deadline=None)
@@ -489,7 +505,7 @@ def test_collapse_first_screens_match_the_elimination_screens(differential_compl
     st.integers(0, 2**32),
     st.lists(st.sampled_from([0, 2, 3, 5, 7]), min_size=1, max_size=3, unique=True),
 )
-def test_collapse_first_screens_match_property(dim, k, steps, seed, fields):
+def test_screens_on_one_reduction_match_property(dim, k, steps, seed, fields):
     rng = random.Random(seed)
     ball, _ = grow_shelled_ball(dim, min(k, dim), steps, rng)
     sphere, _ = grow_stellated_sphere(dim, min(k, dim + 1), steps, rng)
@@ -497,8 +513,9 @@ def test_collapse_first_screens_match_property(dim, k, steps, seed, fields):
         _assert_screens_match(x, tuple(fields))
 
 
-def test_collapse_first_screens_reject_a_bad_field_like_betti(ziegler_b2):
-    # ziegler_b2 collapses; the screen still validates every listed field
+def test_screens_on_one_reduction_reject_a_bad_field_like_betti(ziegler_b2):
+    # ziegler_b2 passes over every valid field; the screen still validates
+    # every listed field
     for screen, oracle in ((screen_homology_ball, elimination_screen_ball),
                            (screen_homology_sphere, elimination_screen_sphere)):
         x = ziegler_b2 if screen is screen_homology_ball else ziegler_b2.boundary()
@@ -511,10 +528,10 @@ def test_collapse_first_screens_reject_a_bad_field_like_betti(ziegler_b2):
 
 def test_homology_sphere_minus_a_facet_does_not_collapse(sigma):
     # π₁ of the Poincaré sphere survives deleting a 3-cell, so no facet's
-    # removal leaves a contractible complex; the sphere screen eliminates
+    # removal leaves a contractible complex; the sphere screen still passes
     masks = sigma._facet_masks
     for i in range(len(masks)):
-        assert not _collapses_to_point(masks[:i] + masks[i + 1:])
+        assert not _collapses_to_point(_face_lattice(masks[:i] + masks[i + 1:]))
     assert screen_homology_sphere(sigma).passed
 
 
@@ -523,13 +540,115 @@ def test_grown_shelled_balls_collapse():
     for dim in (1, 2, 3, 4):
         for _ in range(5):
             ball, _ = grow_shelled_ball(dim, rng.randrange(1, dim + 1), rng.randrange(0, 12), rng)
-            assert _collapses_to_point(ball._facet_masks), ball.facets
-            assert _collapses_to_point(ball.boundary()._facet_masks[1:]), ball.facets
+            assert _collapses_to_point(_face_lattice(ball._facet_masks)), ball.facets
+            assert _collapses_to_point(_face_lattice(ball.boundary()._facet_masks[1:])), ball.facets
 
 
 def test_collapse_of_points_and_disconnected_complexes():
-    assert _collapses_to_point([0b1])
-    assert not _collapses_to_point([0b1, 0b10])
-    assert _collapses_to_point([0b11, 0b110])
-    assert not _collapses_to_point([0b11, 0b110, 0b101])  # a circle
-    assert not _collapses_to_point([0b11, 0b1100])
+    assert _collapses_to_point(_face_lattice([0b1])) == ([], 0b1)
+    assert not _collapses_to_point(_face_lattice([0b1, 0b10]))
+    assert _collapses_to_point(_face_lattice([0b11, 0b110]))
+    assert not _collapses_to_point(_face_lattice([0b11, 0b110, 0b101]))  # a circle
+    assert not _collapses_to_point(_face_lattice([0b11, 0b1100]))
+
+
+# -- the collapse on the face lattice against the coface-dict collapse -----------
+
+
+def oracle_collapses_to_point(facets) -> tuple[list[tuple[int, int]], int] | None:
+    """`homology._collapses_to_point` before it ran on the face lattice:
+    greedy elementary collapses of the complex generated by the facet
+    bitmasks, (steps, vertex) when they take it down to one vertex, else
+    None.  Kept verbatim below this paragraph as the reference.
+
+    Top-down by dimension: a face of the top size is removed together with
+    a free face below it, one that lies in no other face of that size, the
+    free faces taken first in, first out from a queue that holds each with
+    its coface set; once no face of the top size is left, the faces one
+    size smaller are the top.  steps lists the (free face, coface) mask
+    pairs in the order removed, and vertex is the mask of the vertex left.
+    Each step is a homotopy equivalence, so a result means the complex is
+    contractible; a tuple is truthy even with no steps.  None means only
+    that this order got stuck.
+    """
+    by_size: dict[int, list[int]] = {}
+    for g in facets:
+        by_size.setdefault(g.bit_count(), []).append(g)
+    steps: list[tuple[int, int]] = []
+    top: set[int] = set()
+    for size in range(max(by_size), 1, -1):
+        top.update(by_size.get(size, ()))
+        cofaces: dict[int, set[int]] = {}
+        for t in top:
+            b = t
+            while b:
+                low = b & -b
+                ts = cofaces.get(t ^ low)
+                if ts is None:
+                    cofaces[t ^ low] = {t}
+                else:
+                    ts.add(t)
+                b ^= low
+        queue = deque(f for f, ts in cofaces.items() if len(ts) == 1)
+        while queue:
+            f = queue.popleft()
+            ts = cofaces[f]
+            if len(ts) != 1:  # its one coface went with another free face
+                continue
+            t = ts.pop()
+            del cofaces[f]
+            top.discard(t)
+            steps.append((f, t))
+            b = f
+            while b:
+                low = b & -b
+                ts = cofaces[t ^ low]
+                ts.discard(t)
+                if len(ts) == 1:
+                    queue.append(t ^ low)
+                b ^= low
+        if top:
+            return None
+        top = set(cofaces)
+    top.update(by_size.get(1, ()))
+    if len(top) != 1:
+        return None
+    return steps, top.pop()
+
+
+def _witness(c: Complex, result) -> dict:
+    steps, vertex = result
+
+    def labels(mask):
+        return [c.vertices[i] for i in _bits(mask)]
+
+    return {"collapse_steps": [[labels(f), labels(t)] for f, t in steps],
+            "final_vertex": labels(vertex)}
+
+
+def test_lattice_collapse_matches_the_dict_collapse(differential_complexes):
+    # same verdict as the reference on every input, and each new witness
+    # replays: the comparison inputs with their boundaries, grown balls of
+    # dimension 1-5 with their boundaries minus a facet, and the Poincaré
+    # sphere minus each facet, none of which collapses
+    rng = random.Random(1656)
+    inputs = list(differential_complexes)
+    inputs += [x.boundary() for x in differential_complexes
+               if x.is_weak_pseudomanifold and not x.classify().closed]
+    for dim in range(1, 6):
+        for _ in range(3):
+            ball, _ = grow_shelled_ball(dim, rng.randrange(1, dim + 1), rng.randrange(0, 10), rng)
+            rim = ball.boundary().facets
+            i = rng.randrange(len(rim))
+            inputs += [ball, Complex(rim[:i] + rim[i + 1:])]
+    sigma = fixture("bl_sigma3_16").complex.facets
+    inputs += [Complex(sigma[:i] + sigma[i + 1:]) for i in range(len(sigma))]
+    verdicts = {True: 0, False: 0}
+    for c in inputs:
+        if c.is_empty_complex:
+            continue
+        new = _collapses_to_point(c._lattice)
+        assert bool(new) == bool(oracle_collapses_to_point(c._facet_masks)), c.facets
+        assert new is None or collapse_replays(c, _witness(c, new)), c.facets
+        verdicts[new is not None] += 1
+    assert min(verdicts.values()) >= 50, verdicts
