@@ -31,6 +31,7 @@ from .errors import (
 )
 from .homology import (
     DEFAULT_FIELDS,
+    _ball_detail,
     _collapses_to_point,
     _reduce,
     _residual_betti,
@@ -118,12 +119,17 @@ def _interior_face(ball: Complex, top: int) -> tuple[int, tuple] | None:
     """(m, face) for the first face of ball of dimension m <= top that is
     not on its boundary, lowest m first and then in ball's vertex order,
     which compares positions and so mixed labels too; None when there is
-    none.  The boundary faces are the lattice of ball's boundary ridges, as
-    masks over ball's own vertex positions."""
-    pos = ball._vertex_pos
-    rim = set(_face_lattice([sum(1 << pos[u] for u in f if u != v) for f, v in ball._rim()]).cells)
-    for m in range(top + 1):
-        inner = [c for c in ball._lattice.of_size(m + 1) if c not in rim]
+    none.  Both are read off ball's own lattice: the boundary ridges are
+    the cells of size `dimension` with one coface, and the boundary faces
+    those ridges and every face below them."""
+    cells, faces, cofaces, sizes = ball._lattice
+    ridges = sizes[ball.dimension]
+    rim = {i for i in ridges if len(cofaces[i]) == 1}
+    for i in range(ridges.start, len(cells)):  # a cell's faces have higher ids
+        if i in rim:
+            rim.update(faces[i])
+    for m, ids in enumerate(sizes[1 : top + 2]):
+        inner = [cells[i] for i in ids if i not in rim]
         if inner:
             return m, ball.sorted_faces(map(ball._labels, inner))[0]
     return None
@@ -445,7 +451,7 @@ def certify_k_stellated(
             notes=(screen.render_note(),),
         )
     if k == 1 and d >= 2:
-        inner = certify_k_stacked_sphere(s, 1, fields=fields)
+        inner = _stacked_sphere(s, 1, None, fields, (screen.render_note(),))
         if inner.refuted:
             return Verdict(REFUTED, witness=inner.witness, notes=inner.notes)
         try:
@@ -503,10 +509,14 @@ def certify_k_stacked_sphere(
     screen = screen_homology_sphere(s, fields)
     if not screen.passed:
         raise NotASphere(screen.detail)
+    return _stacked_sphere(s, k, candidate, fields, (screen.render_note(),))
+
+
+def _stacked_sphere(s: Complex, k: int, candidate: Complex | None, fields, notes: tuple) -> Verdict:
+    """`certify_k_stacked_sphere` past its screen of s, which gave notes."""
     d = s.dimension
     if not 0 <= k <= d:
         raise ValueError(f"need 0 <= k <= {d}, got k={k}")
-    notes = (screen.render_note(),)
     if d >= 2 * k:
         ball = stacked_ball_closure(s, k)
         if ball == s:
@@ -536,9 +546,10 @@ def certify_k_stacked_sphere(
                 witness={"reason": "closure boundary differs from the sphere"},
                 notes=notes,
             )
-        inner = screen_homology_ball(ball, fields)
-        if not inner.passed:
-            return Verdict(REFUTED, witness={"reason": f"closure: {inner.detail}"}, notes=notes)
+        # its boundary is s, screened already: only the ball itself is left
+        detail = _ball_detail(ball, fields)
+        if detail:
+            return Verdict(REFUTED, witness={"reason": f"closure: {detail}"}, notes=notes)
         hit = _interior_face(ball, d - k)
         if hit is not None:
             return Verdict(

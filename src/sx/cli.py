@@ -295,12 +295,12 @@ def _cmd_certify(args) -> int:
 
 def _cmd_stacked(args) -> int:
     c, _ = _load_source(args.source, args.format)
-    if c.classify().closed:
-        candidate = None
+    if not c.classify().closed:
         if args.candidate:
-            candidate, _ = _load_source(args.candidate, args.format)
-        return _finish_verdict(certify_k_stacked_sphere(c, args.k, candidate), args)
-    return _finish_verdict(is_k_stacked_ball(c, args.k), args)
+            _usage_error("--candidate is read only for a closed input")
+        return _finish_verdict(is_k_stacked_ball(c, args.k), args)
+    candidate = _load_source(args.candidate, args.format)[0] if args.candidate else None
+    return _finish_verdict(certify_k_stacked_sphere(c, args.k, candidate), args)
 
 
 def _cmd_bar(args) -> int:

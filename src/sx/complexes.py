@@ -293,7 +293,8 @@ class Complex:
     def _facet_masks(self) -> tuple[int, ...]:
         """Each facet as an int with bit i set for the vertex at position i,
         in increasing order: the one bitmask encoding that connectivity,
-        normality and the homology screens' collapse read."""
+        normality, the face lattice, the closures, the move state and
+        tightness read."""
         pos = self._vertex_pos
         return tuple(sorted(sum(1 << pos[v] for v in f) for f in self._facets))
 

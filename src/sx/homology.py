@@ -19,7 +19,10 @@ faces inside A start dead, so `_residual_betti` gives the relative Betti
 numbers β_j(X, Y) that `certify` decides tightness by.
 
 The screens reduce a complex's own lattice once and eliminate its
-residual field by field.  `_collapses_to_point`, the greedy collapse that
+residual field by field.  The ball screen is `_ball_detail`, which judges
+x itself, then the sphere screen of x's boundary; `certify` runs
+`_ball_detail` alone on a closure whose boundary is a sphere it has
+screened already.  `_collapses_to_point`, the greedy collapse that
 `certify.collapse` gives as a witness, runs on that same lattice with live
 flags and live-coface counts, so every face read here comes from
 `_face_lattice`, built at most once per `Complex`.
@@ -325,19 +328,26 @@ def screen_homology_sphere(x: Complex, fields: tuple[int, ...] = DEFAULT_FIELDS)
     return ScreenVerdict(not detail, "sphere-screen", fields, detail)
 
 
+def _ball_detail(x: Complex, fields: tuple[int, ...]) -> str:
+    """The ball screen's detail for x alone, or "" when it passes; x's
+    boundary is not screened.  The boundary {∅} of a closed x is empty, and
+    so is that of a point, whose one rim ridge is ∅."""
+    cls = x.classify()
+    if not cls.normal_pseudomanifold:
+        return "not a normal pseudomanifold"
+    if cls.closed or x.dimension == 0:
+        return "boundary is empty"
+    return _failing_field(x, fields, _point_like)
+
+
 def screen_homology_ball(x: Complex, fields: tuple[int, ...] = DEFAULT_FIELDS) -> ScreenVerdict:
     """PASS iff x is a normal pseudomanifold, acyclic over every field, whose
     boundary screens as a sphere."""
     fields = tuple(fields)
-    cls = x.classify()
-    if not cls.normal_pseudomanifold:
-        return ScreenVerdict(False, "ball-screen", fields, "not a normal pseudomanifold")
-    bd = x.boundary()
-    if bd.is_empty_complex:
-        return ScreenVerdict(False, "ball-screen", fields, "boundary is empty")
-    detail = _failing_field(x, fields, _point_like)
+    detail = _ball_detail(x, fields)
     if detail:
         return ScreenVerdict(False, "ball-screen", fields, detail)
+    bd = x.boundary()
     if bd.dimension == 0:
         # boundary of a 1-ball: two points
         if len(bd.vertices) == 2:

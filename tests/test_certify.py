@@ -13,6 +13,7 @@ import pytest
 
 import sx.certify as certify_module
 import sx.complexes as complexes_module
+import sx.homology as homology_module
 from sx import Complex, from_facets, replay, standard_ball, standard_sphere
 from sx.certify import (
     PROVED,
@@ -41,12 +42,19 @@ from sx.errors import (
     EmptyInput,
     GuardExceeded,
     NotABall,
+    NotASphere,
     NotNormalPseudomanifold,
     NotWeakPseudomanifold,
     SxError,
 )
 from sx.growth import grow_shelled_ball, grow_stacked_sphere, grow_stellated_sphere
-from sx.homology import _pivot_rows, _reduce, screen_homology_sphere
+from sx.homology import (
+    DEFAULT_FIELDS,
+    _pivot_rows,
+    _reduce,
+    screen_homology_ball,
+    screen_homology_sphere,
+)
 from sx.moves import (
     BistellarMove,
     MoveCertificate,
@@ -867,6 +875,161 @@ def test_stacked_sphere_below_twice_k_matches_the_closure_oracle(monkeypatch):
     monkeypatch.undo()
     assert verdicts() == expected
     assert {v["status"] for v in expected} == {PROVED, REFUTED, UNKNOWN}
+
+
+def oracle_closure_branch(s: Complex, k: int) -> Verdict:
+    """The former d >= 2k branch of `certify_k_stacked_sphere`: the closure
+    screened by the full ball screen, its boundary s again as a sphere, and
+    its interior faces from the frozenset lattices of it and its boundary."""
+    screen = screen_homology_sphere(s)
+    if not screen.passed:
+        raise NotASphere(screen.detail)
+    d = s.dimension
+    notes = (screen.render_note(),)
+    ball = certify_module.stacked_ball_closure(s, k)
+    if ball == s:
+        return Verdict(
+            REFUTED,
+            witness={"reason": "closure adds no faces beyond the sphere"},
+            notes=notes,
+        )
+    if ball.dimension != d + 1 or not ball.is_pure:
+        return Verdict(
+            REFUTED,
+            witness={
+                "reason": "closure is not a pure complex of one higher dimension",
+                "closure_dimension": ball.dimension,
+            },
+            notes=notes,
+        )
+    try:
+        bd = ball.boundary()
+    except NotWeakPseudomanifold:
+        return Verdict(
+            REFUTED, witness={"reason": "closure is not a weak pseudomanifold"}, notes=notes
+        )
+    if bd != s:
+        return Verdict(
+            REFUTED,
+            witness={"reason": "closure boundary differs from the sphere"},
+            notes=notes,
+        )
+    inner = screen_homology_ball(ball)
+    if not inner.passed:
+        return Verdict(REFUTED, witness={"reason": f"closure: {inner.detail}"}, notes=notes)
+    hit = oracle_interior_face(ball, d - k)
+    if hit is not None:
+        return Verdict(
+            REFUTED,
+            witness={
+                "reason": "closure has an interior face of low dimension",
+                "interior_face": list(hit[1]),
+            },
+            notes=notes,
+        )
+    return Verdict(
+        PROVED,
+        witness={"ball_facets": [list(f) for f in ball.sorted_faces(ball.facet_sets)]},
+        notes=notes,
+    )
+
+
+def pinched_disk() -> Complex:
+    """A triangulated 4 x 6 grid with its interior vertices 11 and 14, three
+    edges apart, made one: a weak pseudomanifold with the grid's boundary
+    whose vertex 11 has two circles as its link."""
+    squares = [(10 * i + j, 10 * i + j + 1, 10 * i + j + 10, 10 * i + j + 11)
+               for i in range(3) for j in range(5)]
+    grid = Complex(t for a, b, c, e in squares for t in ((a, b, e), (a, c, e)))
+    return grid.rename({14: 11})
+
+
+def test_closure_branch_matches_the_full_ball_screen_oracle(monkeypatch):
+    spheres = [cross_polytope(d) for d in (2, 3, 4)] + [Complex(MIXED_S3)]
+    spheres += [fixture(name).complex for name in (
+        "dfm_s3_16", "bl_sigma3_16", "s5_18", "s6_19",
+        "ziegler_s3_10", "ziegler_s2_10", "lutz_s3_8", "lutz_s2_8")]
+    rng = random.Random(26)
+    for dim in (2, 3, 4):
+        spheres.append(grow_stacked_sphere(dim, rng.randrange(1, 8), rng))
+        for k in (1, 2):
+            spheres.append(grow_stellated_sphere(dim, k, rng.randrange(1, 8), rng)[0])
+    # at k <= 1 the closure of a sphere on more than 14 vertices can hold
+    # up to 2^n sets
+    cases = [(s, k) for s in spheres for k in range(s.dimension // 2 + 1)
+             if k >= 2 or len(s.vertices) <= 14]
+    reasons = set()
+    for s, k in cases:
+        want = oracle_closure_branch(s, k).as_dict()
+        assert certify_k_stacked_sphere(s, k).as_dict() == want, (s.facets, k)
+        reasons.add(want["witness"].get("reason", want["status"]))
+    assert reasons == {
+        PROVED,
+        "closure adds no faces beyond the sphere",
+        "closure is not a pure complex of one higher dimension",
+        "closure has an interior face of low dimension",
+    }
+    # crafted closures bounded by s reach the ball screen's own failures
+    mobius = from_facets(RP2[1:])
+    crafted = [(mobius, "closure: reduced betti over Q is [0, 1, 0]"),
+               (pinched_disk(), "closure: not a normal pseudomanifold")]
+    for ball, reason in crafted:
+        s = ball.boundary()
+        monkeypatch.setattr(certify_module, "stacked_ball_closure", lambda s, k, ball=ball: ball)
+        want = oracle_closure_branch(s, 0).as_dict()
+        assert want["witness"] == {"reason": reason}
+        assert certify_k_stacked_sphere(s, 0).as_dict() == want
+
+
+def test_is_k_stacked_ball_builds_the_lattices_of_b_and_its_boundary(monkeypatch):
+    # the ball screen reduces b's lattice and its boundary's, and the
+    # interior faces are read off b's lattice: no lattice of the rim
+    real, built = complexes_module._face_lattice, []
+
+    def spy_lattice(generators):
+        built.append(tuple(generators))
+        return real(built[-1])
+
+    monkeypatch.setattr(complexes_module, "_face_lattice", spy_lattice)
+    monkeypatch.setattr(certify_module, "_face_lattice", spy_lattice)
+    for name, k, proved in (("dfm_b4_16", 2, True), ("d6_18", 1, False)):
+        b = Complex(fixture(name).complex.facets)  # a fresh complex: no lattice cached yet
+        built.clear()
+        assert is_k_stacked_ball(b, k).proved == proved
+        assert built == [b._facet_masks, b.boundary()._facet_masks], name
+
+
+def test_one_stellated_screens_the_sphere_once(monkeypatch):
+    # certify_k_stellated screens s, and the closure branch screens only
+    # the closure ball, whose boundary is s: one sphere screen, and one
+    # reduction of each of the two lattices built
+    real, built, reduced, screened = complexes_module._face_lattice, [], [], []
+
+    def spy_lattice(generators):
+        built.append(tuple(generators))
+        return real(built[-1])
+
+    def spy_reduce(lattice, inside=None):
+        reduced.append(lattice)
+        return _reduce(lattice, inside)
+
+    def spy_screen(x, fields=DEFAULT_FIELDS):
+        screened.append(x)
+        return screen_homology_sphere(x, fields)
+
+    monkeypatch.setattr(complexes_module, "_face_lattice", spy_lattice)
+    monkeypatch.setattr(certify_module, "_face_lattice", spy_lattice)
+    monkeypatch.setattr(homology_module, "_reduce", spy_reduce)
+    monkeypatch.setattr(certify_module, "_reduce", spy_reduce)
+    monkeypatch.setattr(homology_module, "screen_homology_sphere", spy_screen)
+    monkeypatch.setattr(certify_module, "screen_homology_sphere", spy_screen)
+    s = grow_stacked_sphere(3, 6, random.Random(7))
+    assert certify_k_stellated(s, 1).proved
+    closure = stacked_ball_closure(s, 1)
+    assert len(screened) == 1 and screened[0] is s
+    assert built == [s._facet_masks, closure._facet_masks]
+    assert len(reduced) == 2 and reduced[0] is s._lattice
+    assert reduced[1] == real(closure._facet_masks)
 
 
 def test_dfm_stacked_via_candidate(dfm, dfm_ball):

@@ -473,6 +473,25 @@ def test_options_a_command_does_not_read_are_usage_errors(capsys, command, unrea
     assert out.err.startswith("usage error: ")
 
 
+@pytest.mark.parametrize(
+    "k, candidate, src",
+    [
+        ("1", "/nonexistent.fac", "fixtures:lutz_b2"),
+        ("2", "/nonexistent.fac", "fixtures:dfm_b4_16"),
+        ("1", "fixtures:lutz_b1", "fixtures:lutz_b2"),
+    ],
+)
+def test_stacked_candidate_on_a_ball_is_a_usage_error(capsys, k, candidate, src):
+    # a ball is decided by its own interior faces, so a candidate is never
+    # read, and giving one is an error even when it cannot be loaded
+    with pytest.raises(SystemExit) as err:
+        main(["stacked", "-k", k, "--candidate", candidate, src])
+    assert err.value.code == 64
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "usage error: --candidate is read only for a closed input\n"
+
+
 def test_stacked_refutes_a_mixed_label_ball_with_a_witness(capsys):
     code, out, _ = run_cli(capsys, "stacked", "-k", "1", "fixtures:d6_18")
     assert code == 1
