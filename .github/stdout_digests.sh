@@ -1,0 +1,90 @@
+#!/usr/bin/env bash
+# Run each command of the table below under bash and compare the sha256 of
+# its stdout and its exit code with the row.  A row is
+#   <sha256> <exit code> <command>
+# and lines that start with # are comments.  Every row is run; the script
+# exits 1 if any row differs.  Usage, from the root of the repository with
+# `sx` on PATH:  bash .github/stdout_digests.sh
+set -u
+out=$(mktemp)
+trap 'rm -f "$out"' EXIT
+failed=0
+while read -r sha code cmd; do
+  case "$sha" in '' | '#'*) continue ;; esac
+  bash -c "$cmd" < /dev/null > "$out"
+  got_code=$?
+  got_sha=$(sha256sum < "$out" | cut -d' ' -f1)
+  echo "$cmd: exit $got_code, sha256 $got_sha"
+  if [ "$got_code" -ne "$code" ]; then echo "  expected exit $code"; failed=1; fi
+  if [ "$got_sha" != "$sha" ]; then echo "  expected sha256 $sha"; failed=1; fi
+done <<'TABLE'
+# move order and search outputs, recorded before the move enumerators and
+# the stellatedness search moved onto facet masks
+e56d9be3bae28e4b9448d4a66752071f93802be32ec85be293446ea7736d42a9 0 sx flips --lo 0 --hi 3 fixtures:bl_sigma3_16
+ab31b0e101629a19b3b47479c5fbb8deeedacca96b01355dd7772c6b9497ab9c 0 sx generate cross-polytope 3 | sx flips --lo 0 --hi 3 -
+0c5bc6ad7c15a3a1aa9d35d4a7c1c9a9070d2afa6463c3e0ee2a45ddd1e06fa2 0 sx certify stellated -k 2 fixtures:lutz_s3_8
+f48de3a1f8aff75dcb795ab74b239cc6149b738f8f72194081cee2727dd39461 2 sx certify stellated -k 3 --budget-nodes 300 fixtures:bl_sigma3_16
+# the paths that replay, recorded before replay and the move checks moved
+# onto facet masks: criterion 5 replays the printed shelling, criterion 7
+# runs apply_* and the ball lift
+f63b7db37ec523ab60a983d6cb81e4b60d4210b6799aaed19bb2da062f1ee0cc 0 sx verify-paper --seed 0 --criteria 5,7
+a98e1276ab8589821de6f567251cca8c87266f3773b6e471ddf2acaf41175cb3 0 sx certify stellated -k 1 fixtures:ziegler_s2_10
+# the searches the move tables feed, recorded before the move lists were
+# kept in step with the facets: index 0 with fresh labels, index 2 and up,
+# and a budget cut on mixed labels
+ef2a3ba5970425d35fc2f6c2957b0ef3617424c3fc0c0499d7b8bd2de1572bfe 0 sx certify stellated -k 4 fixtures:dfm_s3_16
+8fa6bd5e94f086b24d95b573687109beffe75cbb35e21565c083808f80d68d4f 0 sx certify stellated -k 2 fixtures:ziegler_s3_10
+84b80c3890e4f49383ddba07854f442a40b106d130da97ce0fcfc7f7eb71d405 2 sx certify stellated -k 3 --budget-nodes 2000 fixtures:bl_sigma3_16
+# the shelling search, recorded before it memoised each facet's attachment:
+# a refutation, a budget cut, a proof, and criterion 4
+68234d4c2975f9ff05a6d032dd08ae6dded08e76244a5b83d4244dd8b6eaa925 1 sx certify shelled -k 3 fixtures:ziegler_b2
+34b7aca922bc05782f03d0e8d79f5ef370b69e68c108c39666631bf056f493f9 2 sx certify shelled -k 3 --budget-nodes 3000 fixtures:dfm_b4_16
+0a831f8dd82128b4f8d2b7d6168dc87953d75cfcbb7a20d348421226363d73c6 0 sx certify shelled -k 2 fixtures:lutz_b2
+c20687121a83fb8d228ac0c2e4ff484b217e533a580c6d854445eda9a01fc1cd 0 sx verify-paper --seed 0 --criteria 4
+# tightness outputs, recorded before tightness moved from induced boundary
+# ranks to relative Betti numbers on the facet masks
+ce86d7426fa8c5babcd7d5519f1243517f72a5b75074354aa4f2c8ade3c415e3 1 sx certify tight --field 2 fixtures:lutz_b1
+7f5067d40c7cec16977e7048b3f1900f12f7615308b77ff9f187352976bd0a16 0 sx generate standard-sphere 3 | sx certify tight --field 0 -
+14ad254567372270a5b27aec89d6e07d9e202907e0b5e5a18fe7b321b51f78d4 0 sx verify-paper --seed 0 --criteria 9
+# face lattice outputs, recorded before the frozenset face lattice, ridge
+# map and label stars gave way to one lattice on the facet masks:
+# f-vectors, an interior-face witness, face counts, the closure of a
+# neighborly sphere, a ball's flags, and the paper criteria that read faces
+# and boundaries
+c547367bec6b4df29a29118c3feedc505c16d75ed47042623a2953ffd73b3eeb 0 sx info fixtures:d7_19
+49681b68455fc85092668b9de9539ca33f647c416d424604be0156cbb7d09439 1 sx stacked -k 1 fixtures:d6_18
+da674ff4bb32c11865b73373f00a0800fa7910f66ee6b32007d2620ca881cce9 0 sx stacked -k 2 fixtures:d6_18
+d9f8e33a32d61defb8aa9387ee52df4b1b75537ef4f6dda619e242c88f205c79 1 sx stacked -k 1 fixtures:dfm_s3_16
+caccf1a0a9d466521862c937c1522009cab564c1cb2630da31aa5b2741cf5ab9 0 sx classify fixtures:ziegler_b2
+ddd63639bffda83abd3565f6777525176407ce56feccdb4a08c2819812239a9b 0 sx verify-paper --seed 0 --criteria 1,2,3,6,8,10
+# the commands the homology screens decide, recorded before the screens
+# dropped their collapse-first branch for one reduction of the face
+# lattice (stacked -k 2 fixtures:d6_18, stacked -k 1 fixtures:dfm_s3_16
+# and certify stellated -k 1 fixtures:ziegler_s2_10 are pinned above);
+# the collapse rows were recorded once the collapse ran on that lattice,
+# with live flags and live-coface counts
+fdcae1ae4b6d429ab97e8241a9f15f10ce0d51afcff759ef11c35b95a9d26d6a 0 sx stacked -k 2 fixtures:dfm_b4_16
+7c5d56e246f64865546b905a9f9cdaf92fa22d1bf8a7643d5b5e468e89d196c3 1 sx certify stellated -k 2 fixtures:bl_sigma3_16
+5199313d766860711c8981df826198adf46fd1ec86d3690bac8c73a7a1beec5a 0 sx certify ears fixtures:lutz_b2
+0cbed6fa59345f099a56846bc8263c3bd53b19c0fefe3edfff0f209a3f99b363 0 sx certify class-k -k 1 fixtures:lutz_s3_8
+564ffc5c7b5dee018a284861547f9509ab85cf10bb8029453aa2c50f9e561a53 0 sx verify-paper --criteria 3,8,10
+864224b0a8fdd90f89d65bcbce185f99dd7de415f1494811c7aaf6560a25757d 0 sx certify collapsible fixtures:ziegler_b2
+317b2a0506857981a15b7bf81b6d23b81d040075f1a0d44bb7cb045f54d2ed08 0 sx certify collapsible fixtures:d4_16
+2811b554e98fd1f39c53e36c960dc159e10e3444057fd2f2222dce93c9e1e6e2 2 sx certify collapsible fixtures:lutz_s2_8
+# stackedness paths, recorded before the interior faces were read off the
+# ball's own lattice and the k = 1 path screened each sphere once; a
+# candidate ball given with a ball is a usage error with nothing on stdout
+039e22ca74140973304072b7d1dc7fabeb6e4d9d0051fe39d5484132d2d8c257 0 sx verify-paper --seed 0 --criteria 7
+00f4a9ab50b9ce655d042b5d062daf8fc97b08e08b2e60d8242816824a2d1169 0 sx stacked -k 2 fixtures:s5_18
+9702b338bab54d38e321b460ca5fa582c0d6a614acdd819763e30c1d75296ef8 0 sx certify stellated -k 1 fixtures:lutz_s2_8
+c34cd349b2b46ec18adbd44d7c1f1ae82f287e108a0bf7b6c4c5ef69b910e072 1 sx stacked -k 0 fixtures:lutz_b2
+7aee0db0369210326466a01cf9ae9cecb87930906dc29ec08958ccb793a8bed8 1 sx stacked -k 1 fixtures:ziegler_s3_10
+e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 64 sx stacked -k 1 --candidate fixtures:lutz_b1 fixtures:lutz_b2
+# the vertex ball at k = d, recorded before it and the caller's candidate
+# were judged by the one bounding-ball check; the candidate row was
+# recorded after, as a proved candidate no longer repeats the screen's note
+9bd63bd5daace5e0b564f27b80dadce3073b85e1b234e0a260f0ec5a172243f2 0 sx stacked -k 3 fixtures:ziegler_s3_10
+34e6c289d23172bb9002421eadc52a4c1f918277295d5b6f80751fb7fcdca567 0 sx stacked -k 2 fixtures:lutz_s2_8
+b4383aa986284e325fe21cd84f927daadb2a2a6cd91ed08c0a95dd4b5d0ab093 0 sx stacked -k 2 --candidate fixtures:dfm_b4_16 fixtures:dfm_s3_16
+TABLE
+exit "$failed"

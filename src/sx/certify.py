@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .complexes import Complex, _bits, _face_lattice
-from .constructions import stacked_ball_closure
+from .constructions import stacked_ball_closure, vertex_ball
 from .errors import (
     DimensionTooHigh,
     GuardExceeded,
@@ -135,7 +135,7 @@ def _interior_face(ball: Complex, top: int) -> tuple[int, tuple] | None:
     return None
 
 
-def is_k_stacked_ball(b: Complex, k: int, fields=DEFAULT_FIELDS) -> Verdict:
+def is_k_stacked_ball(b: Complex, k: int) -> Verdict:
     """Exact skeleton comparison between a screened ball and its boundary.
 
     A ball of dimension d+1 is k-stacked when every face of dimension
@@ -143,7 +143,7 @@ def is_k_stacked_ball(b: Complex, k: int, fields=DEFAULT_FIELDS) -> Verdict:
     """
     if not (0 <= k <= b.dimension):
         raise ValueError(f"need 0 <= k <= {b.dimension}, got k={k}")
-    screen = screen_homology_ball(b, fields)
+    screen = screen_homology_ball(b)
     if not screen.passed:
         raise NotABall(screen.detail)
     top = b.dimension - 1 - k
@@ -408,12 +408,7 @@ def _exhaustive_search(s: Complex, lo: int, budget: SearchBudget):
     return moves, frozenset(frozenset(m.ascending(f)) for f in states[-1]), nodes, cut
 
 
-def certify_k_stellated(
-    s: Complex,
-    k: int,
-    budget: SearchBudget | None = None,
-    fields=DEFAULT_FIELDS,
-) -> Verdict:
+def certify_k_stellated(s: Complex, k: int, budget: SearchBudget | None = None) -> Verdict:
     """Reduce s to the standard sphere by reverse moves of index > d-k.
 
     k = 0 is an equality test and k = 1 is decided exactly through the
@@ -441,7 +436,7 @@ def certify_k_stellated(
         return Verdict(PROVED, certificate=cert)
     if k == 0:
         return Verdict(REFUTED, witness={"reason": "not the standard sphere"})
-    screen = screen_homology_sphere(s, fields)
+    screen = screen_homology_sphere(s)
     if not screen.passed:
         # stellated complexes are combinatorial spheres, so any homology
         # defect over any field refutes outright
@@ -451,7 +446,7 @@ def certify_k_stellated(
             notes=(screen.render_note(),),
         )
     if k == 1 and d >= 2:
-        inner = _stacked_sphere(s, 1, None, fields, (screen.render_note(),))
+        inner = _stacked_sphere(s, 1, None, (screen.render_note(),))
         if inner.refuted:
             return Verdict(REFUTED, witness=inner.witness, notes=inner.notes)
         try:
@@ -495,9 +490,7 @@ def _closure_adds_nothing(s: Complex, size: int) -> bool:
     return all(len(f) <= size for f in s.missing_faces(s.dimension + 1))
 
 
-def certify_k_stacked_sphere(
-    s: Complex, k: int, candidate: Complex | None = None, fields=DEFAULT_FIELDS
-) -> Verdict:
+def certify_k_stacked_sphere(s: Complex, k: int, candidate: Complex | None = None) -> Verdict:
     """Decide k-stackedness of a screened homology sphere.
 
     For dimension >= 2k the clique-style closure is the unique candidate
@@ -506,14 +499,16 @@ def certify_k_stacked_sphere(
     witness ball would lie inside the sphere itself); otherwise only a
     caller-supplied ball can prove.
     """
-    screen = screen_homology_sphere(s, fields)
+    screen = screen_homology_sphere(s)
     if not screen.passed:
         raise NotASphere(screen.detail)
-    return _stacked_sphere(s, k, candidate, fields, (screen.render_note(),))
+    return _stacked_sphere(s, k, candidate, (screen.render_note(),))
 
 
-def _stacked_sphere(s: Complex, k: int, candidate: Complex | None, fields, notes: tuple) -> Verdict:
-    """`certify_k_stacked_sphere` past its screen of s, which gave notes."""
+def _stacked_sphere(s: Complex, k: int, candidate: Complex | None, notes: tuple) -> Verdict:
+    """`certify_k_stacked_sphere` past its screen of s, which gave notes.
+    Each candidate ball, the closure, the vertex ball or the caller's, is
+    judged by `_bounding_fault`."""
     d = s.dimension
     if not 0 <= k <= d:
         raise ValueError(f"need 0 <= k <= {d}, got k={k}")
@@ -534,50 +529,36 @@ def _stacked_sphere(s: Complex, k: int, candidate: Complex | None, fields, notes
                 },
                 notes=notes,
             )
-        try:
-            bd = ball.boundary()
-        except NotWeakPseudomanifold:
+        fault = _bounding_fault(s, ball, k)
+        if fault is None:
             return Verdict(
-                REFUTED, witness={"reason": "closure is not a weak pseudomanifold"}, notes=notes
-            )
-        if bd != s:
-            return Verdict(
-                REFUTED,
-                witness={"reason": "closure boundary differs from the sphere"},
+                PROVED,
+                witness={"ball_facets": _faces_out(ball, ball.facet_sets)},
                 notes=notes,
             )
-        # its boundary is s, screened already: only the ball itself is left
-        detail = _ball_detail(ball, fields)
-        if detail:
-            return Verdict(REFUTED, witness={"reason": f"closure: {detail}"}, notes=notes)
-        hit = _interior_face(ball, d - k)
-        if hit is not None:
-            return Verdict(
-                REFUTED,
-                witness={
-                    "reason": "closure has an interior face of low dimension",
-                    "interior_face": list(hit[1]),
-                },
-                notes=notes,
-            )
-        return Verdict(
-            PROVED,
-            witness={"ball_facets": _faces_out(ball, ball.facet_sets)},
-            notes=notes,
-        )
+        step, found = fault
+        if step == "bound":
+            witness = {"reason": f"closure {found}"}
+        elif step == "ball":
+            witness = {"reason": f"closure: {found}"}
+        else:
+            witness = {
+                "reason": "closure has an interior face of low dimension",
+                "interior_face": found["interior_face"],
+            }
+        return Verdict(REFUTED, witness=witness, notes=notes)
     if k == d:
         # top-degree stackedness always holds: the cone over a vertex's
         # antistar is a ball with the same vertex set bounding s
-        from .constructions import vertex_ball
-
-        ball = vertex_ball(s, s.vertices[0])
-        sub = is_k_stacked_ball(ball, k, fields)
-        if sub.proved and ball.boundary() == s:
+        fault = _bounding_fault(s, vertex_ball(s, s.vertices[0]), k)
+        if fault is None:
             return Verdict(
                 PROVED,
                 witness={"vertex_ball_apex": str(s.vertices[0])},
                 notes=notes,
             )
+        if fault[0] == "ball":
+            raise NotABall(fault[1])
     # d < 2k: no uniqueness; refute via the skeleton-forced closure if possible
     if _closure_adds_nothing(s, d - k + 1):
         return Verdict(
@@ -588,33 +569,47 @@ def _stacked_sphere(s: Complex, k: int, candidate: Complex | None, fields, notes
             notes=notes,
         )
     if candidate is not None:
-        try:
-            bounds = candidate.boundary() == s
-        except NotWeakPseudomanifold:
-            bounds = False
-        if not bounds:
-            return Verdict(
-                UNKNOWN,
-                witness={"reason": "candidate ball does not bound the sphere"},
-                notes=notes,
-            )
-        sub = is_k_stacked_ball(candidate, k, fields)
-        if sub.proved:
+        fault = _bounding_fault(s, candidate, k)
+        if fault is None:
             return Verdict(
                 PROVED,
                 witness={"candidate_ball_facets": _faces_out(candidate, candidate.facet_sets)},
-                notes=notes + sub.notes,
+                notes=notes,
             )
-        return Verdict(
-            UNKNOWN,
-            witness={"reason": "candidate ball is not k-stacked", "detail": sub.witness},
-            notes=notes,
-        )
+        step, found = fault
+        if step == "ball":
+            raise NotABall(found)
+        if step == "bound":
+            witness = {"reason": "candidate ball does not bound the sphere"}
+        else:
+            witness = {"reason": "candidate ball is not k-stacked", "detail": found}
+        return Verdict(UNKNOWN, witness=witness, notes=notes)
     return Verdict(
         UNKNOWN,
         witness={"reason": f"dimension {d} < 2k; supply a candidate ball"},
         notes=notes,
     )
+
+
+def _bounding_fault(s: Complex, ball: Complex, k: int) -> tuple[str, object] | None:
+    """The first way in which ball falls short of a k-stacked ball bounded
+    by s, which the caller has screened, or None: ("bound", reason) when
+    ball has no boundary or its boundary is not s; ("ball", detail) when
+    ball fails the ball screen, whose boundary half is the screen of s; and
+    ("interior", witness) for its first interior face of dimension <= d - k,
+    worded as `is_k_stacked_ball` words it."""
+    try:
+        if ball.boundary() != s:
+            return "bound", "boundary differs from the sphere"
+    except NotWeakPseudomanifold:
+        return "bound", "is not a weak pseudomanifold"
+    detail = _ball_detail(ball, DEFAULT_FIELDS)
+    if detail:
+        return "ball", detail
+    hit = _interior_face(ball, s.dimension - k)
+    if hit is not None:
+        return "interior", {"interior_face": list(hit[1]), "dimension": hit[0]}
+    return None
 
 
 # -- ears and collapsibility -----------------------------------------------------
@@ -639,11 +634,7 @@ def is_ball_exact(c: Complex, dim: int) -> bool:
     return dim < 2 or (c.boundary().is_connected and c.euler_characteristic == 1)
 
 
-def ear_scan(
-    b: Complex,
-    budget: SearchBudget | None = None,
-    fields=DEFAULT_FIELDS,
-) -> list[tuple]:
+def ear_scan(b: Complex, budget: SearchBudget | None = None) -> list[tuple]:
     """Facets whose removal leaves a ball, via the boundary-restriction test.
 
     A facet is an ear iff the faces of the boundary inside its vertex set
@@ -653,7 +644,7 @@ def ear_scan(
     facets = b.facets
     if len(facets) == 1:
         return [facets[0]]
-    screen = screen_homology_ball(b, fields)
+    screen = screen_homology_ball(b)
     if not screen.passed:
         raise NotABall(screen.detail)
     d = b.dimension
@@ -715,13 +706,7 @@ def collapse(b: Complex, budget: SearchBudget | None = None) -> Verdict:
 # -- link classes -----------------------------------------------------------------
 
 
-def is_in_class(
-    m: Complex,
-    k: int,
-    cls: str = "W",
-    budget: SearchBudget | None = None,
-    fields=DEFAULT_FIELDS,
-) -> Verdict:
+def is_in_class(m: Complex, k: int, cls: str = "W", budget: SearchBudget | None = None) -> Verdict:
     """Check every vertex link for k-stellatedness (class W) or
     k-stackedness (class K); one link per vertex orbit when the
     automorphism group is within its guard.  The links' search counters
@@ -743,9 +728,9 @@ def is_in_class(
         lk = m.link((v,))
         try:
             if cls == "W":
-                sub = certify_k_stellated(lk, k, budget, fields)
+                sub = certify_k_stellated(lk, k, budget)
             else:
-                sub = certify_k_stacked_sphere(lk, k, fields=fields)
+                sub = certify_k_stacked_sphere(lk, k)
         except SxError as exc:
             return Verdict(
                 REFUTED,
@@ -781,9 +766,7 @@ def tightness_beta_condition(m: Complex, k: int, field: int) -> Verdict:
     if not (0 <= k <= m.dimension):
         raise ValueError(f"need 0 <= k <= {m.dimension}, got k={k}")
     check_field(field)
-    n = len(m.vertices)
-    num = math.comb(n - k - 3, k + 1)
-    den = math.comb(2 * k + 3, k + 1)
+    num, den = required_tight_beta(k, len(m.vertices))
     if num % den:
         return Verdict(
             REFUTED,

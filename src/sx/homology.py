@@ -347,13 +347,7 @@ def screen_homology_ball(x: Complex, fields: tuple[int, ...] = DEFAULT_FIELDS) -
     detail = _ball_detail(x, fields)
     if detail:
         return ScreenVerdict(False, "ball-screen", fields, detail)
-    bd = x.boundary()
-    if bd.dimension == 0:
-        # boundary of a 1-ball: two points
-        if len(bd.vertices) == 2:
-            return ScreenVerdict(True, "ball-screen", fields)
-        return ScreenVerdict(False, "ball-screen", fields, "0-dimensional boundary is not two points")
-    inner = screen_homology_sphere(bd, fields)
+    inner = screen_homology_sphere(x.boundary(), fields)
     if not inner.passed:
         return ScreenVerdict(False, "ball-screen", fields, f"boundary: {inner.detail}")
     return ScreenVerdict(True, "ball-screen", fields)

@@ -981,6 +981,165 @@ def test_closure_branch_matches_the_full_ball_screen_oracle(monkeypatch):
         assert certify_k_stacked_sphere(s, 0).as_dict() == want
 
 
+def oracle_top_and_candidate(s: Complex, k: int, candidate: Complex | None = None) -> Verdict:
+    """The former d < 2k part of `certify_k_stacked_sphere`: the vertex ball
+    at k = d and the caller's candidate each go through `is_k_stacked_ball`,
+    whose full ball screen screens their boundary, equal to s, a second
+    time.  Kept verbatim as the reference; the vertex ball is read off
+    `certify` so that a stand-in reaches both."""
+    screen = screen_homology_sphere(s)
+    if not screen.passed:
+        raise NotASphere(screen.detail)
+    notes = (screen.render_note(),)
+    d = s.dimension
+    if k == d:
+        ball = certify_module.vertex_ball(s, s.vertices[0])
+        sub = is_k_stacked_ball(ball, k)
+        if sub.proved and ball.boundary() == s:
+            return Verdict(
+                PROVED,
+                witness={"vertex_ball_apex": str(s.vertices[0])},
+                notes=notes,
+            )
+    if certify_module._closure_adds_nothing(s, d - k + 1):
+        return Verdict(
+            REFUTED,
+            witness={
+                "reason": "every face of a k-stacked bounding ball would lie in the sphere",
+            },
+            notes=notes,
+        )
+    if candidate is not None:
+        try:
+            bounds = candidate.boundary() == s
+        except NotWeakPseudomanifold:
+            bounds = False
+        if not bounds:
+            return Verdict(
+                UNKNOWN,
+                witness={"reason": "candidate ball does not bound the sphere"},
+                notes=notes,
+            )
+        sub = is_k_stacked_ball(candidate, k)
+        if sub.proved:
+            return Verdict(
+                PROVED,
+                witness={"candidate_ball_facets": [list(f) for f in candidate.sorted_faces(candidate.facet_sets)]},
+                notes=notes + sub.notes,
+            )
+        return Verdict(
+            UNKNOWN,
+            witness={"reason": "candidate ball is not k-stacked", "detail": sub.witness},
+            notes=notes,
+        )
+    return Verdict(
+        UNKNOWN,
+        witness={"reason": f"dimension {d} < 2k; supply a candidate ball"},
+        notes=notes,
+    )
+
+
+def _summary(out) -> str:
+    """The status, reason or error name of an `_outcome`."""
+    if isinstance(out, tuple):
+        return out[0]
+    return out["witness"].get("reason", out["status"])
+
+
+def test_bounding_balls_match_the_former_vertex_ball_and_candidate_branches(
+    differential_complexes, monkeypatch
+):
+    # the one change: a proved candidate no longer repeats the screen's note
+    def expected(s, k, candidate):
+        want = _outcome(oracle_top_and_candidate, s, k, candidate)
+        if isinstance(want, dict):
+            want["notes"] = list(dict.fromkeys(want["notes"]))
+        return want
+
+    spheres = [x for x in differential_complexes if x.dimension >= 1 and len(x.facets) <= 60
+               and x.classify().closed and screen_homology_sphere(x).passed]
+    # a disk with two interior vertices made one bounds its rim but is not
+    # normal, and so is its join with a triangle's rim, which bounds a
+    # 3-sphere
+    pinched = pinched_disk()
+    pinched_3 = pinched.join(standard_sphere(1, ("a", "b", "c")))
+    spheres += [pinched.boundary(), pinched_3.boundary(), cross_polytope(3), standard_sphere(2)]
+    seen = set()
+    for s in spheres:
+        d = s.dimension
+        other = standard_ball(d + 1, [f"o{i}" for i in range(d + 2)])  # bounds another sphere
+        tripod = Complex([tuple(range(d + 1)) + (f"t{i}",) for i in range(3)])  # a ridge in three facets
+        bounded = [certify_module.vertex_ball(s, v) for v in s.vertices]
+        bounded.append(s.join(standard_ball(0, ("apex",))))  # an interior vertex
+        for j in range(2 if len(s.vertices) > 14 else 0, d // 2 + 1):
+            closure = stacked_ball_closure(s, j)
+            if closure.dimension == d + 1 and closure.is_weak_pseudomanifold and closure.boundary() == s:
+                bounded.append(closure)
+        bounded += [x for x in (pinched, pinched_3) if x.boundary() == s]
+        candidates = [None, other, tripod] + bounded
+        for k in range(d // 2 + 1, d + 1):
+            for c in candidates:
+                got = _outcome(certify_k_stacked_sphere, s, k, c)
+                assert got == expected(s, k, c), (s.facets, k, c and c.facets)
+                seen.add((k == d, _summary(got)))
+        # at k = d the vertex ball decides first: a stand-in for it that
+        # bounds another sphere lets each candidate through, and one that
+        # bounds s is judged in its place.  A vertex ball always bounds s,
+        # so the two orders of the checks differ only on stand-ins that
+        # neither bound s nor pass the ball screen, and none is used
+        monkeypatch.setattr(certify_module, "vertex_ball", lambda s, v: other)
+        for c in candidates:
+            got = _outcome(certify_k_stacked_sphere, s, d, c)
+            assert got == expected(s, d, c), (s.facets, c and c.facets)
+            seen.add(("stand-in", _summary(got)))
+        for c in bounded:
+            monkeypatch.setattr(certify_module, "vertex_ball", lambda s, v, c=c: c)
+            got = _outcome(certify_k_stacked_sphere, s, d)
+            assert got == expected(s, d, None), (s.facets, c.facets)
+            seen.add(("stand-in", _summary(got)))
+        monkeypatch.undo()
+    assert {(True, PROVED), (False, PROVED), (False, "NotABall"), ("stand-in", "NotABall"),
+            (False, "candidate ball does not bound the sphere"),
+            (False, "candidate ball is not k-stacked"),
+            ("stand-in", "candidate ball does not bound the sphere"),
+            ("stand-in", "candidate ball is not k-stacked"),
+            (False, "every face of a k-stacked bounding ball would lie in the sphere")} <= seen, seen
+
+
+@pytest.mark.parametrize("name, k, ball", [
+    ("lutz_s2_8", 2, None), ("ziegler_s3_10", 3, None), ("dfm_s3_16", 2, "dfm_b4_16"),
+])
+def test_stacked_sphere_screens_s_once_and_builds_one_boundary(monkeypatch, name, k, ball):
+    # s is screened once, on entry; the bounding ball's boundary is built
+    # once, to be compared with s, and never screened: the lattices built
+    # are those of s and of the ball
+    real_boundary, real_lattice = Complex.boundary, complexes_module._face_lattice
+    screened, bounded, built = [], [], []
+
+    def spy_screen(x, fields=DEFAULT_FIELDS):
+        screened.append(x)
+        return screen_homology_sphere(x, fields)
+
+    def spy_boundary(self):
+        bounded.append(self)
+        return real_boundary(self)
+
+    def spy_lattice(generators):
+        built.append(tuple(generators))
+        return real_lattice(built[-1])
+
+    monkeypatch.setattr(homology_module, "screen_homology_sphere", spy_screen)
+    monkeypatch.setattr(certify_module, "screen_homology_sphere", spy_screen)
+    monkeypatch.setattr(Complex, "boundary", spy_boundary)
+    monkeypatch.setattr(complexes_module, "_face_lattice", spy_lattice)
+    monkeypatch.setattr(certify_module, "_face_lattice", spy_lattice)
+    s = Complex(fixture(name).complex.facets)  # fresh complexes: no lattice cached yet
+    candidate = ball and Complex(fixture(ball).complex.facets)
+    assert certify_k_stacked_sphere(s, k, candidate).proved
+    assert (len(screened), len(bounded), len(built)) == (1, 1, 2)
+    assert screened[0] is s and built[0] == s._facet_masks
+
+
 def test_is_k_stacked_ball_builds_the_lattices_of_b_and_its_boundary(monkeypatch):
     # the ball screen reduces b's lattice and its boundary's, and the
     # interior faces are read off b's lattice: no lattice of the rim

@@ -482,10 +482,12 @@ def test_screens_on_one_reduction_match_the_elimination_screens(differential_com
     # a sphere, so the ball screen fails at the boundary; the cone over the
     # pinched torus is not normal (the link of its apex-pinch edge is two
     # circles).  RP² minus a triangle, a Möbius band, is a normal surface
-    # with boundary that does not collapse to a point.
+    # with boundary that does not collapse to a point.  A single edge and a
+    # path are 1-balls, whose boundary is two points.
     rp2, pinched = differential_complexes[:2]
     cones = [from_facets([f + (0,) for f in surface.facets]) for surface in (rp2, pinched)]
-    inputs = list(differential_complexes) + cones + [from_facets(RP2[1:])]
+    paths = [from_facets([(1, 2)]), from_facets([(1, 2), (2, "a"), ("a", 4)])]
+    inputs = list(differential_complexes) + cones + [from_facets(RP2[1:])] + paths
     inputs += [x.boundary() for x in inputs
                if x.is_weak_pseudomanifold and not x.classify().closed]
     verdicts = {(screen, passed): 0 for screen in ("sphere", "ball") for passed in (True, False)}
