@@ -86,5 +86,19 @@ e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 64 sx stacked -
 9bd63bd5daace5e0b564f27b80dadce3073b85e1b234e0a260f0ec5a172243f2 0 sx stacked -k 3 fixtures:ziegler_s3_10
 34e6c289d23172bb9002421eadc52a4c1f918277295d5b6f80751fb7fcdca567 0 sx stacked -k 2 fixtures:lutz_s2_8
 b4383aa986284e325fe21cd84f927daadb2a2a6cd91ed08c0a95dd4b5d0ab093 0 sx stacked -k 2 --candidate fixtures:dfm_b4_16 fixtures:dfm_s3_16
+# verdicts that CI steps of their own once checked by exit code alone,
+# pinned here with their stdout: stellatedness of the unflippable sphere
+# (k = 4 is pinned above), 1-stackedness, and torsion-sensitive homology of
+# RP^2 and s6_19 (the collapse rows and stacked -k 1 fixtures:d6_18 are
+# pinned above); and the search on string labels at index 0, recorded
+# before the move order was read off each move's own labels
+7c5d56e246f64865546b905a9f9cdaf92fa22d1bf8a7643d5b5e468e89d196c3 1 sx certify stellated -k 3 fixtures:dfm_s3_16
+d94e134ddbc56b7e00aa0f477291b364534f3f8463a95446c714ff2fe2055dc2 0 sx certify one-stacked fixtures:ziegler_b1
+f37247f92fc822cdf36e508f572ca52a6d49456af354a2dcd644e190bf988c5a 1 sx certify one-stacked fixtures:ziegler_b2
+cbb56c509b653e75a2fab6fd380102e7525d394eaafd297d7beb79ae96836912 1 sx generate standard-sphere 0 | sx certify one-stacked -
+d232d302efa31cc7ed2b68e95c45bb3584cc6088a4fc6f92c331bc3cd2b05522 0 printf '1 2 3\n1 2 4\n1 3 5\n1 4 6\n1 5 6\n2 3 6\n2 4 5\n2 5 6\n3 4 5\n3 4 6\n' | sx homology --field 2 -
+ed3682acc7e636c5cca54679c293d83d5bb357d84f09fdceb7f8a6b2fc019d7f 0 printf '1 2 3\n1 2 4\n1 3 5\n1 4 6\n1 5 6\n2 3 6\n2 4 5\n2 5 6\n3 4 5\n3 4 6\n' | sx homology --field 0 -
+8c517c095ac7604a011a7e2462678bc6f49136bb521d9dda56180f29a998e4d5 0 sx homology --field 3 fixtures:s6_19
+d428fa36e6f3b858b3cb875eb69bf8f69f8675f80d6c46377191fcf6f31abdf1 0 sx generate cross-polytope 3 | sx certify stellated -k 4 --budget-nodes 2000 -
 TABLE
 exit "$failed"

@@ -1,19 +1,6 @@
 """Combinatorial machinery for stellated and stacked spheres and balls."""
 
-from .complexes import (
-    Classification,
-    Complex,
-    boundary,
-    classify,
-    f_vector,
-    from_facets,
-    induced,
-    is_l_neighborly,
-    join,
-    link,
-    missing_faces,
-    star,
-)
+from .complexes import Classification, Complex, from_facets
 from .moves import (
     BistellarMove,
     MoveCertificate,
@@ -33,15 +20,6 @@ __all__ = [
     "ShellingMove",
     "MoveCertificate",
     "from_facets",
-    "f_vector",
-    "link",
-    "star",
-    "induced",
-    "join",
-    "boundary",
-    "missing_faces",
-    "is_l_neighborly",
-    "classify",
     "standard_sphere",
     "standard_ball",
     "bistellar_options",

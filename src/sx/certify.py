@@ -45,7 +45,6 @@ from .moves import (
     MoveCertificate,
     ShellingMove,
     _flip_masks,
-    _live_rank,
     _Masks,
     _named,
     is_standard_sphere,
@@ -403,8 +402,8 @@ def _exhaustive_search(s: Complex, lo: int, budget: SearchBudget):
         return None, None, nodes, cut
     moves = []
     for state, (a, b) in zip(states, trail):
-        rank = _live_rank(m.labels, functools.reduce(operator.or_, state))
-        moves.append(BistellarMove(alpha=_named(m.labels, rank, a), beta=_named(m.labels, rank, b)))
+        numeric = not functools.reduce(operator.or_, state) & m.strs
+        moves.append(BistellarMove(alpha=_named(m.labels, numeric, a), beta=_named(m.labels, numeric, b)))
     return moves, frozenset(frozenset(m.ascending(f)) for f in states[-1]), nodes, cut
 
 

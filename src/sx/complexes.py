@@ -507,46 +507,6 @@ def from_facets(raw: Iterable[Iterable[Label]]) -> Complex:
     return Complex(raw)
 
 
-def f_vector(x: Complex) -> tuple[int, ...]:
-    return x.f_vector()
-
-
-def link(x: Complex, face: Iterable[Label]) -> Complex:
-    return x.link(face)
-
-
-def star(x: Complex, face: Iterable[Label]) -> Complex:
-    return x.star(face)
-
-
-def antistar(x: Complex, vertex: Label) -> Complex:
-    return x.antistar(vertex)
-
-
-def induced(x: Complex, vertices: Iterable[Label]) -> Complex:
-    return x.induced(vertices)
-
-
-def join(x: Complex, y: Complex) -> Complex:
-    return x.join(y)
-
-
-def boundary(x: Complex) -> Complex:
-    return x.boundary()
-
-
-def missing_faces(x: Complex, max_dim: int) -> list[tuple]:
-    return x.missing_faces(max_dim)
-
-
-def is_l_neighborly(x: Complex, l: int) -> bool:
-    return x.is_l_neighborly(l)
-
-
-def classify(x: Complex) -> Classification:
-    return x.classify()
-
-
 def _unused_label(used: set, numeric: bool) -> Label:
     """A deterministic vertex label not in used: one more than the largest
     integer when numeric, else the first of w1, w2, ... not used."""

@@ -16,9 +16,13 @@ as `_Masks.flip_reason` and `_Masks.attach_reason`.  The move lists are
 kept in step with the facets (`_Spans`): a move changes only the options
 through the ridges of the facets it touches, and the first listing builds
 the lists, so replay and the single-call checks never pay for them.  The
-order is one invariant: by index, then alpha, then beta, as lists of
-positions in the vertex order of the live complex (numeric when every live
-label is an integer), a new label last.
+order is one invariant: by index, then alpha, then beta, each in the vertex
+order of the live complex, numeric when every live label is an integer and
+by string otherwise.  That order is the restriction of one fixed label
+order, so a face's place is the sorted keys of its own labels
+(`_Masks.key`), whatever else is live, and the move tables outlive a vertex
+that comes or goes.  The one label not live, the new vertex of an index-0
+move, is that move's beta alone.
 """
 
 from __future__ import annotations
@@ -144,9 +148,7 @@ def apply_bistellar(x: Complex, move: BistellarMove) -> Complex:
     return Complex([*(x.facet_sets - gone), *(m.ascending(a ^ u | b) for u in _low_bits(a))])
 
 
-def bistellar_options(
-    x: Complex, lo: int, hi: int, fresh: Label | None = None
-) -> list[BistellarMove]:
+def bistellar_options(x: Complex, lo: int, hi: int) -> list[BistellarMove]:
     """All valid moves with index in [lo, hi], canonically ordered.
 
     Index-0 entries subdivide the d-facets, and share one explicit fresh
@@ -162,7 +164,7 @@ def bistellar_options(
     ``alpha = sigma \\ beta``, a valid move iff beta is not a face.
     """
     m = _Masks(x)
-    return [BistellarMove(alpha=m.face(a), beta=m.face(b)) for a, b in m.bistellar(lo, hi, fresh)]
+    return [BistellarMove(alpha=m.face(a), beta=m.face(b)) for a, b in m.bistellar(lo, hi)]
 
 
 # -- shelling moves ----------------------------------------------------------
@@ -200,7 +202,7 @@ def _reason(x: Complex, move, rule) -> str | None:
     return rule(m, a, b)
 
 
-def shelling_options(y: Complex, max_index: int, fresh: Label | None = None) -> list[ShellingMove]:
+def shelling_options(y: Complex, max_index: int) -> list[ShellingMove]:
     """All shelling moves of index <= max_index applicable to y.
 
     Every rim ridge (a ridge of a top-dimensional facet in no other facet
@@ -214,7 +216,7 @@ def shelling_options(y: Complex, max_index: int, fresh: Label | None = None) -> 
     ``sigma \\ {v}`` is a rim ridge (`_Spans`).
     """
     m = _Masks(y)
-    return [ShellingMove(alpha=m.face(a), beta=m.face(b)) for a, b in m.shelling(max_index, fresh)]
+    return [ShellingMove(alpha=m.face(a), beta=m.face(b)) for a, b in m.shelling(max_index)]
 
 
 def shelling_moves_from_facet_order(facet_order: Sequence[Iterable[Label]]) -> list[ShellingMove]:
@@ -253,32 +255,10 @@ def _low_bits(mask: int):
         mask ^= low
 
 
-def _list_key(mask: int) -> str:
-    """A key for the ascending list of mask's bits: one character per bit up
-    to its highest, '1' for a set bit and '2' for a clear one, so that
-    string order is list order, a prefix first."""
-    return bin(mask)[:1:-1].replace("0", "2") if mask else ""
-
-
-def _live_rank(labels: list, union: int) -> dict | None:
-    """`rank` for the live vertex bits in union: each mapped to the bit of
-    its position in the live vertex order, or None when the bits rise along
-    that order."""
-    bits = list(_low_bits(union))
-    live = [labels[v.bit_length() - 1] for v in bits]
-    numeric = all(isinstance(v, int) for v in live)
-    order = [v for _, v in sorted(zip([_label_order_key(v, numeric) for v in live], bits))]
-    return None if order == bits else {v: 1 << p for p, v in enumerate(order)}
-
-
-def _positions(rank: dict | None, mask: int) -> int:
-    """mask's bits moved to their positions under rank, a new label last."""
-    return mask if rank is None else sum(rank.get(v, 1 << len(rank)) for v in _low_bits(mask))
-
-
-def _named(labels: list, rank: dict | None, mask: int) -> tuple:
-    """The labels of mask in the live vertex order rank gives, a new label last."""
-    return tuple(labels[v.bit_length() - 1] for v in sorted(_low_bits(mask), key=lambda v: _positions(rank, v)))
+def _named(labels: list, numeric: bool, mask: int) -> tuple:
+    """The labels of mask in the label order, numeric or by string."""
+    named = (labels[v.bit_length() - 1] for v in _low_bits(mask))
+    return tuple(sorted(named, key=lambda v: _label_order_key(v, numeric)))
 
 
 def _flip_masks(facets: tuple, a: int, b: int) -> tuple:
@@ -298,7 +278,7 @@ class _Spans:
     and a facet that comes or goes the spans whose beta it contains, as only
     then can beta become or stop being a face; `listed` settles them.
     `moves` holds the listed moves in canonical order, each cell c first as
-    the index-0 move ``(0, key, "", c, 0)`` whose new vertex is filled in
+    the index-0 move ``(0, key, (), c, 0)`` whose new vertex is filled in
     when it is listed."""
 
     def __init__(self, m: "_Masks", valid, cells):
@@ -316,7 +296,7 @@ class _Spans:
         """Make c a cell, or no longer one if it is."""
         added = c not in self.cells
         (self.cells.add if added else self.cells.remove)(c)
-        entry = (0, m.key(c), "", c, 0)
+        entry = (0, m.key(c), (), c, 0)
         if added:
             bisect.insort(self.moves, entry)
         else:
@@ -378,20 +358,22 @@ class _Spans:
 class _Masks:
     """A complex's facets as vertex bitmasks, bit i for ``labels[i]``, with
     its vertex stars, changed in place by each move; the map only grows, by
-    new labels.  Moves are (alpha, beta) mask pairs, checked by the one rule
+    new labels, and `strs` holds the bits of its labels that are not
+    integers.  Moves are (alpha, beta) mask pairs, checked by the one rule
     of each kind, `flip_reason` and `attach_reason`, and listed from move
     tables (`_Spans`) that the first listing builds and every later change
     of a facet keeps in step; they are built again when the dimension or the
-    live vertex order changes."""
+    mode of the label order, numeric or by string, changes."""
 
     def __init__(self, x: Complex):
         self.labels = list(x.vertices)
         self.bit = {v: 1 << i for i, v in enumerate(self.labels)}
+        self.strs = sum(b for v, b in self.bit.items() if not isinstance(v, int))
         self.facets: set[int] = set(x._facet_masks)
         self.star = {1 << i: list(fs) for i, fs in enumerate(x._mask_star)}  # vertex bit -> facets through it
         self.union = (1 << len(self.labels)) - 1
         self.top = x.dimension + 1  # d + 1
-        self._ordered = self._flips = self._shells = self._built = None
+        self._flips = self._shells = self._built = None
 
     def load(self, masks) -> None:
         """Make masks the facets, changing the tables where they differ."""
@@ -420,7 +402,9 @@ class _Masks:
         self._track(f, False)
 
     def _track(self, f: int, added: bool) -> None:
-        """Keep the move tables that are built in step with facet f."""
+        """Keep the move tables that are built in step with facet f, once
+        they are dropped if f changed the mode of the label order."""
+        self._tables()
         if self._flips is not None:
             if f.bit_count() == self.top:
                 self._flips.toggle(self, f)
@@ -432,11 +416,10 @@ class _Masks:
                     self._shells.toggle(self, f ^ v)
 
     def _tables(self) -> None:
-        """Drop the move tables if the dimension or the live vertex order,
-        and so every key, has changed since they were built."""
-        self._order()
-        if self._built != (self.top, self.rank):
-            self._built, self._flips, self._shells = (self.top, self.rank), None, None
+        """Drop the move tables if the dimension or the mode of the label
+        order, and so every key, has changed since they were built."""
+        if self._built != (self.top, self.numeric):
+            self._built, self._flips, self._shells = (self.top, self.numeric), None, None
 
     def has_face(self, face: int) -> bool:
         if not face:
@@ -453,20 +436,21 @@ class _Masks:
 
     # -- order ------------------------------------------------------------
 
-    def _order(self) -> None:
-        """`rank` for the live vertex set."""
-        if self._ordered != self.union:
-            self.rank = _live_rank(self.labels, self.union)
-            self._ordered = self.union
+    @property
+    def numeric(self) -> bool:
+        """Whether every live label is an integer, so that the live vertex
+        order is numeric."""
+        return not self.union & self.strs
 
-    def key(self, mask: int) -> str:
-        """mask's sort key under the `rank` the tables were built for."""
-        return _list_key(_positions(self._built[1], mask))
+    def key(self, mask: int) -> tuple:
+        """mask's sort key: its labels' keys, sorted, in the mode of the
+        label order the tables were built for."""
+        numeric = self._built[1]
+        return tuple(sorted(_label_order_key(self.labels[v.bit_length() - 1], numeric) for v in _low_bits(mask)))
 
     def face(self, mask: int) -> tuple:
-        """The labels of mask in the live vertex order, a new label last."""
-        self._order()
-        return _named(self.labels, self.rank, mask)
+        """The labels of mask in the live vertex order."""
+        return _named(self.labels, self.numeric, mask)
 
     def ascending(self, mask: int) -> tuple:
         """The labels of mask in the order of their bits."""
@@ -475,14 +459,13 @@ class _Masks:
     def _bit(self, label: Label) -> int:
         if label not in self.bit:
             self.bit[label] = 1 << len(self.labels)
+            self.strs |= 0 if isinstance(label, int) else self.bit[label]
             self.labels.append(label)
         return self.bit[label]
 
-    def _fresh_bit(self, fresh: Label | None) -> int:
-        if fresh is None:
-            live = {self.labels[v.bit_length() - 1] for v in _low_bits(self.union)}
-            fresh = _unused_label(live, all(isinstance(v, int) for v in live))
-        return self._bit(fresh)
+    def _fresh_bit(self) -> int:
+        live = {self.labels[v.bit_length() - 1] for v in _low_bits(self.union)}
+        return self._bit(_unused_label(live, self.numeric))
 
     def pair(self, move) -> tuple[int, int]:
         """A move's alpha and beta as masks, a label new to the map on a new
@@ -497,23 +480,23 @@ class _Masks:
 
     # -- moves ------------------------------------------------------------
 
-    def bistellar(self, lo: int, hi: int, fresh: Label | None = None) -> list[tuple[int, int]]:
+    def bistellar(self, lo: int, hi: int) -> list[tuple[int, int]]:
         """The moves of `bistellar_options`, as mask pairs."""
         lo, hi = max(lo, 0), min(hi, self.top - 1)
         self._tables()
         if self._flips is None:
             top_facets = [f for f in self.facets if f.bit_count() == self.top]
             self._flips = _Spans(self, lambda m, sigma, beta: not m.has_face(beta), top_facets)
-        return self._flips.listed(self, lo, hi, self._fresh_bit(fresh) if lo == 0 <= hi else 0)
+        return self._flips.listed(self, lo, hi, self._fresh_bit() if lo == 0 <= hi else 0)
 
-    def shelling(self, max_index: int, fresh: Label | None = None) -> list[tuple[int, int]]:
+    def shelling(self, max_index: int) -> list[tuple[int, int]]:
         """The moves of `shelling_options`, as mask pairs."""
         self._tables()
         if self._shells is None:
             top_facets = [f for f in self.facets if f.bit_count() == self.top]
             rim = [f ^ v for f in top_facets for v in _low_bits(f) if self._holders(f ^ v) == 1]
             self._shells = _Spans(self, lambda m, sigma, beta: sigma not in m.facets and not m.has_face(beta), rim)
-        return self._shells.listed(self, 0, max_index, self._fresh_bit(fresh) if max_index >= 0 else 0)
+        return self._shells.listed(self, 0, max_index, self._fresh_bit() if max_index >= 0 else 0)
 
     def flip_reason(self, a: int, b: int) -> str | None:
         """The rule of `bistellar_valid`, on masks."""

@@ -14,6 +14,7 @@ from math import comb, factorial
 
 from .certify import (
     SearchBudget,
+    _bounding_fault,
     certify_k_shelled,
     certify_k_stacked_sphere,
     certify_k_stellated,
@@ -316,7 +317,9 @@ def _suite_stellated_round_trip(rng: random.Random) -> Check:
         d = rng.choice([max(2 * k - 1, 1), 2 * k, 2 * k + 1])
         sphere, cert = grow_stellated_sphere(d, k, rng.randrange(1, 6), rng)
         ball = ball_from_stellated_certificate(cert, standard_sphere(d))
-        if ball.boundary() != sphere or not is_k_stacked_ball(ball, k).proved:
+        # a screened sphere that bounds the lifted ball, with no interior
+        # face of dimension <= d - k: the ball is k-stacked
+        if not screen_homology_sphere(sphere).passed or _bounding_fault(sphere, ball, k) is not None:
             return _check("stellated-sphere ball lift", False, f"trial {trial} (k={k}, d={d})")
         if d >= 2 * k:
             closure = stacked_ball_closure(sphere, k)

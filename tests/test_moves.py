@@ -29,7 +29,6 @@ from sx.corpus import fixture, fixture_names
 from sx.errors import BadDimension, InvalidMove, ReplayFailure
 from sx.growth import grow_shelled_ball, grow_stellated_sphere
 from sx.moves import (
-    _list_key,
     _low_bits,
     _Masks,
     ball_from_stellated_certificate,
@@ -508,11 +507,12 @@ def complex_ball_from_stellated_certificate(cert: MoveCertificate, start_sphere:
 #
 # ``_Masks.bistellar`` and ``_Masks.shelling`` as they were before the move
 # lists were kept in step with the facets, with the ridge-table
-# ``restriction`` and the sort they read, verbatim apart from their names:
-# each call relists every ridge of the state and sorts every move.
-# ``ScratchMasks`` gives them what they read of a live ``_Masks``: its
-# facets, a ridge table built from them, and its live vertex order and
-# fresh label.
+# ``restriction`` they read, verbatim apart from their names: each call
+# relists every ridge of the state and sorts every move.  ``ScratchMasks``
+# gives them what they read of a live ``_Masks``: its facets, a ridge table
+# built from them and its fresh label, and sorts by the definition of the
+# move order: positions in the vertex order of the live complex, a new
+# label last.
 
 
 class ScratchMasks:
@@ -532,27 +532,25 @@ class ScratchMasks:
         it; it does iff it is not a face (so not empty)."""
         return sum(v for v in _low_bits(sigma) if len(self.ridges.get(sigma ^ v, ())) == 1)
 
-    def _rank(self, v: int) -> int:
-        return v if self.rank is None else self.rank.get(v, 1 << len(self.rank))
-
     def _sorted(self, moves: list) -> list:
-        """Sort moves canonically by `_list_key` of the masks moved to their
-        positions.  A new label is the only vertex of each index-0 beta."""
-        self._order()
-        if self.rank is None:
-            key = _list_key
-        else:
-            key = lambda mask: _list_key(sum(map(self._rank, _low_bits(mask))))  # noqa: E731
+        """Sort moves by index, then alpha, then beta, each as the list of
+        its vertices' positions in ``m.complex().vertices``, a new label
+        last."""
+        pos = {self.bit[v]: i for i, v in enumerate(self.complex().vertices)}
+
+        def key(mask):
+            return sorted(pos.get(v, len(pos)) for v in _low_bits(mask))
+
         moves.sort(key=lambda m: (m[1].bit_count(), key(m[0]), key(m[1])))
         return moves
 
-    def bistellar(self, lo: int, hi: int, fresh=None) -> list[tuple[int, int]]:
+    def bistellar(self, lo: int, hi: int) -> list[tuple[int, int]]:
         """The moves of `bistellar_options`, as mask pairs."""
         d = self.top - 1
         lo, hi = max(lo, 0), min(hi, d)
         moves = []
         if lo == 0 and hi >= 0:
-            new = self._fresh_bit(fresh)
+            new = self._fresh_bit()
             moves = [(f, new) for f in self.facets if f.bit_count() == d + 1]
         if hi >= max(lo, 1):
             seen = set()
@@ -571,12 +569,12 @@ class ScratchMasks:
                         moves.append((sigma ^ beta, beta))
         return self._sorted(moves)
 
-    def shelling(self, max_index: int, fresh=None) -> list[tuple[int, int]]:
+    def shelling(self, max_index: int) -> list[tuple[int, int]]:
         """The moves of `shelling_options`, as mask pairs."""
         rim = [r for r, fs in self.ridges.items() if len(fs) == 1 and r.bit_count() == self.top - 1]
         moves = []
         if max_index >= 0:
-            new = self._fresh_bit(fresh)
+            new = self._fresh_bit()
             moves = [(r, new) for r in rim]
         if max_index >= 1:
             by_sub: dict[int, list[int]] = {}
@@ -653,8 +651,6 @@ def test_shelling_options_match_the_facet_scan():
         for max_index in range(-1, x.dimension + 1):
             want = [(a, b) for a, b in full if len(b) - 1 <= max_index]
             assert _pairs(shelling_options(x, max_index)) == want, (x.facets, max_index)
-    x = DIFFERENTIAL_CASES[0]
-    assert _pairs(shelling_options(x, 1, fresh="z")) == _pairs(scan_shelling_options(x, 1, fresh="z"))
 
 
 def test_bistellar_options_match_the_facet_scan():
@@ -664,21 +660,17 @@ def test_bistellar_options_match_the_facet_scan():
             for hi in range(lo, x.dimension + 2):
                 want = [(a, b) for a, b in full if lo <= len(b) - 1 <= hi]
                 assert _pairs(bistellar_options(x, lo, hi)) == want, (x.facets, lo, hi)
-    x = DIFFERENTIAL_CASES[1]
-    assert _pairs(bistellar_options(x, 0, 1, fresh="z")) == _pairs(scan_bistellar_options(x, 0, 1, fresh="z"))
 
 
 def test_options_match_the_complex_enumerators():
     # the mask enumerator against the Complex-based code it replaced, at
-    # every index range, with the default and an explicit fresh label
+    # every index range
     for x in DIFFERENTIAL_CASES:
         for lo in range(-1, x.dimension + 2):
             for hi in range(lo, x.dimension + 2):
                 assert bistellar_options(x, lo, hi) == complex_bistellar_options(x, lo, hi), (x.facets, lo, hi)
         for max_index in range(-1, x.dimension + 1):
             assert shelling_options(x, max_index) == complex_shelling_options(x, max_index), (x.facets, max_index)
-        assert bistellar_options(x, 0, 1, fresh="z") == complex_bistellar_options(x, 0, 1, fresh="z")
-        assert shelling_options(x, 1, fresh=0) == complex_shelling_options(x, 1, fresh=0)
 
 
 def test_listed_shelling_options_pass_the_check(differential_complexes):
@@ -762,6 +754,57 @@ def test_move_lists_kept_in_step_match_the_scratch_listing():
                 m.attach(a, b, ShellingMove(alpha=m.face(a), beta=m.face(b)))
             seen.append(frozenset(m.facets))
         assert_lists_match(m)
+
+
+def test_move_tables_outlive_a_vertex_that_comes_or_goes(monkeypatch):
+    # a string-label octahedron that gains and loses the vertex w1, which
+    # sorts before every other label: the tables are built once
+    import sx.moves
+
+    builds = []
+
+    class CountedSpans(sx.moves._Spans):
+        def __init__(self, *args):
+            builds.append(1)
+            super().__init__(*args)
+
+    monkeypatch.setattr(sx.moves, "_Spans", CountedSpans)
+    octahedron = Complex(itertools.product(("x1", "y1"), ("x2", "y2"), ("x3", "y3")))
+    m = _Masks(octahedron)
+    for step in range(6):
+        lo = 0 if step % 2 == 0 else 2
+        a, b = m.bistellar(lo, lo)[0]
+        m.flip(a, b, BistellarMove(alpha=m.face(a), beta=m.face(b)))
+    assert m.complex() == octahedron
+    assert len(builds) == 1
+
+
+def test_move_tables_follow_the_label_order_from_numeric_to_string():
+    # built numeric, the tables must not take a key for the string label
+    # that a load brings back: they are dropped, and listed by string order
+    mixed = _relabelled(standard_sphere(2), [1, 2, 3, "s"])
+    m = _Masks(mixed)
+    ints = {sum(m._bit(v) for v in f) for f in standard_sphere(2, [1, 2, 3, 4]).facet_sets}
+    for state in (ints, mixed._facet_masks, ints):
+        m.load(state)
+        assert_lists_match(m)
+
+
+def test_only_an_index_zero_beta_holds_a_label_not_live():
+    # the move order needs no rule for a new label: no listed face mixes it
+    # with live labels, as an index-0 beta is the new vertex alone
+    rng = random.Random(28)
+    for x in DIFFERENTIAL_CASES[:40] + [_relabelled(standard_sphere(2), [1, 2, 10, "s"])]:
+        m = _Masks(x)
+        for _ in range(6):
+            flips, shells = m.bistellar(0, m.top - 1), m.shelling(m.top - 1)
+            for a, b in flips + shells:
+                assert not a & ~m.union, x.facets
+                assert not b & ~m.union or (b.bit_count() == 1 and not b & m.union), x.facets
+            if not flips:
+                break
+            a, b = rng.choice(flips)
+            m.flip(a, b, BistellarMove(alpha=m.face(a), beta=m.face(b)))
 
 
 def test_growers_match_their_oracles():
