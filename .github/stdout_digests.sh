@@ -100,5 +100,16 @@ d232d302efa31cc7ed2b68e95c45bb3584cc6088a4fc6f92c331bc3cd2b05522 0 printf '1 2 3
 ed3682acc7e636c5cca54679c293d83d5bb357d84f09fdceb7f8a6b2fc019d7f 0 printf '1 2 3\n1 2 4\n1 3 5\n1 4 6\n1 5 6\n2 3 6\n2 4 5\n2 5 6\n3 4 5\n3 4 6\n' | sx homology --field 0 -
 8c517c095ac7604a011a7e2462678bc6f49136bb521d9dda56180f29a998e4d5 0 sx homology --field 3 fixtures:s6_19
 d428fa36e6f3b858b3cb875eb69bf8f69f8675f80d6c46377191fcf6f31abdf1 0 sx generate cross-polytope 3 | sx certify stellated -k 4 --budget-nodes 2000 -
+# homology relative to a vertex star, recorded before betti and the
+# screens reduced only the faces outside the closed star of the vertex in
+# the most facets: a sphere whose star leaves a residual, a cone whose star
+# leaves nothing, three points, a complex that is not pure, and F5
+b937b68ee54fe66b738dac3e73261109be99624ad272dedd2a624d1db615b2ca 0 sx homology --field 0 fixtures:s6_19
+f5cc4b64d407d04314bf5bce322b89b04258f2b98b9abd849248288cd62469ab 0 sx homology --field 2 fixtures:s6_19
+6a9f84505d18c0d717ef851fb781f1037b11e0dc50628acdaaf44d9189d737ec 0 sx homology --field 2 fixtures:d7_19
+c462630facc56028efbf4efd59b5d357d7c304a2f1c0dd24e64f46077282ae28 0 sx homology --field 0 fixtures:bl_sigma3_16
+7c650b09771ad54246c09ee98d89c228af950ff71a6479851dbb4b5ebf272e4b 0 printf '1\n2\n3\n' | sx homology --field 0 -
+cf2e819091b5797c16a661700432c6fc6f68919ea4011f3971412cf599a7d22f 0 printf '1 2 3\n3 4\n5\n' | sx homology --field 2 -
+44173a3d5454e7d421362253239d2a3069afbab3efd78124df9654055ea1ac4c 0 sx homology --field 5 fixtures:lutz_b1
 TABLE
 exit "$failed"

@@ -10,9 +10,11 @@ connectivity, normality, homology and tightness read.  `Complex._lattice`
 is the one face lattice, built once per complex from those masks by
 `_face_lattice`: each face a mask with its faces and cofaces, and each
 face size one contiguous id range, which the face counts, `faces`,
-missing faces, the stackedness checks, the closures and the homology
-reduction read.  `Complex._ridge_masks` is the one dual graph, the
-facets through each ridge as a mask over facet indices.
+missing faces, the stackedness checks, the closures, the collapse and
+tightness read; homology builds the lattice of the faces outside a vertex
+star instead, with the `minus` of `_face_lattice`.  `Complex._ridge_masks`
+is the one dual graph, the facets through each ridge as a mask over facet
+indices.
 """
 
 from __future__ import annotations
@@ -412,25 +414,45 @@ class _Lattice(NamedTuple):
         return self.cells[ids.start:ids.stop]
 
 
-def _face_lattice(generators) -> _Lattice:
-    """Every face of the complex generated by the bitmasks, built top-down,
-    each with its faces and cofaces: a layer's faces are its cells with one
-    bit dropped, and a smaller generator joins at its own size unless it
-    is already a face.  The ids run by size downwards, so a layer is built
-    in id order and each size is one contiguous range, ∅ (mask 0) last."""
+def _face_lattice(generators, minus=()) -> _Lattice:
+    """Every face of the complex generated by the bitmasks that is not a
+    face of the one generated by `minus`, built top-down, each with its
+    faces and cofaces among those kept: a layer's faces are its cells with
+    one bit dropped, and a smaller generator joins at its own size unless
+    it is already a face.  The faces kept are closed upwards, so a face
+    under a `minus` mask, found among the masks through its lowest vertex,
+    is pruned with everything below it.  The ids run by size downwards, so
+    a layer is built in id order and each size is one contiguous range, ∅
+    (mask 0) last when it is kept."""
     by_size: dict[int, list[int]] = {}
     for g in generators:
         by_size.setdefault(g.bit_count(), []).append(g)
-    top = max(by_size)
-    index: dict[int, int] = {}
+    through: dict[int, list[int]] = {0: list(minus)} if minus else {}  # lowest bit -> masks through it
+    for m in minus:
+        for i in _bits(m):
+            through.setdefault(1 << i, []).append(m)
+    top = max(by_size, default=-1)
+    index: dict[int, int] = {}  # kept face -> its id
+    dead: set[int] = set()  # the faces pruned so far
     cells: list[int] = []
     faces: list[list[int]] = []
     cofaces: list[list[int]] = []
     sizes = [range(0)] * (top + 1)
     layer: list[int] = []
+
+    def pruned(f: int) -> bool:
+        """Whether f is a face of a mask in `minus`."""
+        if f in dead:
+            return True
+        for m in through.get(f & -f, ()):
+            if m & f == f:
+                dead.add(f)
+                return True
+        return False
+
     for size in range(top, -1, -1):
         for g in by_size.get(size, ()):
-            if g in index:
+            if g in index or through and pruned(g):
                 continue
             index[g] = len(cells)
             cells.append(g)
@@ -444,16 +466,19 @@ def _face_lattice(generators) -> _Lattice:
             b = t
             while b:
                 low = b & -b
-                j = index.get(t ^ low)
+                b ^= low
+                f = t ^ low
+                j = index.get(f)
                 if j is None:
-                    j = index[t ^ low] = len(cells)
-                    cells.append(t ^ low)
+                    if through and pruned(f):
+                        continue
+                    j = index[f] = len(cells)
+                    cells.append(f)
                     cofaces.append([i])
-                    below.append(t ^ low)
+                    below.append(f)
                 else:
                     cofaces[j].append(i)
                 ids.append(j)
-                b ^= low
             faces.append(ids)
         layer = below
     return _Lattice(cells, faces, cofaces, sizes)

@@ -1,10 +1,11 @@
 """Exact reduced simplicial homology over prime fields and the rationals.
 
 `betti` reduces first, then eliminates.  `_reduce` builds no faces: it
-reduces a given face lattice from `complexes._face_lattice`, a complex's
-own `Complex._lattice` or that of an induced subcomplex, by cancelling
+reduces a given face lattice from `complexes._face_lattice` by cancelling
 pairs of cells over Z with coreductions and free-face collapses; both
-keep the homology over Z, so over Q and every F_p.  `_residual_betti` then
+keep the homology over Z, so over Q and every F_p.  For `betti` and the
+screens, `_star_residual` reduces only the faces of x outside the closed
+star of one vertex, as H̃(x) ≅ H(x, st v).  `_residual_betti` then
 assembles the boundary maps of the cells left, one sparse dict of nonzero
 rows per column, and takes their ranks per field with the one sparse
 column eliminator, `_pivot_rows`: modulo p with pivots scaled to a leading
@@ -18,14 +19,15 @@ floating point.  Given the vertex mask A of an induced subcomplex Y,
 faces inside A start dead, so `_residual_betti` gives the relative Betti
 numbers β_j(X, Y) that `certify` decides tightness by.
 
-The screens reduce a complex's own lattice once and eliminate its
-residual field by field.  The ball screen is `_ball_detail`, which judges
-x itself, then the sphere screen of x's boundary; `certify` runs
+The screens reduce a complex relative to a vertex star once and eliminate
+its residual field by field, so neither they nor `betti` read
+`Complex._lattice`.  The ball screen is `_ball_detail`, which judges x
+itself, then the sphere screen of x's boundary; `certify` runs
 `_ball_detail` alone on a closure whose boundary is a sphere it has
 screened already.  `_collapses_to_point`, the greedy collapse that
-`certify.collapse` gives as a witness, runs on that same lattice with live
-flags and live-coface counts, so every face read here comes from
-`_face_lattice`, built at most once per `Complex`.
+`certify.collapse` gives as a witness, runs on `Complex._lattice` with
+live flags and live-coface counts, and tightness reduces that lattice, so
+every face read here comes from `_face_lattice`.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from collections import deque
 from dataclasses import dataclass
 from math import gcd
 
-from .complexes import Complex, _bits, _Lattice
+from .complexes import Complex, _bits, _face_lattice, _Lattice
 from .errors import EmptyInput, FieldTooLarge
 
 DEFAULT_FIELDS: tuple[int, ...] = (0, 2, 3)
@@ -131,62 +133,61 @@ def _pivot_rows(cols: list[dict[int, int]], field: int) -> set[int]:
 def _reduce(lattice: _Lattice, inside: int | None = None) -> list[list[int]]:
     """The cells of a face lattice from `_face_lattice` that survive
     reduction over Z, grouped by size: out[s] holds the residual cells with
-    s vertices, s = 0 (the empty face) to the largest generator size.
+    s vertices, s = 0 to the largest generator size.
 
-    Every face is a cell, ∅ (mask 0) the augmentation cell.  With
-    `inside`, the vertex mask A of an induced subcomplex Y, the cells are
-    those of the chain complex of the pair: the faces inside A, ∅ among
-    them, start dead, and face and coface counts count live cells only.
-    The counts are this call's own, so one lattice serves every A.  A
-    first in, first out queue then removes pairs (a, b) of live cells, a a
-    face of b, wherever b has exactly one live face a (a coreduction) or a
-    has exactly one live coface b (a free-face collapse); without `inside`
-    the first pair is (∅, lowest vertex), and with it the queue starts at
-    every cell with one live face.  Simplicial incidences are ±1, a unit
-    over Z, so each pair is an elementary reduction, and its correction
-    term [c:a]·[b:a]⁻¹·∂b vanishes on the cells left: ∂b has no other live
-    face in a coreduction, and no other live c has a as a face in a
-    collapse.  The live cells with the original incidences restricted to
-    them therefore form a chain complex with the homology of the complex
-    over Z, or of the pair, so over Q and every F_p.
+    Every face of the lattice is a cell.  A full lattice has ∅ (mask 0),
+    the augmentation cell, and its cells form the augmented chain complex
+    of the complex; the lattice of the faces of X outside a subcomplex L
+    (`_face_lattice` with `minus`) has the cells of the relative chain
+    complex C(X)/C(L).  With `inside`, the vertex mask A of an induced
+    subcomplex Y of a full lattice, the cells are those of the pair (X, Y)
+    instead: the faces inside A, ∅ among them, start dead, and face and
+    coface counts count live cells only.  The counts are this call's own,
+    so one lattice serves every A.  A first in, first out queue starts at
+    every cell with one live face or one live coface (a vertex's one face
+    is ∅) and removes pairs (a, b) of live cells, a a face of b, wherever
+    b has exactly one live face a (a coreduction) or a has exactly one
+    live coface b (a free-face collapse).  Simplicial incidences are ±1, a
+    unit over Z, so each pair is an elementary reduction, and its
+    correction term [c:a]·[b:a]⁻¹·∂b vanishes on the cells left: ∂b has no
+    other live face in a coreduction, and no other live c has a as a face
+    in a collapse.  The live cells with the original incidences restricted
+    to them therefore form a chain complex with the homology of the given
+    one over Z, so over Q and every F_p.
     """
     cells, faces, cofaces, sizes = lattice
     if inside is None:
         live = [True] * len(cells)
-        n_face = [len(ids) for ids in faces]
-        n_cof = [len(ids) for ids in cofaces]
-        queue = deque([min(sizes[1], key=cells.__getitem__)])  # the lowest vertex, to pair with ∅
+        n_face = list(map(len, faces))
+        n_cof = list(map(len, cofaces))
     else:
         live = [c & ~inside != 0 for c in cells]
         n_face = [sum(live[f] for f in ids) for ids in faces]
         n_cof = [sum(live[t] for t in ids) for ids in cofaces]
-        queue = deque(i for i, n in enumerate(n_face) if n == 1)
+    queue = deque(i for i, n in enumerate(n_face) if n == 1)
     queue.extend(i for i, n in enumerate(n_cof) if n == 1)
-
-    def remove(c: int) -> None:
-        live[c] = False
-        for f in faces[c]:
-            if live[f]:
-                n_cof[f] -= 1
-                if n_cof[f] == 1:
-                    queue.append(f)
-        for t in cofaces[c]:
-            if live[t]:
-                n_face[t] -= 1
-                if n_face[t] == 1:
-                    queue.append(t)
-
     while queue:
         c = queue.popleft()
         if not live[c]:
             continue
         if n_face[c] == 1:  # coreduction: c's one live face goes with it
-            remove(next(f for f in faces[c] if live[f]))
-            remove(c)
+            pair = (next(f for f in faces[c] if live[f]), c)
         elif n_cof[c] == 1:  # free face: c goes with its one live coface
-            t = next(t for t in cofaces[c] if live[t])
-            remove(c)
-            remove(t)
+            pair = (c, next(t for t in cofaces[c] if live[t]))
+        else:
+            continue
+        for d in pair:
+            live[d] = False
+            for f in faces[d]:
+                if live[f]:
+                    n_cof[f] -= 1
+                    if n_cof[f] == 1:
+                        queue.append(f)
+            for t in cofaces[d]:
+                if live[t]:
+                    n_face[t] -= 1
+                    if n_face[t] == 1:
+                        queue.append(t)
     out: list[list[int]] = [[] for _ in sizes]
     for c, alive in zip(cells, live):
         if alive:
@@ -224,14 +225,34 @@ def _residual_betti(cells: list[list[int]], field: int) -> tuple[int, ...]:
     return tuple(len(cells[s]) - ranks[s] - ranks[s + 1] for s in range(1, len(cells)))
 
 
+def _star_residual(x: Complex) -> list[list[int]]:
+    """The residual of `_reduce` on the faces of x outside the closed star
+    of one vertex v, grouped by size from 0 to dim x + 1; its Betti numbers
+    are the reduced Betti numbers of x.
+
+    st v is a cone, so contractible, and the long exact sequence of the
+    pair gives H̃_j(x) ≅ H_j(x, st v) over Z for every j.  C(x)/C(st v) is
+    the free complex on the faces outside st v, which are the faces of the
+    facets avoiding v that no facet through v contains; `_face_lattice`
+    builds just those.  Any v is sound and the choice affects speed only:
+    the one in the most facets, the lowest position on ties, is taken, as
+    its star tends to cover the most faces, and all of x when x is a cone
+    over it.  The sizes are padded to dim x + 2, as the faces left may lack
+    the top size of a complex that is not pure."""
+    star = x._mask_star
+    v = max(range(len(star)), key=lambda i: len(star[i]))
+    out = _reduce(_face_lattice([g for g in x._facet_masks if not g >> v & 1], star[v]))
+    return out + [[] for _ in range(x.dimension + 2 - len(out))]
+
+
 def betti(x: Complex, field: int = 0) -> tuple[int, ...]:
     """Reduced Betti numbers (β̃_0, ..., β̃_d) over the given field: the
-    cells of x are reduced over Z by `_reduce`, and only the residual is
-    eliminated, by `_residual_betti`."""
+    faces of x outside a vertex star are reduced over Z by `_star_residual`,
+    and only the residual is eliminated, by `_residual_betti`."""
     check_field(field)
     if x.is_empty_complex:
         raise EmptyInput("betti numbers of the empty complex are not defined here")
-    return _residual_betti(_reduce(x._lattice), field)
+    return _residual_betti(_star_residual(x), field)
 
 
 def euler_characteristic(x: Complex) -> int:
@@ -307,8 +328,9 @@ def _collapses_to_point(lattice: _Lattice) -> tuple[list[tuple[int, int]], int] 
 def _failing_field(x: Complex, fields: tuple[int, ...], like) -> str:
     """The detail of the first field, in order, over which the reduced
     Betti numbers of x are not `like`, or "" when there is none: x is
-    reduced once over Z and its residual eliminated field by field."""
-    cells = _reduce(x._lattice)
+    reduced once over Z, relative to a vertex star, and its residual
+    eliminated field by field."""
+    cells = _star_residual(x)
     for f in fields:
         check_field(f)
         b = _residual_betti(cells, f)

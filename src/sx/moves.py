@@ -283,7 +283,7 @@ class _Spans:
 
     def __init__(self, m: "_Masks", valid, cells):
         self.valid = valid  # valid(m, sigma, beta)
-        self.cells: set[int] = set()
+        self.cells: dict[int, tuple] = {}  # cell -> its index-0 entry in `moves`
         self.faces: dict[int, list[int]] = {}  # face -> cells through it
         self.spans: dict[int, tuple] = {}  # sigma -> (beta, its entry in `moves` or None)
         self.holding: tuple[dict, dict] = ({}, {})  # [listed][beta] -> sigmas
@@ -295,12 +295,11 @@ class _Spans:
     def toggle(self, m: "_Masks", c: int) -> None:
         """Make c a cell, or no longer one if it is."""
         added = c not in self.cells
-        (self.cells.add if added else self.cells.remove)(c)
-        entry = (0, m.key(c), (), c, 0)
         if added:
+            entry = self.cells[c] = (0, m.key(c), (), c, 0)
             bisect.insort(self.moves, entry)
         else:
-            del self.moves[bisect.bisect_left(self.moves, entry)]
+            del self.moves[bisect.bisect_left(self.moves, self.cells.pop(c))]
         for v in _low_bits(c):
             through = self.faces.setdefault(c ^ v, [])
             (through.append if added else through.remove)(c)

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+import sx.complexes as complexes_module
 from sx import Complex
 from sx.corpus import fixture, fixture_names
 from sx.growth import grow_shelled_ball, grow_stellated_sphere
@@ -114,3 +115,26 @@ def collapse_replays(c: Complex, witness: dict) -> bool:
             return False
         faces -= {free, coface}
     return len(witness["final_vertex"]) == 1 and faces == {frozenset(witness["final_vertex"])}
+
+
+def star_relative(x: Complex) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The arguments (generators, minus) of the lattice that homology
+    reduces for x: the facet masks avoiding the vertex in the most facets,
+    the lowest position on ties, and those through it."""
+    masks = x._facet_masks
+    v = max(range(len(x.vertices)), key=lambda i: sum(g >> i & 1 for g in masks))
+    return (tuple(g for g in masks if not g >> v & 1), tuple(g for g in masks if g >> v & 1))
+
+
+def spy_on_lattices(monkeypatch, modules) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Record the arguments (generators, minus) of every `_face_lattice`
+    call made through the given modules, in order."""
+    real, built = complexes_module._face_lattice, []
+
+    def spy(generators, minus=()):
+        built.append((tuple(generators), tuple(minus)))
+        return real(*built[-1])
+
+    for module in modules:
+        monkeypatch.setattr(module, "_face_lattice", spy)
+    return built

@@ -65,7 +65,7 @@ from sx.moves import (
     is_standard_sphere,
     reverse_move,
 )
-from conftest import collapse_replays
+from conftest import collapse_replays, spy_on_lattices, star_relative
 from test_complexes import (
     oracle_all_faces,
     oracle_boundary,
@@ -1111,10 +1111,12 @@ def test_bounding_balls_match_the_former_vertex_ball_and_candidate_branches(
 ])
 def test_stacked_sphere_screens_s_once_and_builds_one_boundary(monkeypatch, name, k, ball):
     # s is screened once, on entry; the bounding ball's boundary is built
-    # once, to be compared with s, and never screened: the lattices built
-    # are those of s and of the ball
-    real_boundary, real_lattice = Complex.boundary, complexes_module._face_lattice
-    screened, bounded, built = [], [], []
+    # once, to be compared with s, and never screened.  Homology reduces s
+    # and the ball relative to a vertex star, never on `Complex._lattice`;
+    # the full lattices built are the ball's, for its interior faces, and
+    # with a candidate s's, for the missing faces its closure test reads
+    real_boundary = Complex.boundary
+    screened, bounded = [], []
 
     def spy_screen(x, fields=DEFAULT_FIELDS):
         screened.append(x)
@@ -1124,49 +1126,39 @@ def test_stacked_sphere_screens_s_once_and_builds_one_boundary(monkeypatch, name
         bounded.append(self)
         return real_boundary(self)
 
-    def spy_lattice(generators):
-        built.append(tuple(generators))
-        return real_lattice(built[-1])
-
+    s = Complex(fixture(name).complex.facets)  # fresh complexes: no lattice cached yet
+    candidate = ball and Complex(fixture(ball).complex.facets)
     monkeypatch.setattr(homology_module, "screen_homology_sphere", spy_screen)
     monkeypatch.setattr(certify_module, "screen_homology_sphere", spy_screen)
     monkeypatch.setattr(Complex, "boundary", spy_boundary)
-    monkeypatch.setattr(complexes_module, "_face_lattice", spy_lattice)
-    monkeypatch.setattr(certify_module, "_face_lattice", spy_lattice)
-    s = Complex(fixture(name).complex.facets)  # fresh complexes: no lattice cached yet
-    candidate = ball and Complex(fixture(ball).complex.facets)
+    built = spy_on_lattices(monkeypatch, [complexes_module, certify_module, homology_module])
     assert certify_k_stacked_sphere(s, k, candidate).proved
-    assert (len(screened), len(bounded), len(built)) == (1, 1, 2)
-    assert screened[0] is s and built[0] == s._facet_masks
+    assert (len(screened), len(bounded)) == (1, 1)
+    assert screened[0] is s
+    b = bounded[0]
+    assert built == ([star_relative(s)] + [(s._facet_masks, ())] * bool(ball)
+                     + [star_relative(b), (b._facet_masks, ())])
 
 
 def test_is_k_stacked_ball_builds_the_lattices_of_b_and_its_boundary(monkeypatch):
-    # the ball screen reduces b's lattice and its boundary's, and the
-    # interior faces are read off b's lattice: no lattice of the rim
-    real, built = complexes_module._face_lattice, []
-
-    def spy_lattice(generators):
-        built.append(tuple(generators))
-        return real(built[-1])
-
-    monkeypatch.setattr(complexes_module, "_face_lattice", spy_lattice)
-    monkeypatch.setattr(certify_module, "_face_lattice", spy_lattice)
+    # the ball screen reduces b and its boundary relative to a vertex star
+    # each, and the interior faces are read off b's full lattice, built
+    # once: no full lattice of the rim
+    built = spy_on_lattices(monkeypatch, [complexes_module, certify_module, homology_module])
     for name, k, proved in (("dfm_b4_16", 2, True), ("d6_18", 1, False)):
         b = Complex(fixture(name).complex.facets)  # a fresh complex: no lattice cached yet
         built.clear()
         assert is_k_stacked_ball(b, k).proved == proved
-        assert built == [b._facet_masks, b.boundary()._facet_masks], name
+        assert built == [star_relative(b), star_relative(b.boundary()), (b._facet_masks, ())], name
 
 
 def test_one_stellated_screens_the_sphere_once(monkeypatch):
     # certify_k_stellated screens s, and the closure branch screens only
     # the closure ball, whose boundary is s: one sphere screen, and one
-    # reduction of each of the two lattices built
-    real, built, reduced, screened = complexes_module._face_lattice, [], [], []
-
-    def spy_lattice(generators):
-        built.append(tuple(generators))
-        return real(built[-1])
+    # reduction each of the relative lattices of s and of the closure; the
+    # full lattices are s's, for the clique closure, and the closure's,
+    # for its interior faces
+    reduced, screened = [], []
 
     def spy_reduce(lattice, inside=None):
         reduced.append(lattice)
@@ -1176,8 +1168,8 @@ def test_one_stellated_screens_the_sphere_once(monkeypatch):
         screened.append(x)
         return screen_homology_sphere(x, fields)
 
-    monkeypatch.setattr(complexes_module, "_face_lattice", spy_lattice)
-    monkeypatch.setattr(certify_module, "_face_lattice", spy_lattice)
+    real = complexes_module._face_lattice
+    built = spy_on_lattices(monkeypatch, [complexes_module, certify_module, homology_module])
     monkeypatch.setattr(homology_module, "_reduce", spy_reduce)
     monkeypatch.setattr(certify_module, "_reduce", spy_reduce)
     monkeypatch.setattr(homology_module, "screen_homology_sphere", spy_screen)
@@ -1186,9 +1178,9 @@ def test_one_stellated_screens_the_sphere_once(monkeypatch):
     assert certify_k_stellated(s, 1).proved
     closure = stacked_ball_closure(s, 1)
     assert len(screened) == 1 and screened[0] is s
-    assert built == [s._facet_masks, closure._facet_masks]
-    assert len(reduced) == 2 and reduced[0] is s._lattice
-    assert reduced[1] == real(closure._facet_masks)
+    assert built == [star_relative(s), (s._facet_masks, ()),
+                     star_relative(closure), (closure._facet_masks, ())]
+    assert reduced == [real(*star_relative(s)), real(*star_relative(closure))]
 
 
 def test_dfm_stacked_via_candidate(dfm, dfm_ball):

@@ -37,7 +37,7 @@ from sx.homology import (
     screen_homology_sphere,
 )
 
-from conftest import collapse_replays
+from conftest import collapse_replays, spy_on_lattices, star_relative
 from test_complexes import oracle_boundary_columns
 
 RP2 = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
@@ -172,16 +172,13 @@ def test_reduction_runs_on_the_facet_masks():
             assert _residual_betti(_reduce(_face_lattice(extra[::-1] + masks)), p) == want, (x.facets, p)
 
 
-def test_betti_and_the_screens_share_one_lattice(monkeypatch, ziegler_b2):
-    # `betti` builds x's lattice and the sphere screen reduces that same
-    # lattice; on a ball, `collapse` reads it too, and the ball screen
-    # builds only its boundary's lattice besides.  The screens never
-    # collapse.
-    real, built, reduced = complexes_module._face_lattice, [], []
-
-    def spy_lattice(generators):
-        built.append(tuple(generators))
-        return real(built[-1])
+def test_betti_and_the_screens_reduce_one_relative_lattice_each(monkeypatch, ziegler_b2):
+    # `betti` and the sphere screen each build and reduce the lattice of x
+    # relative to one vertex star, and never read `Complex._lattice`; on a
+    # ball, `collapse` builds the full lattice, and the ball screen builds
+    # only its boundary's relative lattice besides its own.  The screens
+    # never collapse.
+    real, reduced = complexes_module._face_lattice, []
 
     def spy_reduce(lattice, inside=None):
         reduced.append(lattice)
@@ -190,24 +187,119 @@ def test_betti_and_the_screens_share_one_lattice(monkeypatch, ziegler_b2):
     def spy_collapse(lattice):
         raise AssertionError("a screen collapsed")
 
-    monkeypatch.setattr(complexes_module, "_face_lattice", spy_lattice)
+    built = spy_on_lattices(monkeypatch, [complexes_module, homology_module])
     monkeypatch.setattr(homology_module, "_reduce", spy_reduce)
     monkeypatch.setattr(homology_module, "_collapses_to_point", spy_collapse)
     rp2 = Complex(RP2)
     assert betti(rp2, 2) == (0, 1, 1)
     assert not screen_homology_sphere(rp2).passed
-    assert built == [rp2._facet_masks]
-    assert len(reduced) == 2 and reduced[0] is reduced[1] is rp2._lattice
+    assert built == [star_relative(rp2)] * 2
+    assert reduced == [real(*star_relative(rp2))] * 2
+    assert "_lattice" not in rp2.__dict__
     ball = Complex(ziegler_b2.facets)
     built.clear()
     reduced.clear()
     assert not any(betti(ball, 2))
     assert screen_homology_ball(ball).passed
+    assert "_lattice" not in ball.__dict__
     assert collapse(ball).proved  # `certify` holds its own `_collapses_to_point`
     bd = ball.boundary()
-    assert built == [ball._facet_masks, bd._facet_masks]
-    assert len(reduced) == 3 and reduced[0] is reduced[1] is ball._lattice
-    assert reduced[2] == real(bd._facet_masks)  # `boundary` is not cached
+    assert built == [star_relative(ball)] * 2 + [star_relative(bd), (ball._facet_masks, ())]
+    assert reduced == [real(*star_relative(ball))] * 2 + [real(*star_relative(bd))]
+
+
+def full_lattice_reduce(lattice):
+    """`_reduce` as it was before homology was taken relative to a vertex
+    star, without `inside`: the whole lattice, ∅ among it, every cell
+    live, and the queue started by pairing ∅ with the lowest vertex.  Kept
+    verbatim as the reference."""
+    cells, faces, cofaces, sizes = lattice
+    live = [True] * len(cells)
+    n_face = [len(ids) for ids in faces]
+    n_cof = [len(ids) for ids in cofaces]
+    queue = deque([min(sizes[1], key=cells.__getitem__)])  # the lowest vertex, to pair with ∅
+    queue.extend(i for i, n in enumerate(n_cof) if n == 1)
+
+    def remove(c: int) -> None:
+        live[c] = False
+        for f in faces[c]:
+            if live[f]:
+                n_cof[f] -= 1
+                if n_cof[f] == 1:
+                    queue.append(f)
+        for t in cofaces[c]:
+            if live[t]:
+                n_face[t] -= 1
+                if n_face[t] == 1:
+                    queue.append(t)
+
+    while queue:
+        c = queue.popleft()
+        if not live[c]:
+            continue
+        if n_face[c] == 1:
+            remove(next(f for f in faces[c] if live[f]))
+            remove(c)
+        elif n_cof[c] == 1:
+            t = next(t for t in cofaces[c] if live[t])
+            remove(c)
+            remove(t)
+    out: list[list[int]] = [[] for _ in sizes]
+    for c, alive in zip(cells, live):
+        if alive:
+            out[c.bit_count()].append(c)
+    return out
+
+
+def oracle_full_lattice_betti(x: Complex, field: int) -> tuple[int, ...]:
+    """`betti` before it reduced relative to a vertex star: the full face
+    lattice, `Complex._lattice`, reduced by `full_lattice_reduce`."""
+    return _residual_betti(full_lattice_reduce(x._lattice), field)
+
+
+def relative_betti(x: Complex, v: int, field: int) -> tuple[int, ...]:
+    """The Betti numbers of the pair (x, st v), v a vertex position."""
+    masks = x._facet_masks
+    lattice = _face_lattice([g for g in masks if not g >> v & 1], [g for g in masks if g >> v & 1])
+    cells = _reduce(lattice)
+    return _residual_betti(cells + [[] for _ in range(x.dimension + 2 - len(cells))], field)
+
+
+def test_star_relative_betti_matches_the_full_lattice(differential_complexes):
+    for x in differential_complexes:
+        for p in (0, 2, 3, 5):
+            assert betti(x, p) == oracle_full_lattice_betti(x, p), (x.facets, p)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.frozensets(st.integers(0, 7), min_size=1, max_size=5), min_size=1, max_size=10),
+    st.sampled_from([0, 2, 3]),
+)
+@example([frozenset(f) for f in RP2], 2)
+@example([frozenset([1]), frozenset([2]), frozenset([3])], 0)
+def test_every_vertex_star_gives_the_reduced_betti_numbers_property(facets, p):
+    # H_j(x, st v) ≅ H̃_j(x) for every vertex v, not only the one chosen
+    x = from_facets(facets)
+    want = oracle_full_lattice_betti(x, p)
+    assert betti(x, p) == want
+    for v in range(len(x.vertices)):
+        assert relative_betti(x, v, p) == want, (x.facets, v)
+
+
+def test_star_relative_betti_on_pinned_cases():
+    assert betti(from_facets([[1], [2], [3]]), 0) == (2,)
+    assert betti(from_facets([[1, 2, 3], [3, 4], [5]]), 2) == (1, 0, 0)
+    for d in range(0, 5):
+        simplex = standard_ball(d)
+        assert [len(c) for c in homology_module._star_residual(simplex)] == [0] * (d + 2)
+        assert betti(simplex, 3) == (0,) * (d + 1)
+    rp2 = Complex(RP2)
+    assert betti(rp2, 2) == (0, 1, 1) and betti(rp2, 0) == (0, 0, 0)
+    # d7_19 is a cone over the vertex in the most facets: nothing is left
+    cone = Complex(fixture("d7_19").complex.facets)
+    assert not _face_lattice(*star_relative(cone)).cells
+    assert betti(cone, 2) == (0,) * 8
 
 
 def test_clearing_matches_all_columns_betti(differential_complexes):
