@@ -111,5 +111,13 @@ c462630facc56028efbf4efd59b5d357d7c304a2f1c0dd24e64f46077282ae28 0 sx homology -
 7c650b09771ad54246c09ee98d89c228af950ff71a6479851dbb4b5ebf272e4b 0 printf '1\n2\n3\n' | sx homology --field 0 -
 cf2e819091b5797c16a661700432c6fc6f68919ea4011f3971412cf599a7d22f 0 printf '1 2 3\n3 4\n5\n' | sx homology --field 2 -
 44173a3d5454e7d421362253239d2a3069afbab3efd78124df9654055ea1ac4c 0 sx homology --field 5 fixtures:lutz_b1
+# tightness on relative lattices, recorded before the induced subcomplexes
+# and the pairs were reduced from the faces outside a subcomplex alone: the
+# 7-vertex torus over F2 and Q, a complex that is not pure, and the Betti
+# formula on fewer than k + 3 vertices, an input error with nothing on stdout
+5c9613c055eaf330304d6d36748b42c464467c6f8924be6b6446c266357e4b25 0 printf '1 2 4\n2 3 5\n3 4 6\n4 5 7\n5 6 1\n6 7 2\n7 1 3\n1 3 4\n2 4 5\n3 5 6\n4 6 7\n5 7 1\n6 1 2\n7 2 3\n' | sx certify tight --field 2 -
+5c9613c055eaf330304d6d36748b42c464467c6f8924be6b6446c266357e4b25 0 printf '1 2 4\n2 3 5\n3 4 6\n4 5 7\n5 6 1\n6 7 2\n7 1 3\n1 3 4\n2 4 5\n3 5 6\n4 6 7\n5 7 1\n6 1 2\n7 2 3\n' | sx certify tight --field 0 -
+da5d5205b9710f85d2abfe2c8852160c3a8c035808fa141a62fba86e8162483f 1 printf '1 2 3\n3 4\n5\n' | sx certify tight --field 2 -
+e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 69 sx generate standard-sphere 1 | sx certify beta -k 1 -
 TABLE
 exit "$failed"

@@ -35,6 +35,7 @@ from .homology import (
     _collapses_to_point,
     _reduce,
     _residual_betti,
+    _star_residual,
     betti,
     check_field,
     screen_homology_ball,
@@ -764,8 +765,11 @@ def tightness_beta_condition(m: Complex, k: int, field: int) -> Verdict:
     W_k(2k+1); a non-integer right side refutes outright."""
     if not (0 <= k <= m.dimension):
         raise ValueError(f"need 0 <= k <= {m.dimension}, got k={k}")
+    n = len(m.vertices)
+    if n < k + 3:
+        raise ValueError(f"need at least k + 3 = {k + 3} vertices, got n={n}")
     check_field(field)
-    num, den = required_tight_beta(k, len(m.vertices))
+    num, den = required_tight_beta(k, n)
     if num % den:
         return Verdict(
             REFUTED,
@@ -791,23 +795,26 @@ def is_tight_exhaustive(x: Complex, field: int, guard: int = 16) -> Verdict:
     Over one field, with k_j the dimension of the kernel of
     H̃_j(Y) → H̃_j(x), the long exact sequence of the pair (x, Y) gives
     β_j(x, Y) − β̃_j(x) + β̃_j(Y) = k_j + k_{j−1}, with k_{−1} = 0 as Y is
-    not empty.  So each k_j follows from three Betti numbers: β̃(x) once,
-    β̃(Y) from `_reduce` on the lattice of the generators g & A, and
-    β(x, Y) from `_reduce` on x's own lattice with the faces inside A dead;
-    an acyclic Y needs no β(x, Y), as k_j <= β̃_j(Y)."""
+    not empty.  So each k_j follows from three Betti numbers, each from a
+    relative lattice of `_face_lattice` reduced by `_reduce`: β̃(x) once,
+    by `betti`; β̃(Y) from `_star_residual`, the faces of Y outside the
+    star of its vertex in the most facets of x; and β(x, Y) from the
+    faces of x outside Y, which are those not inside A, so the simplex A
+    serves as the `minus`.  No full lattice of x is built.  An acyclic Y
+    needs no β(x, Y), as k_j <= β̃_j(Y)."""
     check_field(field)
     n = len(x.vertices)
     if n > guard:
         raise GuardExceeded(f"{n} vertices exceed the guard {guard}")
     bx = betti(x, field)  # EmptyInput on the empty complex
-    masks, lattice = x._facet_masks, x._lattice
+    masks = x._facet_masks
     for size in range(1, n):
         for combo in itertools.combinations(range(n), size):
             a = sum(1 << i for i in combo)
-            by = _residual_betti(_reduce(_face_lattice([g & a for g in masks])), field)
+            by = _residual_betti(_star_residual(x, a), field)
             if not any(by):
                 continue
-            rel = _residual_betti(_reduce(lattice, a), field)
+            rel = _residual_betti(_reduce(_face_lattice(masks, [a])), field)
             k = 0
             for j, b in enumerate(by):
                 k = rel[j] - bx[j] + b - k

@@ -41,7 +41,7 @@ from .constructions import (
 )
 from .corpus import fixture, fixture_names
 from .errors import BadDimension, SxError, UnknownFixture
-from .homology import betti, euler_characteristic
+from .homology import betti
 from .moves import bistellar_options, standard_ball, standard_sphere
 from .symmetry import automorphism_group, is_isomorphic, permutation_cycles
 
@@ -227,7 +227,7 @@ def _cmd_info(args) -> int:
         "vertices": len(c.vertices),
         "facets": len(c.facet_sets),
         "f_vector": list(c.f_vector()),
-        "euler_characteristic": euler_characteristic(c),
+        "euler_characteristic": c.euler_characteristic,
         "pure": c.is_pure,
         "digest": c.digest,
     }

@@ -10,9 +10,9 @@ connectivity, normality, homology and tightness read.  `Complex._lattice`
 is the one face lattice, built once per complex from those masks by
 `_face_lattice`: each face a mask with its faces and cofaces, and each
 face size one contiguous id range, which the face counts, `faces`,
-missing faces, the stackedness checks, the closures, the collapse and
-tightness read; homology builds the lattice of the faces outside a vertex
-star instead, with the `minus` of `_face_lattice`.  `Complex._ridge_masks`
+missing faces, the stackedness checks, the closures and the collapse
+read; homology and tightness build only the faces outside a subcomplex
+instead, with the `minus` of `_face_lattice`.  `Complex._ridge_masks`
 is the one dual graph, the facets through each ridge as a mask over facet
 indices.
 """

@@ -3,21 +3,21 @@
 `betti` reduces first, then eliminates.  `_reduce` builds no faces: it
 reduces a given face lattice from `complexes._face_lattice` by cancelling
 pairs of cells over Z with coreductions and free-face collapses; both
-keep the homology over Z, so over Q and every F_p.  For `betti` and the
-screens, `_star_residual` reduces only the faces of x outside the closed
-star of one vertex, as H̃(x) ≅ H(x, st v).  `_residual_betti` then
-assembles the boundary maps of the cells left, one sparse dict of nonzero
-rows per column, and takes their ranks per field with the one sparse
-column eliminator, `_pivot_rows`: modulo p with pivots scaled to a leading
-1 over F_p, fraction-free over Q (integer entries throughout, each pivot
-divided by the gcd of its entries).  The ranks go top-down with clearing:
-the columns of ∂_k at the pivot rows of ∂_{k+1}, reduced over the same
-field, are dropped before ∂_k is eliminated, which leaves its rank
-unchanged.  Every rank is exact over Q and every F_p; nothing here is
-floating point.  Given the vertex mask A of an induced subcomplex Y,
-`_reduce` reduces the relative chain complex of the pair instead: the
-faces inside A start dead, so `_residual_betti` gives the relative Betti
-numbers β_j(X, Y) that `certify` decides tightness by.
+keep the homology over Z, so over Q and every F_p.  Every homology here is
+relative, on the lattice of the faces outside a subcomplex that the
+`minus` of `_face_lattice` builds: for `betti`, the screens and the
+induced subcomplexes of tightness, `_star_residual` reduces only the faces
+of x[A] outside the closed star of one vertex, as H̃(x[A]) ≅ H(x[A], st v),
+and `certify` reduces the faces of x outside x[A] for the pair.
+`_residual_betti` then assembles the boundary maps of the cells left, one
+sparse dict of nonzero rows per column, and takes their ranks per field
+with the one sparse column eliminator, `_pivot_rows`: modulo p with
+pivots scaled to a leading 1 over F_p, fraction-free over Q (integer
+entries throughout, each pivot divided by the gcd of its entries).  The
+ranks go top-down with clearing: the columns of ∂_k at the pivot rows of
+∂_{k+1}, reduced over the same field, are dropped before ∂_k is
+eliminated, which leaves its rank unchanged.  Every rank is exact over Q
+and every F_p; nothing here is floating point.
 
 The screens reduce a complex relative to a vertex star once and eliminate
 its residual field by field, so neither they nor `betti` read
@@ -26,8 +26,8 @@ itself, then the sphere screen of x's boundary; `certify` runs
 `_ball_detail` alone on a closure whose boundary is a sphere it has
 screened already.  `_collapses_to_point`, the greedy collapse that
 `certify.collapse` gives as a witness, runs on `Complex._lattice` with
-live flags and live-coface counts, and tightness reduces that lattice, so
-every face read here comes from `_face_lattice`.
+live flags and live-coface counts; it is the one reader of a full lattice
+here.
 """
 
 from __future__ import annotations
@@ -130,7 +130,7 @@ def _pivot_rows(cols: list[dict[int, int]], field: int) -> set[int]:
     return set(pivots)
 
 
-def _reduce(lattice: _Lattice, inside: int | None = None) -> list[list[int]]:
+def _reduce(lattice: _Lattice) -> list[list[int]]:
     """The cells of a face lattice from `_face_lattice` that survive
     reduction over Z, grouped by size: out[s] holds the residual cells with
     s vertices, s = 0 to the largest generator size.
@@ -139,31 +139,22 @@ def _reduce(lattice: _Lattice, inside: int | None = None) -> list[list[int]]:
     the augmentation cell, and its cells form the augmented chain complex
     of the complex; the lattice of the faces of X outside a subcomplex L
     (`_face_lattice` with `minus`) has the cells of the relative chain
-    complex C(X)/C(L).  With `inside`, the vertex mask A of an induced
-    subcomplex Y of a full lattice, the cells are those of the pair (X, Y)
-    instead: the faces inside A, ∅ among them, start dead, and face and
-    coface counts count live cells only.  The counts are this call's own,
-    so one lattice serves every A.  A first in, first out queue starts at
-    every cell with one live face or one live coface (a vertex's one face
-    is ∅) and removes pairs (a, b) of live cells, a a face of b, wherever
-    b has exactly one live face a (a coreduction) or a has exactly one
-    live coface b (a free-face collapse).  Simplicial incidences are ±1, a
-    unit over Z, so each pair is an elementary reduction, and its
-    correction term [c:a]·[b:a]⁻¹·∂b vanishes on the cells left: ∂b has no
-    other live face in a coreduction, and no other live c has a as a face
-    in a collapse.  The live cells with the original incidences restricted
-    to them therefore form a chain complex with the homology of the given
-    one over Z, so over Q and every F_p.
+    complex C(X)/C(L).  A first in, first out queue starts at every cell
+    with one face or one coface (a vertex's one face is ∅) and removes
+    pairs (a, b) of live cells, a a face of b, wherever b has exactly one
+    live face a (a coreduction) or a has exactly one live coface b (a
+    free-face collapse).  Simplicial incidences are ±1, a unit over Z, so
+    each pair is an elementary reduction, and its correction term
+    [c:a]·[b:a]⁻¹·∂b vanishes on the cells left: ∂b has no other live face
+    in a coreduction, and no other live c has a as a face in a collapse.
+    The live cells with the original incidences restricted to them
+    therefore form a chain complex with the homology of the given one over
+    Z, so over Q and every F_p.
     """
     cells, faces, cofaces, sizes = lattice
-    if inside is None:
-        live = [True] * len(cells)
-        n_face = list(map(len, faces))
-        n_cof = list(map(len, cofaces))
-    else:
-        live = [c & ~inside != 0 for c in cells]
-        n_face = [sum(live[f] for f in ids) for ids in faces]
-        n_cof = [sum(live[t] for t in ids) for ids in cofaces]
+    live = [True] * len(cells)
+    n_face = list(map(len, faces))
+    n_cof = list(map(len, cofaces))
     queue = deque(i for i, n in enumerate(n_face) if n == 1)
     queue.extend(i for i, n in enumerate(n_cof) if n == 1)
     while queue:
@@ -225,23 +216,26 @@ def _residual_betti(cells: list[list[int]], field: int) -> tuple[int, ...]:
     return tuple(len(cells[s]) - ranks[s] - ranks[s + 1] for s in range(1, len(cells)))
 
 
-def _star_residual(x: Complex) -> list[list[int]]:
-    """The residual of `_reduce` on the faces of x outside the closed star
-    of one vertex v, grouped by size from 0 to dim x + 1; its Betti numbers
-    are the reduced Betti numbers of x.
+def _star_residual(x: Complex, a: int) -> list[list[int]]:
+    """The residual of `_reduce` on the faces of the induced subcomplex
+    x[A], A the vertex mask a, outside the closed star of one vertex v of
+    A, grouped by size from 0 to dim x + 1; its Betti numbers are the
+    reduced Betti numbers of x[A].  With every vertex in a, x[A] is x.
 
     st v is a cone, so contractible, and the long exact sequence of the
-    pair gives H̃_j(x) ≅ H_j(x, st v) over Z for every j.  C(x)/C(st v) is
-    the free complex on the faces outside st v, which are the faces of the
-    facets avoiding v that no facet through v contains; `_face_lattice`
-    builds just those.  Any v is sound and the choice affects speed only:
-    the one in the most facets, the lowest position on ties, is taken, as
-    its star tends to cover the most faces, and all of x when x is a cone
-    over it.  The sizes are padded to dim x + 2, as the faces left may lack
-    the top size of a complex that is not pure."""
+    pair gives H̃_j(x[A]) ≅ H_j(x[A], st v) over Z for every j.  x[A] is
+    generated by the masks g & a of the facets g of x, and st v by those
+    through v; the faces outside st v are the faces of the others that no
+    mask through v contains, and `_face_lattice` builds just those.  Any v
+    is sound and the choice affects speed only: the vertex of A in the
+    most facets of x, the lowest position on ties, is taken, as its star
+    tends to cover the most faces, and all of x[A] when x[A] is a cone
+    over it.  The sizes are padded to dim x + 2, as the faces left may
+    lack the top size of x."""
     star = x._mask_star
-    v = max(range(len(star)), key=lambda i: len(star[i]))
-    out = _reduce(_face_lattice([g for g in x._facet_masks if not g >> v & 1], star[v]))
+    v = max(_bits(a), key=lambda i: len(star[i]))
+    masks = [g & a for g in x._facet_masks]
+    out = _reduce(_face_lattice([g for g in masks if not g >> v & 1], [g for g in masks if g >> v & 1]))
     return out + [[] for _ in range(x.dimension + 2 - len(out))]
 
 
@@ -252,11 +246,7 @@ def betti(x: Complex, field: int = 0) -> tuple[int, ...]:
     check_field(field)
     if x.is_empty_complex:
         raise EmptyInput("betti numbers of the empty complex are not defined here")
-    return _residual_betti(_star_residual(x), field)
-
-
-def euler_characteristic(x: Complex) -> int:
-    return x.euler_characteristic
+    return _residual_betti(_star_residual(x, (1 << len(x.vertices)) - 1), field)
 
 
 @dataclass(frozen=True)
@@ -330,7 +320,7 @@ def _failing_field(x: Complex, fields: tuple[int, ...], like) -> str:
     Betti numbers of x are not `like`, or "" when there is none: x is
     reduced once over Z, relative to a vertex star, and its residual
     eliminated field by field."""
-    cells = _star_residual(x)
+    cells = _star_residual(x, (1 << len(x.vertices)) - 1)
     for f in fields:
         check_field(f)
         b = _residual_betti(cells, f)

@@ -1,7 +1,9 @@
 """Decision procedures: exact verdicts, searches, and their certificates."""
 
+import functools
 import itertools
 import math
+import operator
 import os
 import random
 import subprocess
@@ -1160,9 +1162,9 @@ def test_one_stellated_screens_the_sphere_once(monkeypatch):
     # for its interior faces
     reduced, screened = [], []
 
-    def spy_reduce(lattice, inside=None):
+    def spy_reduce(lattice):
         reduced.append(lattice)
-        return _reduce(lattice, inside)
+        return _reduce(lattice)
 
     def spy_screen(x, fields=DEFAULT_FIELDS):
         screened.append(x)
@@ -1551,26 +1553,29 @@ def test_tight_balls_and_spheres():
         assert is_tight_exhaustive(sphere, 0).proved
 
 
-def test_tightness_builds_the_lattice_of_x_once(monkeypatch):
-    # every β(x, x[A]) reduces on x's own lattice, so `_face_lattice` runs
-    # once on x's facet masks; its other calls are the lattices of the x[A]
-    real, built, relative = complexes_module._face_lattice, [], []
-
-    def spy_lattice(generators):
-        built.append(tuple(generators))
-        return real(built[-1])
-
-    def spy_reduce(lattice, inside=None):
-        relative.append(inside)
-        return _reduce(lattice, inside)
-
-    monkeypatch.setattr(complexes_module, "_face_lattice", spy_lattice)
-    monkeypatch.setattr(certify_module, "_face_lattice", spy_lattice)
-    monkeypatch.setattr(certify_module, "_reduce", spy_reduce)
+def test_tightness_builds_only_relative_lattices(monkeypatch):
+    # every β̃(x[A]) reduces the faces of x[A] outside the star of its
+    # vertex in the most facets of x, β̃(x) is the case A = all, and every
+    # β(x, x[A]) reduces the faces of x outside x[A], those not inside the
+    # simplex A: x's full lattice is never built
     torus = seven_vertex_torus()  # a fresh complex: no lattice cached yet
+    masks, n = torus._facet_masks, len(torus.vertices)
+    built = spy_on_lattices(monkeypatch, [complexes_module, certify_module, homology_module])
     assert is_tight_exhaustive(torus, 2).proved
-    assert built.count(torus._facet_masks) == 1
-    assert len([a for a in relative if a is not None]) >= 2
+    assert "_lattice" not in torus.__dict__
+    pairs = 0
+    for generators, minus in built:
+        if generators == masks:  # the pair (x, x[A]) for the x[A] just split
+            assert minus == (a,) and a != (1 << n) - 1
+            pairs += 1
+        else:  # x[A] split at the star of its vertex in the most facets
+            a = functools.reduce(operator.or_, generators + minus)
+            v = max((i for i in range(n) if a >> i & 1), key=lambda i: sum(g >> i & 1 for g in masks))
+            ys = [g & a for g in masks]
+            assert (generators, minus) == (tuple(y for y in ys if not y >> v & 1),
+                                           tuple(y for y in ys if y >> v & 1))
+    assert built[0] == star_relative(torus)
+    assert pairs >= 2 and len(built) - pairs == 2**n - 1
 
 
 def test_cone_over_sphere_not_tight():

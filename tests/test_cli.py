@@ -91,6 +91,17 @@ def test_k_outside_the_dimension_exits_69_without_a_traceback(cmd, k, src):
     assert proc.stderr == f"error: need 0 <= k <= 3, got k={k}\n"
 
 
+def test_beta_on_fewer_than_k_plus_3_vertices_exits_69_without_a_traceback():
+    # the formula reads binom(n - k - 3, k + 1): a triangle has n = 3 < 4,
+    # which once surfaced as math.comb's own message
+    cli = [sys.executable, "-m", "sx.cli"]
+    triangle = subprocess.run([*cli, "generate", "standard-sphere", "1"], capture_output=True, text=True)
+    proc = subprocess.run([*cli, "certify", "beta", "-k", "1", "-"], input=triangle.stdout,
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (69, "")
+    assert proc.stderr == "error: need at least k + 3 = 4 vertices, got n=3\n"
+
+
 def test_stacked_sphere_with_candidate(capsys, tmp_path):
     code, out, _ = run_cli(
         capsys, "stacked", "-k", "2", "--candidate", "fixtures:dfm_b4_16", "fixtures:dfm_s3_16"

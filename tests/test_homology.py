@@ -31,7 +31,6 @@ from sx.homology import (
     _sphere_like,
     betti,
     check_field,
-    euler_characteristic,
     field_name,
     screen_homology_ball,
     screen_homology_sphere,
@@ -180,9 +179,9 @@ def test_betti_and_the_screens_reduce_one_relative_lattice_each(monkeypatch, zie
     # never collapse.
     real, reduced = complexes_module._face_lattice, []
 
-    def spy_reduce(lattice, inside=None):
+    def spy_reduce(lattice):
         reduced.append(lattice)
-        return _reduce(lattice, inside)
+        return _reduce(lattice)
 
     def spy_collapse(lattice):
         raise AssertionError("a screen collapsed")
@@ -271,6 +270,46 @@ def test_star_relative_betti_matches_the_full_lattice(differential_complexes):
             assert betti(x, p) == oracle_full_lattice_betti(x, p), (x.facets, p)
 
 
+def oracle_pair_betti(x: Complex, a: int, field: int) -> tuple[int, ...]:
+    """β_j(x, x[A]), j = 0 to dim x, A the vertex mask a, from the ranks of
+    the relative chain complex with no reduction: the boundary columns of
+    `oracle_boundary_columns` with the rows and columns of the faces of
+    x[A], ∅ among them, deleted."""
+    inside = {v for i, v in enumerate(x.vertices) if a >> i & 1}
+    ranks, sizes = [], []
+    for k in range(x.dimension + 2):
+        rows = [set(f) <= inside for f in x.sorted_faces(x.faces(k - 1))]
+        cols = [{r: e for r, e in col.items() if not rows[r]}
+                for col, f in zip(oracle_boundary_columns(x, k), x.sorted_faces(x.faces(k)))
+                if not set(f) <= inside] if k <= x.dimension else []
+        sizes.append(len(cols))
+        ranks.append(len(_pivot_rows(cols, field)))
+    return tuple(sizes[j] - ranks[j] - ranks[j + 1] for j in range(x.dimension + 1))
+
+
+def test_relative_residuals_match_the_relative_chain_complex(differential_complexes):
+    # for random vertex subsets A: the pair (x, x[A]) that tightness
+    # reduces, against the ranks of its chain complex, and the star residual
+    # of x[A] against the reduced Betti numbers of the induced complex
+    rng = random.Random(30)
+    seen = set()
+    for x in differential_complexes:
+        n = len(x.vertices)
+        if len(x.facets) > 100 or n < 2:
+            continue
+        for _ in range(3):
+            a = rng.randrange(1, (1 << n) - 1)
+            pair = _reduce(_face_lattice(x._facet_masks, [a]))
+            y = x.induced(v for i, v in enumerate(x.vertices) if a >> i & 1)
+            for p in (0, 2, 3):
+                want = oracle_pair_betti(x, a, p)
+                assert _residual_betti(pair, p) == want, (x.facets, a, p)
+                by = _residual_betti(homology_module._star_residual(x, a), p)
+                assert by == clearing_betti(y, p) + (0,) * (x.dimension - y.dimension), (x.facets, a, p)
+                seen.add(any(want))
+    assert seen == {False, True}
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.frozensets(st.integers(0, 7), min_size=1, max_size=5), min_size=1, max_size=10),
@@ -292,7 +331,7 @@ def test_star_relative_betti_on_pinned_cases():
     assert betti(from_facets([[1, 2, 3], [3, 4], [5]]), 2) == (1, 0, 0)
     for d in range(0, 5):
         simplex = standard_ball(d)
-        assert [len(c) for c in homology_module._star_residual(simplex)] == [0] * (d + 2)
+        assert [len(c) for c in homology_module._star_residual(simplex, (1 << d + 1) - 1)] == [0] * (d + 2)
         assert betti(simplex, 3) == (0,) * (d + 1)
     rp2 = Complex(RP2)
     assert betti(rp2, 2) == (0, 1, 1) and betti(rp2, 0) == (0, 0, 0)
@@ -381,10 +420,10 @@ def test_betti_rejects_empty():
 
 
 def test_euler_characteristics(dfm, sigma):
-    assert euler_characteristic(dfm) == 0
-    assert euler_characteristic(sigma) == 0
+    assert dfm.euler_characteristic == 0
+    assert sigma.euler_characteristic == 0
     for d in (1, 2, 3, 4):
-        assert euler_characteristic(standard_ball(d)) == 1
+        assert standard_ball(d).euler_characteristic == 1
 
 
 def test_euler_poincare_identity():
