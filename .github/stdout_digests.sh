@@ -41,6 +41,11 @@ ef2a3ba5970425d35fc2f6c2957b0ef3617424c3fc0c0499d7b8bd2de1572bfe 0 sx certify st
 34b7aca922bc05782f03d0e8d79f5ef370b69e68c108c39666631bf056f493f9 2 sx certify shelled -k 3 --budget-nodes 3000 fixtures:dfm_b4_16
 0a831f8dd82128b4f8d2b7d6168dc87953d75cfcbb7a20d348421226363d73c6 0 sx certify shelled -k 2 fixtures:lutz_b2
 c20687121a83fb8d228ac0c2e4ff484b217e533a580c6d854445eda9a01fc1cd 0 sx verify-paper --seed 0 --criteria 4
+# two complete shelling searches, recorded before each state's moves were
+# derived from its parent's: REFUTED after 8620 and 3604 nodes, counts that
+# a change in the order of the children would move
+9dc67a987deff813eef1bf1873b59af0e060aa72945eb1d4bb8da6929b3e3202 1 sx certify shelled -k 3 fixtures:lutz_s3_8
+d24effc6563ebd7855f4e95af4b2d590168f867d8e7e872d5465d07a78ac2207 1 sx certify shelled -k 1 fixtures:ziegler_s3_10
 # tightness outputs, recorded before tightness moved from induced boundary
 # ranks to relative Betti numbers on the facet masks
 ce86d7426fa8c5babcd7d5519f1243517f72a5b75074354aa4f2c8ade3c415e3 1 sx certify tight --field 2 fixtures:lutz_b1

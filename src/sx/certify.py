@@ -206,7 +206,9 @@ def _memo_dfs(roots, children, is_goal, budget: SearchBudget, max_depth: int | N
     from a root to the first goal, or None and None when no goal was
     reached.  cut says whether either bound cut the search short.  A search
     that ends uncut has visited a set of states closed under children, so
-    no goal is reachable from its roots.
+    no goal is reachable from its roots.  A live child is expanded as soon
+    as it is pulled, before children is called again: callers may rely on
+    that for speed, never for correctness.
     """
     dead: set = set()
     nodes = 0
@@ -264,6 +266,17 @@ def certify_k_shelled(b: Complex, k: int, budget: SearchBudget | None = None) ->
     at each node.  A pseudomanifold gives at most 2^(d+1) entries a facet,
     any complex at most one a facet and node, and the memo dies with the
     call.
+
+    A state's moves, ascending by facet, are derived from its parent's
+    when the state is the child its parent yielded last, which `_memo_dfs`
+    expands at once; any other state (a root) scans every facet.  When
+    facet j joins P, a facet i that is not a neighbour of j keeps its
+    shelled neighbours, so it keeps its attachment: it stays a move iff it
+    was one and j does not contain its beta (j is outside its through
+    mask), and it cannot become one.  j itself drops out, as it contains
+    its own beta, and the neighbours of j outside P are looked up in the
+    memo again.  So the moves are exactly those of a full scan, in the same
+    order, and the lists live only along the search path.
     """
     budget = budget or SearchBudget()
     if not b.is_pure or b.is_empty_complex:
@@ -291,28 +304,46 @@ def certify_k_shelled(b: Complex, k: int, budget: SearchBudget | None = None) ->
     memo: list[dict] = [{} for _ in range(m)]  # facet j -> near -> attachment
 
     def attachment(j: int, near: int) -> tuple:
-        """(through, move): facet j's move onto shelled neighbours near and
-        the facets through its beta, or -1 and None when j has no move."""
+        """(j, through, move): facet j's move onto shelled neighbours near
+        and the facets through its beta, or through -1 and move None when
+        j has no move."""
         beta = [v for v, r in ridges[j] if (r & near).bit_count() == 1]
         if not beta or len(beta) > k:
-            return -1, None
+            return j, -1, None
         through = -1
         for v in beta:
             through &= star[v]
         alpha = tuple(v for v in facets[j] if v not in beta)
-        return through, ShellingMove(alpha=alpha, beta=tuple(beta))
+        return j, through, ShellingMove(alpha=alpha, beta=tuple(beta))
+
+    adj = [list(_bits(n)) for n in nbr]
+    last = None  # (the child yielded last, its parent's options, the facet it adds)
 
     def children(state: int):
-        for j in range(m):
+        nonlocal last
+        if last is not None and last[0] == state:
+            _, parent, j = last
+            bit, adjacent = 1 << j, nbr[j]
+            # j lies in its own through mask; its neighbours are looked up again
+            options = [e for e in parent if not (e[1] & bit or adjacent >> e[0] & 1)]
+            scan = adj[j]
+        else:
+            options, scan = [], range(m)
+        for i in scan:
             # a facet that shares no ridge with P has an empty restriction face
-            near = nbr[j] & state
-            if not near or state >> j & 1:
+            near = nbr[i] & state
+            if not near or state >> i & 1:
                 continue
-            hit = memo[j].get(near)
-            if hit is None:
-                hit = memo[j][near] = attachment(j, near)
-            if not hit[0] & state:
-                yield hit[1], state | 1 << j
+            e = memo[i].get(near)
+            if e is None:
+                e = memo[i][near] = attachment(i, near)
+            if not e[1] & state:
+                options.append(e)
+        options.sort()
+        for e in options:
+            child = state | 1 << e[0]
+            last = child, options, e[0]
+            yield e[2], child
 
     full = (1 << m) - 1
     states, moves, nodes, cut = _memo_dfs(

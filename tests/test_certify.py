@@ -597,6 +597,120 @@ def test_shelling_search_matches_the_oracle_at_a_budget_cut():
     assert certify_k_shelled(b, 3, budget).as_dict() == want
 
 
+def oracle_shelling_children(b: Complex, k: int):
+    """The `children` of `certify_k_shelled` before each state's moves were
+    derived from its parent's: every facet is scanned at every state, and
+    attachments are memoised per (facet, shelled neighbours).  Returns
+    children(state), the list of (move, child) pairs, for 1 <= k."""
+    facets, ridges, nbr = b.facets, b._ridge_masks, b._neighbour_masks
+    m = len(facets)
+    star: dict = {}
+    for i, rs in enumerate(ridges):
+        for v, _ in rs:
+            star[v] = star.get(v, 0) | 1 << i
+    memo: list[dict] = [{} for _ in range(m)]
+
+    def attachment(j: int, near: int) -> tuple:
+        beta = [v for v, r in ridges[j] if (r & near).bit_count() == 1]
+        if not beta or len(beta) > k:
+            return -1, None
+        through = -1
+        for v in beta:
+            through &= star[v]
+        alpha = tuple(v for v in facets[j] if v not in beta)
+        return through, ShellingMove(alpha=alpha, beta=tuple(beta))
+
+    def children(state: int) -> list:
+        out = []
+        for j in range(m):
+            near = nbr[j] & state
+            if not near or state >> j & 1:
+                continue
+            hit = memo[j].get(near)
+            if hit is None:
+                hit = memo[j][near] = attachment(j, near)
+            if not hit[0] & state:
+                out.append((hit[1], state | 1 << j))
+        return out
+
+    return children
+
+
+def test_derived_shelling_moves_match_the_full_scan(monkeypatch):
+    """At every state the search expands, its (move, child) list equals the
+    full scan's, in order.  The spy draws children as lazily as the search
+    does, so the search derives as it would unspied, and drains the lists
+    a goal or a cut left open once the search is over."""
+    counts = {"states": 0, "derived": 0, "through": 0}
+    real = certify_module._memo_dfs
+
+    def spy(roots, children, is_goal, budget, max_depth=None):
+        oracle = oracle_shelling_children(b, k)
+        last = None  # (child yielded last, its parent, the parent's list)
+        opened = []
+
+        def checked(state):
+            nonlocal last
+            want = oracle(state)
+            counts["states"] += 1
+            if last is not None and last[0] == state:
+                counts["derived"] += 1
+                parent, before = last[1], last[2]
+                j = (state ^ parent).bit_length() - 1
+                for mv, child in before:
+                    i = (child ^ parent).bit_length() - 1
+                    if i == j or b._neighbour_masks[j] >> i & 1:
+                        continue
+                    if (mv, child | state) not in want:
+                        # a move of a facet whose neighbours stay the same
+                        # dies only when the facet joining P contains beta
+                        assert set(mv.beta) <= set(b.facets[j]), (b.facets, k, mv)
+                        counts["through"] += 1
+
+            def compare(got):
+                nonlocal last
+                n = 0
+                for item in got:
+                    assert n < len(want) and item == want[n], (b.facets, k, state)
+                    n += 1
+                    last = item[1], state, want
+                    yield item
+                assert n == len(want), (b.facets, k, state)
+
+            opened.append(compare(children(state)))
+            return opened[-1]
+
+        out = real(roots, checked, is_goal, budget, max_depth)
+        for rest in opened:
+            for _ in rest:
+                pass
+        return out
+
+    monkeypatch.setattr(certify_module, "_memo_dfs", spy)
+    runs = [(c, k, 3000) for c in shelling_cases() for k in range(1, c.dimension + 1)]
+    runs += [(fixture(name).complex, k, 2000) for name, k in (("dfm_b4_16", 3), ("d4_16", 2))]
+    for b, k, max_nodes in runs:
+        certify_k_shelled(b, k, SearchBudget(max_nodes=max_nodes))
+    assert counts["derived"] > counts["states"] // 2
+    assert counts["through"] > 0
+
+
+def test_proved_shellings_replay_from_their_seed_facet():
+    proved = 0
+    for b in shelling_cases():
+        for k in range(b.dimension + 1):
+            v = certify_k_shelled(b, k)
+            if not v.proved:
+                continue
+            cert = v.certificate
+            (seed,) = [f for f in b.facets if Complex([f]).digest == cert.start_digest]
+            final, length = replay(cert, Complex([seed]))
+            assert final == b and length == cert.length, (b.facets, k)
+            assert cert.max_index() < k
+            proved += 1
+    assert proved > 30
+
+
 def _replays_to(cert: MoveCertificate, s: Complex) -> bool:
     """Undo the certificate's moves from s, and replay it from the
     standard sphere that this reaches."""
