@@ -124,5 +124,11 @@ cf2e819091b5797c16a661700432c6fc6f68919ea4011f3971412cf599a7d22f 0 printf '1 2 3
 5c9613c055eaf330304d6d36748b42c464467c6f8924be6b6446c266357e4b25 0 printf '1 2 4\n2 3 5\n3 4 6\n4 5 7\n5 6 1\n6 7 2\n7 1 3\n1 3 4\n2 4 5\n3 5 6\n4 6 7\n5 7 1\n6 1 2\n7 2 3\n' | sx certify tight --field 0 -
 da5d5205b9710f85d2abfe2c8852160c3a8c035808fa141a62fba86e8162483f 1 printf '1 2 3\n3 4\n5\n' | sx certify tight --field 2 -
 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 69 sx generate standard-sphere 1 | sx certify beta -k 1 -
+# ear lists, recorded before ears were decided by the restriction-face rule
+# instead of ball recognition and a shelling search: two 3-balls with no
+# ears, and a 5-ball with three (lutz_b2's one ear is pinned above)
+a396e060f31dc702fc05162834e2a63fb346fac6373970754601e3aa86d910e0 0 sx certify ears fixtures:ziegler_b2
+a396e060f31dc702fc05162834e2a63fb346fac6373970754601e3aa86d910e0 0 sx certify ears fixtures:dfm_b4_16
+f5b121719172ec574473059fde650bed29ee67199ed3ce8a046421c8f00de187 0 printf '1 2 3 4 5 6\n1 2 3 4 5 9\n1 2 4 5 6 7\n1 3 4 5 6 8\n' | sx certify ears -
 TABLE
 exit "$failed"

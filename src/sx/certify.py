@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from .complexes import Complex, _bits, _face_lattice
 from .constructions import stacked_ball_closure, vertex_ball
 from .errors import (
-    DimensionTooHigh,
     GuardExceeded,
     NotABall,
     NotASphere,
@@ -646,31 +645,18 @@ def _bounding_fault(s: Complex, ball: Complex, k: int) -> tuple[str, object] | N
 # -- ears and collapsibility -----------------------------------------------------
 
 
-def is_ball_exact(c: Complex, dim: int) -> bool:
-    """Exact triangulated-ball recognition for dimensions 0..2.
+def ear_scan(b: Complex) -> list[tuple]:
+    """The facets σ of the ball b whose boundary faces inside σ form a
+    (d-1)-ball, in `facets` order, by the restriction-face rule.
 
-    A normal 1- or 2-pseudomanifold is connected and each of its vertex
-    links is a path or a cycle.  So with a boundary it is a path in
-    dimension 1, and in dimension 2 a surface that is a disk when its
-    boundary is one cycle and its Euler characteristic is 1.  In dimension
-    0 the normal complexes with a boundary are the single points.
-    """
-    if dim not in (0, 1, 2):
-        raise DimensionTooHigh(f"no exact ball recognition in dimension {dim}")
-    if c.dimension != dim:
-        return False
-    cls = c.classify()
-    if not cls.normal_pseudomanifold or cls.closed:
-        return False
-    return dim < 2 or (c.boundary().is_connected and c.euler_characteristic == 1)
-
-
-def ear_scan(b: Complex, budget: SearchBudget | None = None) -> list[tuple]:
-    """Facets whose removal leaves a ball, via the boundary-restriction test.
-
-    A facet is an ear iff the faces of the boundary inside its vertex set
-    form a (d-1)-ball; decided exactly for d-1 <= 2, by a budgeted
-    shellability screen above that.
+    Let β be the vertices v of σ with σ \\ v a boundary ridge.  σ is an ear
+    iff 1 <= |β| <= d and β lies in no boundary ridge.  This is exact in
+    every dimension: the boundary faces inside σ are the faces of those |β|
+    ridges iff β is not a boundary face, and any 1..d facets of ∂σ form a
+    shellable (d-1)-ball; otherwise the boundary inside σ is not pure.  The
+    bounds need no test of their own past the ball screen: the empty β lies
+    in every boundary ridge, and β is never all of σ, as a normal
+    pseudomanifold with two facets or more is strongly connected.
     """
     facets = b.facets
     if len(facets) == 1:
@@ -678,24 +664,13 @@ def ear_scan(b: Complex, budget: SearchBudget | None = None) -> list[tuple]:
     screen = screen_homology_ball(b)
     if not screen.passed:
         raise NotABall(screen.detail)
-    d = b.dimension
-    exact = d - 1 <= 2
-    bd = b.boundary()
+    pos = b._vertex_pos
+    rim = [sum(1 << pos[u] for u in f) ^ 1 << pos[v] for f, v in b._rim()]
     ears = []
-    for f in facets:
-        u = set(f) & bd.vertex_set
-        sub = bd.induced(u)
-        if exact:
-            if is_ball_exact(sub, d - 1):
-                ears.append(f)
-        else:
-            if sub.dimension != d - 1 or not sub.is_pure:
-                continue
-            if sub.boundary().is_empty_complex:
-                continue
-            v = certify_k_shelled(sub, sub.dimension, budget)
-            if v.proved:
-                ears.append(f)
+    for f, rs in zip(facets, b._ridge_masks):
+        beta = sum(1 << pos[v] for v, r in rs if r & (r - 1) == 0)
+        if not any(beta & r == beta for r in rim):
+            ears.append(f)
     return ears
 
 

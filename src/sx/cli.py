@@ -278,7 +278,7 @@ def _cmd_certify(args) -> int:
     if args.what == "collapsible":
         return _finish_verdict(collapse(c, budget), args)
     if args.what == "ears":
-        ears = ear_scan(c, budget=budget)
+        ears = ear_scan(c)
         _emit({"ears": [list(e) for e in ears], "count": len(ears)}, args.pretty)
         return 0
     if args.what == "tight":

@@ -78,10 +78,6 @@ class FieldTooLarge(SxError):
     """Coefficient field characteristic is out of the supported range."""
 
 
-class DimensionTooHigh(SxError):
-    """Exact decision requested above the dimension where it is available."""
-
-
 class GuardExceeded(SxError):
     """A vertex-count guard was exceeded; raise the guard explicitly to proceed."""
 

@@ -30,7 +30,6 @@ from sx.certify import (
     certify_k_stellated,
     collapse,
     ear_scan,
-    is_ball_exact,
     is_in_class,
     is_k_stacked_ball,
     is_one_stacked_ball,
@@ -40,7 +39,6 @@ from sx.certify import (
 from sx.constructions import clique_closure, klee_novik, stacked_ball_closure
 from sx.corpus import fixture
 from sx.errors import (
-    DimensionTooHigh,
     EmptyInput,
     GuardExceeded,
     NotABall,
@@ -1348,11 +1346,21 @@ def test_single_facet_ball_is_its_own_ear():
     assert ear_scan(standard_ball(3)) == [(1, 2, 3, 4)]
 
 
-def test_ear_scan_exact_mode_guard():
-    # above facet dimension 3 the scan takes the shellability screen, which
-    # still finds the last-added leaf facets of a grown 5-ball
-    grown = grow_shelled_ball(5, 1, 3, random.Random(0))[0]
-    assert ear_scan(grown)
+def test_the_facet_a_shelling_adds_last_is_an_ear():
+    # read backwards, the last move of a shelling removes its facet and
+    # leaves a ball, so the boundary faces inside that facet form a ball
+    rng = random.Random(32)
+    balls = 0
+    for dim in range(1, 7):
+        for k in range(1, dim + 1):
+            for _ in range(15):
+                ball, cert = grow_shelled_ball(dim, k, rng.randrange(1, 9), rng)
+                if len(ball.facets) < 2:
+                    continue
+                last = cert.moves[-1]
+                assert tuple(sorted(last.alpha + last.beta)) in ear_scan(ball), ball.facets
+                balls += 1
+    assert balls == 315
 
 
 # -- collapsing -------------------------------------------------------------------------
@@ -1413,62 +1421,67 @@ def oracle_is_cycle(c: Complex) -> bool:
 
 
 def oracle_is_ball_exact(c: Complex, dim: int) -> bool:
+    """Ball recognition in dimensions 0 to 2 by degree tables."""
     if dim == 0:
         return c.dimension == 0 and len(c.vertices) == 1
     if dim == 1:
         return oracle_is_path(c)
-    if dim == 2:
-        return oracle_is_disk(c)
-    raise DimensionTooHigh(f"no exact ball recognition in dimension {dim}")
+    return oracle_is_disk(c)
 
 
-def test_ball_recognition_matches_the_degree_table_oracle(differential_complexes):
-    verdicts = set()
-    for x in differential_complexes:
-        subjects = [x]
-        if len(x.facets) <= 100:
-            subjects += [x.link((v,)) for v in x.vertices]
-            if x.is_weak_pseudomanifold:
-                subjects.append(x.boundary())
-        for c in subjects:
-            for dim in (-1, 0, 1, 2, 3):
-                verdict = _outcome(is_ball_exact, c, dim)
-                assert verdict == _outcome(oracle_is_ball_exact, c, dim), (c.facets, dim)
-                verdicts.add((dim, verdict if isinstance(verdict, bool) else verdict[0]))
-    assert verdicts == {
-        (-1, "DimensionTooHigh"),
-        (0, True),
-        (0, False),
-        (1, True),
-        (1, False),
-        (2, True),
-        (2, False),
-        (3, "DimensionTooHigh"),
-    }
+def oracle_is_shelled_ball(c: Complex, dim: int) -> bool:
+    """Shellable dim-ball recognition by a complete shelling search, which
+    must not stop at its budget."""
+    if c.dimension != dim or not c.is_pure or c.boundary().is_empty_complex:
+        return False
+    v = certify_k_shelled(c, dim)
+    assert v.status != UNKNOWN, c.facets
+    return v.proved
 
 
-@pytest.mark.parametrize("dim", [-2, -1, 3, 4])
-def test_exact_ball_recognition_only_in_dimensions_0_to_2(dim):
-    for c in (standard_ball(1), standard_ball(3), Complex.empty()):
-        with pytest.raises(DimensionTooHigh):
-            is_ball_exact(c, dim)
+def oracle_ear_scan(b: Complex) -> list[tuple]:
+    """The former `certify.ear_scan`: a facet is an ear iff the boundary
+    faces inside it, as a complex of their own, form a (d-1)-ball.  That is
+    decided by the degree tables for d <= 3, where a shelling search must
+    agree with them from d = 2 on, and by the shelling search alone above
+    that."""
+    facets = b.facets
+    if len(facets) == 1:
+        return [facets[0]]
+    screen = screen_homology_ball(b)
+    if not screen.passed:
+        raise NotABall(screen.detail)
+    d = b.dimension
+    bd = b.boundary()
+    ears = []
+    for f in facets:
+        sub = bd.induced(set(f) & bd.vertex_set)
+        if d <= 3:
+            ear = oracle_is_ball_exact(sub, d - 1)
+            assert d == 1 or ear == oracle_is_shelled_ball(sub, d - 1), (b.facets, f)
+        else:
+            ear = oracle_is_shelled_ball(sub, d - 1)
+        if ear:
+            ears.append(f)
+    return ears
 
 
-def test_ear_scan_matches_the_degree_table_oracle(differential_complexes, monkeypatch):
-    def outcomes():
-        out = []
-        for x in differential_complexes:
-            try:
-                out.append(ear_scan(x))
-            except SxError as exc:
-                out.append((type(exc).__name__, str(exc)))
-        return out
-
-    monkeypatch.setattr(certify_module, "is_ball_exact", oracle_is_ball_exact)
-    expected = outcomes()
-    monkeypatch.undo()
-    assert outcomes() == expected
-    assert sum(1 for ears in expected if isinstance(ears, list) and ears) >= 10
+def test_ear_scan_matches_the_degree_table_oracle(differential_complexes):
+    rng = random.Random(1932)
+    grown = [
+        grow_shelled_ball(dim, k, rng.randrange(1, 11), rng)[0]
+        for dim in range(1, 6)
+        for k in range(1, dim + 1)
+        for _ in range(3)
+    ]
+    with_ears = []
+    for x in list(differential_complexes) + grown:
+        got = _outcome(ear_scan, x)
+        assert got == _outcome(oracle_ear_scan, x), x.facets
+        if isinstance(got, list) and got:
+            with_ears.append(x.dimension)
+    assert len(with_ears) >= 100
+    assert sum(d >= 4 for d in with_ears) >= 25
 
 
 def test_collapse_standard_balls():

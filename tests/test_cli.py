@@ -387,6 +387,35 @@ def test_generate_standard_objects(capsys):
     assert out.strip().splitlines()[-1] == "1 2 3 4 5"
 
 
+@pytest.mark.parametrize("name, ears", [("lutz_b2", [[2, 4, 5, 7]]), ("ziegler_b2", [])])
+def test_certify_ears_lists_the_known_ears(capsys, name, ears):
+    code, out, _ = run_cli(capsys, "certify", "ears", f"fixtures:{name}")
+    assert code == 0
+    assert json.loads(out) == {"ears": ears, "count": len(ears)}
+
+
+@pytest.mark.parametrize("budget", [[], ["--budget-nodes", "0"]])
+def test_certify_ears_on_a_five_ball_ignores_the_node_budget(capsys, monkeypatch, budget):
+    # grow_shelled_ball(5, 1, 3, Random(0)): three ears, each decided by the
+    # restriction-face rule with no search to cut short
+    ball = "1 2 3 4 5 6\n1 2 3 4 5 9\n1 2 4 5 6 7\n1 3 4 5 6 8\n"
+    monkeypatch.setattr(sys, "stdin", io.StringIO(ball))
+    code, out, _ = run_cli(capsys, "certify", "ears", *budget, "-")
+    assert code == 0
+    assert json.loads(out) == {
+        "ears": [[1, 2, 3, 4, 5, 9], [1, 2, 4, 5, 6, 7], [1, 3, 4, 5, 6, 8]],
+        "count": 3,
+    }
+
+
+def test_certify_ears_on_a_sphere_or_a_non_normal_input_exits_69(capsys, monkeypatch):
+    code, out, err = run_cli(capsys, "certify", "ears", "fixtures:lutz_s3_8")
+    assert (code, out, err) == (69, "", "error: boundary is empty\n")
+    monkeypatch.setattr(sys, "stdin", io.StringIO("1 2 3\n3 4 5\n"))
+    code, out, err = run_cli(capsys, "certify", "ears", "-")
+    assert (code, out, err) == (69, "", "error: not a normal pseudomanifold\n")
+
+
 def test_certify_one_stacked_cli(capsys):
     code, out, _ = run_cli(capsys, "certify", "one-stacked", "fixtures:ziegler_b1")
     assert code == 0
