@@ -130,5 +130,12 @@ e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 69 sx generate 
 a396e060f31dc702fc05162834e2a63fb346fac6373970754601e3aa86d910e0 0 sx certify ears fixtures:ziegler_b2
 a396e060f31dc702fc05162834e2a63fb346fac6373970754601e3aa86d910e0 0 sx certify ears fixtures:dfm_b4_16
 f5b121719172ec574473059fde650bed29ee67199ed3ce8a046421c8f00de187 0 printf '1 2 3 4 5 6\n1 2 3 4 5 9\n1 2 4 5 6 7\n1 3 4 5 6 8\n' | sx certify ears -
+# the corpus, recorded before the fixtures moved from one chain of name
+# tests to one table of builders: every name, kind and provenance in
+# registry order, the printed shelling certificate, and the ball that
+# drops the stacked hemisphere from Ziegler's sphere
+2bc793b194c34babc5c393d9b8fb10fffb54fdd4bddb9de084546de231924137 0 sx fixtures list
+565ac3b236953e3b0b1ae71af61fedad18dc121ed68718a28895f4b04912cae2 0 sx fixtures export lutz_b2_shelling_cert
+bdc6145cbb3fdb686d34c05e1b4366a01e8bb2ad709a3b409aba14872b473cfb 0 sx fixtures export ziegler_b2 - --format json
 TABLE
 exit "$failed"

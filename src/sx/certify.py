@@ -95,9 +95,7 @@ class Verdict:
     def as_dict(self) -> dict:
         out: dict = {"status": self.status}
         if self.certificate is not None:
-            import json
-
-            out["certificate"] = json.loads(self.certificate.to_json())
+            out["certificate"] = self.certificate.as_dict()
         if self.witness is not None:
             out["witness"] = self.witness
         if self.budget_spent:

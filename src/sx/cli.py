@@ -34,6 +34,7 @@ from .complexes import Complex
 from .constructions import (
     canonical_matching,
     connected_sum,
+    cross_polytope,
     klee_novik,
     klee_novik_bar,
     stacked_ball_closure,
@@ -322,9 +323,7 @@ def _cmd_generate(args) -> int:
             _usage_error(f"generate {what} takes one parameter, d")
         (d,) = params
         if what == "cross-polytope":
-            c = standard_sphere(0, ("x1", "y1"))
-            for i in range(2, d + 2):
-                c = c.join(standard_sphere(0, (f"x{i}", f"y{i}")))
+            c = cross_polytope(d)
         elif what == "standard-sphere":
             c = standard_sphere(d)
         else:
@@ -374,6 +373,8 @@ def _cmd_sum(args) -> int:
     if args.match:
         matching = {}
         for pair in args.match.split(","):
+            if pair.count("=") != 1:
+                _usage_error(f"--match entry {pair!r} is not one a=b pair")
             left, right = pair.split("=")
             matching[sxio.parse_label(left.strip())] = sxio.parse_label(right.strip())
     else:

@@ -9,8 +9,8 @@ from functools import lru_cache
 from typing import Iterable
 
 from .complexes import Complex, Label, _bits
-from .errors import BadMatching, BadParameters, NotFacet, UnknownVertex, VertexClash
-from .moves import standard_ball
+from .errors import BadDimension, BadMatching, BadParameters, NotFacet, UnknownVertex, VertexClash
+from .moves import standard_ball, standard_sphere
 
 __all__ = [
     "vertex_ball",
@@ -21,6 +21,7 @@ __all__ = [
     "klee_novik_bar",
     "klee_novik",
     "klee_novik_automorphisms",
+    "cross_polytope",
     "connected_sum",
     "double_suspension_pipeline",
 ]
@@ -162,6 +163,17 @@ def klee_novik_automorphisms(k: int, d: int) -> dict[str, dict]:
             a[xs[i]] = xs[i]
             a[ys[i]] = ys[i]
     return {"D": dd, "E": e, "R": r, "A": a}
+
+
+def cross_polytope(d: int) -> Complex:
+    """Boundary of the (d+1)-dimensional cross-polytope: the d-sphere that
+    joins the d+1 point pairs x_i, y_i."""
+    if d < 0:
+        raise BadDimension("cross-polytope dimension must be >= 0")
+    c = standard_sphere(0, ("x1", "y1"))
+    for i in range(2, d + 2):
+        c = c.join(standard_sphere(0, (f"x{i}", f"y{i}")))
+    return c
 
 
 # -- connected sums ---------------------------------------------------------

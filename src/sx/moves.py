@@ -571,7 +571,7 @@ class MoveCertificate:
     def max_index(self) -> int:
         return max((m.index for m in self.moves), default=-1)
 
-    def to_json(self) -> str:
+    def as_dict(self) -> dict:
         payload: dict = {
             "kind": self.kind,
             "start": {"digest": self.start_digest},
@@ -581,7 +581,10 @@ class MoveCertificate:
             payload["start"]["name"] = self.start_name
         if self.result_digest:
             payload["result_digest"] = self.result_digest
-        return json.dumps(payload, separators=(",", ":"))
+        return payload
+
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict(), separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "MoveCertificate":

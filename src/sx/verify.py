@@ -30,6 +30,7 @@ from .constructions import (
     _kn_labels,
     canonical_matching,
     connected_sum,
+    cross_polytope,
     klee_novik,
     klee_novik_automorphisms,
     klee_novik_bar,
@@ -387,10 +388,7 @@ def criterion_8() -> list[Check]:
     """Cross-polytope boundaries are never (d-1)-stacked."""
     out = []
     for d in (2, 3, 4):
-        sphere = standard_sphere(0, ("x1", "y1"))
-        for i in range(2, d + 2):
-            sphere = sphere.join(standard_sphere(0, (f"x{i}", f"y{i}")))
-        verdict = certify_k_stacked_sphere(sphere, d - 1)
+        verdict = certify_k_stacked_sphere(cross_polytope(d), d - 1)
         out.append(
             _check(f"cross-polytope boundary d={d} refuted", verdict.refuted, verdict.status)
         )

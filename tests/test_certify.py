@@ -36,7 +36,7 @@ from sx.certify import (
     is_tight_exhaustive,
     tightness_beta_condition,
 )
-from sx.constructions import clique_closure, klee_novik, stacked_ball_closure
+from sx.constructions import clique_closure, cross_polytope, klee_novik, stacked_ball_closure
 from sx.corpus import fixture
 from sx.errors import (
     EmptyInput,
@@ -77,13 +77,6 @@ from test_moves import boundary_certificate, complex_bistellar_options, flip_fac
 
 RP2 = [(1, 2, 3), (1, 2, 4), (1, 3, 5), (1, 4, 6), (1, 5, 6),
        (2, 3, 6), (2, 4, 5), (2, 5, 6), (3, 4, 5), (3, 4, 6)]
-
-
-def cross_polytope(d):
-    c = standard_sphere(0, ("x1", "y1"))
-    for i in range(2, d + 2):
-        c = c.join(standard_sphere(0, (f"x{i}", f"y{i}")))
-    return c
 
 
 def oracle_subset_closure(s, size):

@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from sx.cli import main
+from sx.corpus import fixture_names
 
 
 def run_cli(capsys, *argv):
@@ -199,6 +200,26 @@ def test_sum_command(capsys, tmp_path):
     assert len(payload["facets"]) == 6
 
 
+@pytest.mark.parametrize("entry", ["1", "1=2=3"])
+def test_sum_malformed_match_entry_is_a_usage_error(capsys, entry):
+    with pytest.raises(SystemExit) as err:
+        main(["sum", "--match", entry, "fixtures:lutz_s2_8", "fixtures:ziegler_s2_10"])
+    assert err.value.code == 64
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"usage error: --match entry {entry!r} is not one a=b pair\n"
+
+
+def test_fixtures_list(capsys):
+    code, out, _ = run_cli(capsys, "fixtures", "list")
+    assert code == 0
+    rows = json.loads(out)["fixtures"]
+    assert [row["name"] for row in rows] == list(fixture_names()) and len(rows) == 17
+    assert [row["name"] for row in rows if row["kind"] == "certificate"] == ["lutz_b2_shelling_cert"]
+    assert {row["kind"] for row in rows} == {"complex", "certificate"}
+    assert all(row["provenance"] for row in rows)
+
+
 def test_fixtures_export_fac(capsys, tmp_path):
     out_path = tmp_path / "z.fac"
     code, _, _ = run_cli(capsys, "fixtures", "export", "ziegler_s2_10", str(out_path))
@@ -385,6 +406,13 @@ def test_generate_standard_objects(capsys):
     code, out, _ = run_cli(capsys, "generate", "standard-ball", "4", "--format", "fac")
     assert code == 0
     assert out.strip().splitlines()[-1] == "1 2 3 4 5"
+
+
+@pytest.mark.parametrize("d", ["-1", "-5"])
+def test_generate_cross_polytope_below_dimension_0_exits_69(capsys, d):
+    code, out, err = run_cli(capsys, "generate", "cross-polytope", d)
+    assert (code, out) == (69, "")
+    assert err == "error: cross-polytope dimension must be >= 0\n"
 
 
 @pytest.mark.parametrize("name, ears", [("lutz_b2", [[2, 4, 5, 7]]), ("ziegler_b2", [])])

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from sx import Complex, from_facets, standard_ball, standard_sphere
 from sx.complexes import Classification, FaceSet
+from sx.constructions import cross_polytope
 from sx.corpus import fixture
 from sx.errors import (
     EmptyFace,
@@ -36,13 +37,6 @@ def closure_f_vector(facets):
     for f in faces:
         out[len(f) - 1] += 1
     return tuple(out)
-
-
-def cross_polytope(d):
-    c = standard_sphere(0, ("x1", "y1"))
-    for i in range(2, d + 2):
-        c = c.join(standard_sphere(0, (f"x{i}", f"y{i}")))
-    return c
 
 
 # -- construction ---------------------------------------------------------

@@ -12,6 +12,7 @@ from sx.constructions import (
     canonical_matching,
     clique_closure,
     connected_sum,
+    cross_polytope,
     double_suspension_pipeline,
     klee_novik,
     klee_novik_automorphisms,
@@ -22,17 +23,10 @@ from sx.constructions import (
     vertex_ball,
 )
 from sx.corpus import fixture
-from sx.errors import BadMatching, BadParameters, NotFacet, UnknownVertex, VertexClash
+from sx.errors import BadDimension, BadMatching, BadParameters, NotFacet, UnknownVertex, VertexClash
 from sx.growth import grow_stacked_sphere
 from sx.homology import betti
 from sx.symmetry import is_automorphism
-
-
-def cross_polytope(d):
-    c = standard_sphere(0, ("x1", "y1"))
-    for i in range(2, d + 2):
-        c = c.join(standard_sphere(0, (f"x{i}", f"y{i}")))
-    return c
 
 
 def oracle_subset_closure(s, size):
@@ -193,6 +187,16 @@ def test_klee_novik_zero_is_two_spheres():
     m = klee_novik(0, 2)
     assert betti(m, 0) == (1, 0, 2)
     assert not m.is_connected
+
+
+def test_cross_polytope_shape():
+    for d in range(4):
+        c = cross_polytope(d)
+        assert (c.dimension, len(c.vertices), len(c.facet_sets)) == (d, 2 * d + 2, 2 ** (d + 1))
+    assert cross_polytope(0) == standard_sphere(0, ("x1", "y1"))
+    for d in (-1, -5):
+        with pytest.raises(BadDimension):
+            cross_polytope(d)
 
 
 def test_klee_novik_bad_parameters():

@@ -2,6 +2,8 @@
 
 import pytest
 
+import sx.corpus as corpus
+from sx import Complex
 from sx.corpus import DFM_SEEDS, expand_orbits, fixture, fixture_names
 from sx.errors import UnknownFixture
 
@@ -66,3 +68,28 @@ def test_sphere_fixture_counts():
     assert len(fixture("lutz_s3_8").complex.facet_sets) == 20
     assert len(fixture("s6_19").complex.vertices) == 19
     assert len(fixture("d7_19").complex.vertices) == 19
+
+
+@pytest.fixture
+def fresh_corpus():
+    corpus._build.cache_clear()
+    yield
+    corpus._build.cache_clear()
+
+
+def test_a_sphere_missing_a_facet_fails_self_validation(monkeypatch, fresh_corpus):
+    # drop a facet of the hemisphere ziegler_b2 from the shipped 3-sphere:
+    # the sphere fails its facet count, and the ball built from it fails too
+    real = corpus._data
+
+    def short(name):
+        c = real(name)
+        if name == "ziegler_s3_10.fac":
+            c = Complex(c.facet_sets - {frozenset((0, 1, 2, 8))})
+        return c
+
+    monkeypatch.setattr(corpus, "_data", short)
+    with pytest.raises(AssertionError, match="fixture ziegler_s3_10 failed self-validation: facet count"):
+        fixture("ziegler_s3_10")
+    with pytest.raises(AssertionError, match="failed self-validation"):
+        fixture("ziegler_b2")
