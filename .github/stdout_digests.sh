@@ -137,5 +137,16 @@ f5b121719172ec574473059fde650bed29ee67199ed3ce8a046421c8f00de187 0 printf '1 2 3
 2bc793b194c34babc5c393d9b8fb10fffb54fdd4bddb9de084546de231924137 0 sx fixtures list
 565ac3b236953e3b0b1ae71af61fedad18dc121ed68718a28895f4b04912cae2 0 sx fixtures export lutz_b2_shelling_cert
 bdc6145cbb3fdb686d34c05e1b4366a01e8bb2ad709a3b409aba14872b473cfb 0 sx fixtures export ziegler_b2 - --format json
+# symmetry outputs, recorded before each search node refined only its
+# right side against the trace of the leftmost path: group orders,
+# generators in the order found and orbits, an isomorphism and a
+# non-isomorphism, and the class-W check that reads one link per orbit
+3d50950ebf5d6dcc818bf616031099d41046f328fc72c191b6e7241f8444918b 0 sx aut fixtures:s6_19
+4549035f3123d2aa5e9c786e688d20151727210c88c84eee75153ba3900c3b66 0 sx aut fixtures:dfm_s3_16
+0a8ed5d293a30d68793b224a9b56ab0bbe9f2bcddcebb0bcbad3923bee07914e 0 sx generate klee-novik 2 5 | sx aut -
+84ba4740093f448bfebdd93427d68c9f663e745c52a4f6ae342f7b51d6492b2f 0 sx generate klee-novik 3 6 | sx aut -
+8969b78d6a546a61ddf353dbc95229ff520ec76d1f9ed55add88dbad25766fbc 0 sx iso fixtures:dfm_s3_16 fixtures:dfm_s3_16
+ac2465d69bcddc9a1d211649dcd65be51d23bb65464bffb63c5e5773dc9e4a64 1 sx iso fixtures:bl_sigma3_16 fixtures:dfm_s3_16
+4ce0acf28d77302bfb6a529c6694500068286939ebf780b799da49dcafd94afe 0 sx generate klee-novik 1 4 | sx certify class-w -k 1 -
 TABLE
 exit "$failed"
