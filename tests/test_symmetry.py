@@ -5,8 +5,10 @@ The oracle lists every element and reduces them greedily to generators;
 the search reports a strong generating set instead.  The two are compared
 on order, orbits and the group the generators close to, and, on the corpus
 and the Klee-Novik family, where `sx aut` output is pinned, on the
-generators themselves."""
+generators themselves.  A second oracle keeps the search that refined both
+sides of every node together; the traced search must match it exactly."""
 
+import itertools
 import random
 from math import factorial
 
@@ -18,6 +20,7 @@ from sx import Complex, from_facets, standard_sphere
 from sx.constructions import klee_novik, klee_novik_bar
 from sx.corpus import fixture, fixture_names
 from sx.errors import GuardExceeded
+from sx.growth import grow_stacked_sphere
 from sx.symmetry import (
     DEFAULT_GUARD,
     AutGroup,
@@ -219,6 +222,140 @@ def oracle_automorphism_group(x: Complex, guard: int = DEFAULT_GUARD) -> tuple[A
     return group, set(elements)
 
 
+# -- reference oracle: the joint refinement the traced search replaced -----------
+#
+# Both sides of every search node are refined together from scratch through
+# one shared table.  The traced search must give the same generators in the
+# same order, the same order and orbits, and the same bijections.
+
+
+def oracle_joint_indexed(x: Complex) -> tuple[list[tuple], frozenset, list[list[tuple]]]:
+    """Facets as sorted vertex-index tuples, their set, and each vertex's star."""
+    pos = x._vertex_pos
+    facets = [tuple(pos[v] for v in f) for f in x.facets]
+    star: list[list[tuple]] = [[] for _ in x.vertices]
+    for f in facets:
+        for i in f:
+            star[i].append(f)
+    return facets, frozenset(facets), star
+
+
+def oracle_joint_refine(sides: tuple, colours: tuple) -> tuple:
+    """Refine the colourings of the sides together until they are stable."""
+    cells = len(set().union(*colours))
+    while True:
+        keys = []
+        for (facets, _, star), col in zip(sides, colours):
+            facet_colours = {f: tuple(sorted(col[i] for i in f)) for f in facets}
+            keys.append(
+                [(c, tuple(sorted(facet_colours[f] for f in star[v]))) for v, c in enumerate(col)]
+            )
+        table = {key: i for i, key in enumerate(sorted({key for ks in keys for key in ks}))}
+        colours = tuple([table[key] for key in ks] for ks in keys)
+        if len(table) == cells:
+            return colours
+        cells = len(table)
+
+
+def oracle_joint_individualize(col: list, v: int) -> list:
+    out = list(col)
+    out[v] = -1
+    return out
+
+
+def oracle_joint_target_cell(col: list) -> list | None:
+    cells: dict = {}
+    for v, c in enumerate(col):
+        cells.setdefault(c, []).append(v)
+    split = [(len(vs), c) for c, vs in cells.items() if len(vs) > 1]
+    return cells[min(split)[1]] if split else None
+
+
+def oracle_joint_search(left: tuple, right: tuple, cl: list, cr: list):
+    cl, cr = oracle_joint_refine((left, right), (cl, cr))
+    if sorted(cl) != sorted(cr):
+        return
+    cell = oracle_joint_target_cell(cl)
+    if cell is None:
+        (left_facets, _, _), (_, right_facet_set, _) = left, right
+        where = {c: w for w, c in enumerate(cr)}
+        perm = [where[c] for c in cl]
+        if {tuple(sorted(perm[i] for i in f)) for f in left_facets} == right_facet_set:
+            yield perm
+        return
+    u = cell[0]
+    for w, c in enumerate(cr):
+        if c == cl[u]:
+            yield from oracle_joint_search(
+                left, right, oracle_joint_individualize(cl, u), oracle_joint_individualize(cr, w)
+            )
+
+
+def oracle_joint_orbit(b: int, gens: list[list]) -> set:
+    orbit = {b}
+    frontier = [b]
+    while frontier:
+        u = frontier.pop()
+        for g in gens:
+            if g[u] not in orbit:
+                orbit.add(g[u])
+                frontier.append(g[u])
+    return orbit
+
+
+def oracle_joint_automorphism_group(x: Complex, guard: int = DEFAULT_GUARD) -> AutGroup:
+    verts = x.vertices
+    n = len(verts)
+    if n > guard:
+        raise GuardExceeded(f"{n} vertices exceed the guard {guard}")
+    side = oracle_joint_indexed(x)
+    path = []
+    (col,) = oracle_joint_refine((side,), ([0] * n,))
+    while (cell := oracle_joint_target_cell(col)) is not None:
+        path.append((col, cell[0], cell))
+        (col,) = oracle_joint_refine((side,), (oracle_joint_individualize(col, cell[0]),))
+    gens: list[list] = []
+    order = 1
+    for col, b, cell in reversed(path):
+        orbit = oracle_joint_orbit(b, gens)
+        for w in cell:
+            if w in orbit:
+                continue
+            perm = next(
+                oracle_joint_search(
+                    side, side, oracle_joint_individualize(col, b), oracle_joint_individualize(col, w)
+                ),
+                None,
+            )
+            if perm is not None:
+                gens.append(perm)
+                orbit = oracle_joint_orbit(b, gens)
+        order *= len(orbit)
+    orbits: list[tuple] = []
+    for v in range(n):
+        if all(verts[v] not in o for o in orbits):
+            orbits.append(tuple(verts[i] for i in sorted(oracle_joint_orbit(v, gens))))
+    return AutGroup(
+        generators=tuple({v: verts[i] for v, i in zip(verts, g)} for g in gens),
+        order=order,
+        vertex_orbits=tuple(sorted(orbits, key=lambda ms: str(ms[0]))),
+    )
+
+
+def oracle_joint_is_isomorphic(x: Complex, y: Complex, guard: int = DEFAULT_GUARD) -> dict | None:
+    if max(len(x.vertices), len(y.vertices)) > guard:
+        raise GuardExceeded(f"vertex count exceeds the guard {guard}")
+    if x.dimension != y.dimension or len(x.vertices) != len(y.vertices):
+        return None
+    if x.f_vector() != y.f_vector():
+        return None
+    unit = [0] * len(x.vertices)
+    perm = next(oracle_joint_search(oracle_joint_indexed(x), oracle_joint_indexed(y), unit, unit), None)
+    if perm is None:
+        return None
+    return {v: y.vertices[w] for v, w in zip(x.vertices, perm)}
+
+
 def closure(generators, verts: tuple) -> set[tuple]:
     """Every product of the generators, as tuples of images of verts."""
     pos = {v: i for i, v in enumerate(verts)}
@@ -281,7 +418,8 @@ def test_group_matches_the_oracle_on_random_complexes():
 
 def test_isomorphism_verdicts_match_the_oracle():
     # six vertices and four triangles: many pairs share an f-vector, and
-    # only some of them are isomorphic
+    # only some of them are isomorphic; the pairs whose f-vectors differ
+    # are searched too
     rng = random.Random(7)
     complexes = [
         from_facets(rng.sample(range(1, 7), 3) for _ in range(4)) for _ in range(30)
@@ -289,14 +427,14 @@ def test_isomorphism_verdicts_match_the_oracle():
     outcomes = set()
     for a in complexes:
         for b in complexes:
-            if a.f_vector() != b.f_vector() or len(a.vertices) != len(b.vertices):
-                continue
+            same_f = a.f_vector() == b.f_vector()
             bij = is_isomorphic(a, b)
             assert (bij is not None) == bool(_search_maps(a, b, first_only=True))
+            assert bij is None or same_f
             if bij is not None:
                 assert a.rename(bij) == b
-            outcomes.add(bij is not None)
-    assert outcomes == {True, False}
+            outcomes.add((same_f, bij is not None))
+    assert outcomes == {(True, True), (True, False), (False, False)}
 
 
 def cycles(*lengths):
@@ -307,6 +445,47 @@ def cycles(*lengths):
         edges += [(start + i, start + (i + 1) % n) for i in range(n)]
         start += n
     return from_facets(edges)
+
+
+def relabelled(x: Complex, rng) -> Complex:
+    """x on the integer labels 0..n-1 in shuffled order, so that the
+    canonical vertex order, which the search runs on, changes too."""
+    images = list(range(len(x.vertices)))
+    rng.shuffle(images)
+    return x.rename(dict(zip(x.vertices, images)))
+
+
+def assert_matches_the_joint_oracle(x: Complex, y: Complex):
+    assert automorphism_group(y) == oracle_joint_automorphism_group(y)
+    for a, b in ((x, y), (y, x)):
+        assert is_isomorphic(a, b) == oracle_joint_is_isomorphic(a, b)
+
+
+def test_traced_search_matches_the_joint_refinement(differential_complexes):
+    rng = random.Random(34)
+    originals = list(differential_complexes)
+    for k, d in ORACLE_KLEE_NOVIK_CASES:
+        originals += [klee_novik(k, d), klee_novik_bar(k, d)]
+    originals.append(klee_novik(3, 6))
+    # stacked spheres with as many vertices share their f-vector, and few
+    # of them are isomorphic; nor are a hexagon and two triangles and a
+    # 12-gon, which refinement alone cannot tell apart
+    originals += [
+        grow_stacked_sphere(dim, steps, rng) for dim, steps in ((2, 5), (3, 4)) for _ in range(6)
+    ]
+    originals += [cycles(6, 3, 3), cycles(12)]
+    for x in originals:
+        assert automorphism_group(x) == oracle_joint_automorphism_group(x)
+        assert_matches_the_joint_oracle(x, relabelled(x, rng))
+    by_f_vector: dict = {}
+    for x in originals:
+        by_f_vector.setdefault((len(x.vertices), x.f_vector()), []).append(x)
+    verdicts = []
+    for same in by_f_vector.values():
+        for x, y in itertools.combinations(same, 2):
+            assert_matches_the_joint_oracle(x, y)
+            verdicts.append(is_isomorphic(x, y) is not None)
+    assert verdicts.count(False) >= 20 and True in verdicts
 
 
 def test_search_backtracks_where_cells_are_not_orbits():
@@ -383,9 +562,11 @@ def test_orbit_size_divides_order():
         # and so on at k = 0: 2((d+2)!)^2
         (0, 2, 1152),
         (0, 3, 28800),
-        # d = 2k: the swap A joins D, E and R
+        # d = 2k: the swap A joins D, E and R, twice 4d + 8; M(3, 6) is
+        # also compared with the joint refinement below
         (1, 2, 32),
         (2, 4, 48),
+        (3, 6, 64),
         (1, 3, 20),
         (1, 4, 24),
         (2, 5, 28),
