@@ -28,7 +28,7 @@ f48de3a1f8aff75dcb795ab74b239cc6149b738f8f72194081cee2727dd39461 2 sx certify st
 # onto facet masks: criterion 5 replays the printed shelling, criterion 7
 # runs apply_* and the ball lift
 f63b7db37ec523ab60a983d6cb81e4b60d4210b6799aaed19bb2da062f1ee0cc 0 sx verify-paper --seed 0 --criteria 5,7
-a98e1276ab8589821de6f567251cca8c87266f3773b6e471ddf2acaf41175cb3 0 sx certify stellated -k 1 fixtures:ziegler_s2_10
+56c4a669835daccc0d8c58093e29bfccb821462472fc312739071eb0e53377d1 0 sx certify stellated -k 1 fixtures:ziegler_s2_10
 # the searches the move tables feed, recorded before the move lists were
 # kept in step with the facets: index 0 with fresh labels, index 2 and up,
 # and a budget cut on mixed labels
@@ -81,7 +81,7 @@ fdcae1ae4b6d429ab97e8241a9f15f10ce0d51afcff759ef11c35b95a9d26d6a 0 sx stacked -k
 # candidate ball given with a ball is a usage error with nothing on stdout
 039e22ca74140973304072b7d1dc7fabeb6e4d9d0051fe39d5484132d2d8c257 0 sx verify-paper --seed 0 --criteria 7
 00f4a9ab50b9ce655d042b5d062daf8fc97b08e08b2e60d8242816824a2d1169 0 sx stacked -k 2 fixtures:s5_18
-9702b338bab54d38e321b460ca5fa582c0d6a614acdd819763e30c1d75296ef8 0 sx certify stellated -k 1 fixtures:lutz_s2_8
+72835ef06e09fb1478486d3c8c650736b1da255868a4aa5a1334c2273dc7fa1a 0 sx certify stellated -k 1 fixtures:lutz_s2_8
 c34cd349b2b46ec18adbd44d7c1f1ae82f287e108a0bf7b6c4c5ef69b910e072 1 sx stacked -k 0 fixtures:lutz_b2
 7aee0db0369210326466a01cf9ae9cecb87930906dc29ec08958ccb793a8bed8 1 sx stacked -k 1 fixtures:ziegler_s3_10
 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 64 sx stacked -k 1 --candidate fixtures:lutz_b1 fixtures:lutz_b2
@@ -147,6 +147,17 @@ bdc6145cbb3fdb686d34c05e1b4366a01e8bb2ad709a3b409aba14872b473cfb 0 sx fixtures e
 84ba4740093f448bfebdd93427d68c9f663e745c52a4f6ae342f7b51d6492b2f 0 sx generate klee-novik 3 6 | sx aut -
 8969b78d6a546a61ddf353dbc95229ff520ec76d1f9ed55add88dbad25766fbc 0 sx iso fixtures:dfm_s3_16 fixtures:dfm_s3_16
 ac2465d69bcddc9a1d211649dcd65be51d23bb65464bffb63c5e5773dc9e4a64 1 sx iso fixtures:bl_sigma3_16 fixtures:dfm_s3_16
-4ce0acf28d77302bfb6a529c6694500068286939ebf780b799da49dcafd94afe 0 sx generate klee-novik 1 4 | sx certify class-w -k 1 -
+1c7f0ecee0b670061f8a0aabe3811df469e9499ab68d09623b1e2f814c1a7aad 0 sx generate klee-novik 1 4 | sx certify class-w -k 1 -
+# stellatedness at k = 1, recorded before k = 1 moved from the closure
+# ball and its dual-tree certificate to the reverse-move search: the
+# closure proof that `stacked` keeps and the k = 2 verdict that k = 1 will
+# print on the same sphere, which must not change, and two closure
+# refutations, which will.  Those two, and the k = 1 rows of ziegler_s2_10,
+# lutz_s2_8 and class-w above, were recorded again after that change: k = 1
+# verdicts take the k >= 2 shape, with the search's nodes and no screen note
+cb033445af834e5684217b489e15104b33111f1fa7f40ee2f82d9ce0b6bceb07 0 sx stacked -k 1 fixtures:ziegler_s2_10
+72835ef06e09fb1478486d3c8c650736b1da255868a4aa5a1334c2273dc7fa1a 0 sx certify stellated -k 2 fixtures:lutz_s2_8
+5d218db1e96ef749593739ff043151a10f96e8e9dc2da44eb49a13181a4d0bc8 1 sx certify stellated -k 1 fixtures:bl_sigma3_16
+5d218db1e96ef749593739ff043151a10f96e8e9dc2da44eb49a13181a4d0bc8 1 sx generate cross-polytope 3 | sx certify stellated -k 1 -
 TABLE
 exit "$failed"

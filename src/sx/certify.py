@@ -4,8 +4,11 @@ Exact decisions (skeleton comparisons, dual-graph trees, closure
 reconstructions) return PROVED or REFUTED outright.  Searches either
 carry a replayable certificate on success or degrade to UNKNOWN at the
 budget; REFUTED from a search is only ever reported when the state space
-was exhausted without hitting a budget cutoff.  Any verdict resting on a
-homology screen carries a note saying which fields were screened.
+was exhausted without hitting a budget cutoff, except that the
+stellatedness search at k = 1 exhausts one path of vertex removals and
+rests on the lemma of `_exhaustive_search`: each removal keeps a stacked
+sphere stacked.  Any verdict resting on a homology screen carries a note
+saying which fields were screened.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import functools
 import itertools
 import math
 import operator
-from collections import deque
 from dataclasses import dataclass, field
 
 from .complexes import Complex, _bits, _face_lattice
@@ -50,7 +52,6 @@ from .moves import (
     is_standard_sphere,
     replay,
     reverse_move,
-    standard_sphere,
 )
 
 PROVED = "PROVED"
@@ -381,24 +382,6 @@ def _bistellar_certificate(start: Complex, moves, target: Complex) -> MoveCertif
     return cert
 
 
-def _stacked_certificate(s: Complex, ball: Complex) -> MoveCertificate:
-    """Bistellar certificate of a sphere s bounding a ball whose dual graph
-    is a tree.  Breadth first from the ball's first facet, each facet adds
-    one vertex beta, which subdivides the sphere's facet alpha on the ridge
-    to its parent: the ball's boundary grows from the first facet's."""
-    facets, ridges, nbr = ball.facets, ball._ridge_masks, ball._neighbour_masks
-    moves, seen, queue = [], 1, deque([0])
-    while queue:
-        cur = queue.popleft()
-        for w in _bits(nbr[cur] & ~seen):
-            seen |= 1 << w
-            queue.append(w)
-            (u,) = [v for v, r in ridges[w] if r >> cur & 1]
-            moves.append(BistellarMove(alpha=tuple(v for v in facets[w] if v != u), beta=(u,)))
-    start = standard_sphere(ball.dimension - 1, labels=facets[0])
-    return _bistellar_certificate(start, moves, s)
-
-
 def _exhaustive_search(s: Complex, lo: int, budget: SearchBudget):
     """Depth-first search from s for the standard sphere over reverse
     moves of index lo..d, memoized on facet sets.
@@ -412,13 +395,27 @@ def _exhaustive_search(s: Complex, lo: int, budget: SearchBudget):
     Returns (trail, final, nodes, cut) as `_memo_dfs` does, with the facet
     set reached as final; trail and final are None when the standard
     sphere was not reached.
+
+    At lo = d a state yields only its first child, so the search follows
+    one path of vertex removals.  A path to the standard sphere, read
+    backwards, stacks s, and the path gets there iff s is stacked, as
+    every removal of a vertex v of degree d + 1 keeps a stacked sphere
+    stacked.  For d = 1 every cycle is stacked.  For d >= 2, a stacked s
+    bounds a 1-stacked ball B, which has no interior edge, so the only
+    facet of B through v is {v} ∪ N(v).  It meets the rest of B along
+    N(v), which is interior, as the move needs N(v) not to be a face of s,
+    and removing it leaves a 1-stacked ball that bounds the new sphere.
+    A stacked sphere other than the standard one always has such a v: the
+    apex of a leaf facet of B's dual tree.
     """
     d = s.dimension
     m = _Masks(s)
+    first = 1 if lo == d else None  # by the lemma above
 
     def children(state: tuple):
         m.load(state)
-        return ((mv, _flip_masks(state, *mv)) for mv in reversed(m.bistellar(lo, d)))
+        options = itertools.islice(reversed(m.bistellar(lo, d)), first)
+        return ((mv, _flip_masks(state, *mv)) for mv in options)
 
     def is_goal(state: tuple) -> bool:
         # a pure d-complex with d + 2 facets on d + 2 vertices
@@ -439,14 +436,15 @@ def _exhaustive_search(s: Complex, lo: int, budget: SearchBudget):
 def certify_k_stellated(s: Complex, k: int, budget: SearchBudget | None = None) -> Verdict:
     """Reduce s to the standard sphere by reverse moves of index > d-k.
 
-    k = 0 is an equality test and k = 1 is decided exactly through the
-    stacked-ball reconstruction.  For k >= 2 a depth-first search over the
+    k = 0 is an equality test.  For k >= 1 a depth-first search over the
     reverse moves answers PROVED with a replayable forward certificate.
     For k <= d it answers REFUTED when it ends without a budget cut-off:
     moves of index >= 1 add no vertex, so the states are finitely many and
-    the search has visited all those reachable from s.  For k = d + 1
-    index-0 moves add vertices without end, and the answer is PROVED or
-    UNKNOWN.  budget_spent counts the search's nodes.
+    the search has visited all those reachable from s.  At k = 1 it visits
+    only one path of vertex removals, which decides by the lemma of
+    `_exhaustive_search`.  For k = d + 1 index-0 moves add vertices without
+    end, and the answer is PROVED or UNKNOWN.  budget_spent counts the
+    search's nodes.
     """
     budget = budget or SearchBudget()
     cls = s.classify()
@@ -473,19 +471,6 @@ def certify_k_stellated(s: Complex, k: int, budget: SearchBudget | None = None) 
             witness={"reason": f"not a homology sphere: {screen.detail}"},
             notes=(screen.render_note(),),
         )
-    if k == 1 and d >= 2:
-        inner = _stacked_sphere(s, 1, None, (screen.render_note(),))
-        if inner.refuted:
-            return Verdict(REFUTED, witness=inner.witness, notes=inner.notes)
-        try:
-            cert = _stacked_certificate(s, Complex(inner.witness["ball_facets"]))
-        except SxError as exc:
-            return Verdict(
-                UNKNOWN,
-                witness={"reason": f"reconstructed ball rejected a tree shelling: {exc}"},
-                notes=inner.notes,
-            )
-        return Verdict(PROVED, certificate=cert, notes=inner.notes)
     lo = d - k + 1
     trail, final, nodes, cut = _exhaustive_search(s, lo, budget)
     spent = {"nodes": nodes}
@@ -494,11 +479,12 @@ def certify_k_stellated(s: Complex, k: int, budget: SearchBudget | None = None) 
         cert = _bistellar_certificate(Complex(final), moves, s)
         return Verdict(PROVED, certificate=cert, budget_spent=spent)
     if lo >= 1 and not cut:
-        return Verdict(
-            REFUTED,
-            witness={"reason": "reverse moves exhausted without reaching the standard sphere"},
-            budget_spent=spent,
+        reason = (
+            "vertex removals stopped short of the standard sphere; each removal keeps a stacked sphere stacked"
+            if k == 1
+            else "reverse moves exhausted without reaching the standard sphere"
         )
+        return Verdict(REFUTED, witness={"reason": reason}, budget_spent=spent)
     return Verdict(
         UNKNOWN,
         witness={"reason": "reduction search did not reach the standard sphere"},
@@ -525,18 +511,13 @@ def certify_k_stacked_sphere(s: Complex, k: int, candidate: Complex | None = Non
     ball, so checking it is decisive.  Below that bound a refutation is
     still available when the degree-(d-k+1) closure adds nothing (any
     witness ball would lie inside the sphere itself); otherwise only a
-    caller-supplied ball can prove.
+    caller-supplied ball can prove.  Each candidate ball, the closure, the
+    vertex ball or the caller's, is judged by `_bounding_fault`.
     """
     screen = screen_homology_sphere(s)
     if not screen.passed:
         raise NotASphere(screen.detail)
-    return _stacked_sphere(s, k, candidate, (screen.render_note(),))
-
-
-def _stacked_sphere(s: Complex, k: int, candidate: Complex | None, notes: tuple) -> Verdict:
-    """`certify_k_stacked_sphere` past its screen of s, which gave notes.
-    Each candidate ball, the closure, the vertex ball or the caller's, is
-    judged by `_bounding_fault`."""
+    notes = (screen.render_note(),)
     d = s.dimension
     if not 0 <= k <= d:
         raise ValueError(f"need 0 <= k <= {d}, got k={k}")

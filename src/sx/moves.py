@@ -557,7 +557,6 @@ class MoveCertificate:
     kind: str  # "bistellar" | "shelling"
     start_digest: str
     moves: tuple = field(default_factory=tuple)
-    start_name: str | None = None
     result_digest: str | None = None
 
     def __post_init__(self):
@@ -577,8 +576,6 @@ class MoveCertificate:
             "start": {"digest": self.start_digest},
             "moves": [m.as_dict() for m in self.moves],
         }
-        if self.start_name:
-            payload["start"]["name"] = self.start_name
         if self.result_digest:
             payload["result_digest"] = self.result_digest
         return payload
@@ -597,7 +594,6 @@ class MoveCertificate:
         return cls(
             kind=data["kind"],
             start_digest=data["start"]["digest"],
-            start_name=data["start"].get("name"),
             moves=moves,
             result_digest=data.get("result_digest"),
         )
@@ -614,19 +610,11 @@ def _replay(m: _Masks, step, moves) -> Complex:
     return m.complex()
 
 
-def replay(cert: MoveCertificate, start: Complex | None = None) -> tuple[Complex, int]:
-    """Replay a certificate; returns the final complex and the move count.
-
-    The starting complex is resolved from the corpus when only a fixture
-    name is given; its digest and (when present) the claimed result digest
-    are verified.
+def replay(cert: MoveCertificate, start: Complex) -> tuple[Complex, int]:
+    """Replay a certificate from start; returns the final complex and the
+    move count.  The digests of start and (when present) of the claimed
+    result are verified.
     """
-    if start is None:
-        if cert.start_name is None:
-            raise ReplayFailure(0, "no starting complex given and no fixture name in certificate")
-        from .corpus import fixture
-
-        start = fixture(cert.start_name).complex
     if start.digest != cert.start_digest:
         raise ReplayFailure(0, "starting complex digest mismatch")
     step = _Masks.flip if cert.kind == "bistellar" else _Masks.attach

@@ -15,6 +15,7 @@ import pytest
 
 import sx.certify as certify_module
 import sx.complexes as complexes_module
+import sx.constructions as constructions_module
 import sx.homology as homology_module
 from sx import Complex, from_facets, replay, standard_ball, standard_sphere
 from sx.certify import (
@@ -36,7 +37,14 @@ from sx.certify import (
     is_tight_exhaustive,
     tightness_beta_condition,
 )
-from sx.constructions import clique_closure, cross_polytope, klee_novik, stacked_ball_closure
+from sx.constructions import (
+    canonical_matching,
+    clique_closure,
+    connected_sum,
+    cross_polytope,
+    klee_novik,
+    stacked_ball_closure,
+)
 from sx.corpus import fixture
 from sx.errors import (
     EmptyInput,
@@ -322,8 +330,9 @@ def test_one_stacked_verdicts_match_the_dual_graph_oracles(differential_complexe
             assert one["witness"]["reason"] == "closed complex has no boundary"
         else:
             assert one == _outcome(oracle_is_one_stacked_ball, x), x.facets
-        # the larger corpus spheres are refuted by the closure test that
-        # both routes share, at a second or more each
+        # the closure of the oracle takes a second or more on each of the
+        # larger corpus spheres; the search and the closure route reach the
+        # same status by different certificates
         if (
             cls.closed
             and x.dimension >= 2
@@ -331,9 +340,11 @@ def test_one_stacked_verdicts_match_the_dual_graph_oracles(differential_complexe
             and not is_standard_sphere(x)
             and screen_homology_sphere(x).passed
         ):
-            stellated = _outcome(certify_k_stellated, x, 1)
-            assert stellated == oracle_one_stellated(x).as_dict(), x.facets
-            seen.add(("stellated", stellated["status"]))
+            stellated = certify_k_stellated(x, 1)
+            assert stellated.status == oracle_one_stellated(x).status, x.facets
+            if stellated.proved:
+                assert _replays_to(stellated.certificate, x)
+            seen.add(("stellated", stellated.status))
         seen.add(one["status"] if isinstance(one, dict) else one[0])
     assert seen == {
         PROVED, REFUTED, "NotNormalPseudomanifold", ("stellated", PROVED), ("stellated", REFUTED)
@@ -788,16 +799,28 @@ def oracle_exhaustive_search(s: Complex, lo: int, budget: SearchBudget):
 
 
 def _search_agrees(s: Complex, lo: int, max_nodes: int):
+    """The mask search against the facet-set search, which takes every
+    child at every lo.  At lo = d the mask search follows the first child
+    alone: when the full search reaches the standard sphere it must find
+    the same trail, and otherwise it must not reach it either, refute
+    wherever the full search refutes, and expand no more nodes."""
     budget = SearchBudget(max_nodes=max_nodes)
     got = _exhaustive_search(s, lo, budget)
-    assert got == oracle_exhaustive_search(s, lo, budget), (s.facets, lo, max_nodes)
+    want = oracle_exhaustive_search(s, lo, budget)
+    if lo < s.dimension or want[0] is not None:
+        assert got == want, (s.facets, lo, max_nodes)
+    else:
+        trail, final, nodes, cut = got
+        assert trail is final is None and nodes <= want[2], (s.facets, lo, max_nodes)
+        assert cut <= want[3], (s.facets, lo, max_nodes)
     return got
 
 
 def test_exhaustive_search_matches_the_facet_set_search(differential_complexes, sigma):
     # every closed input, at every lower index and two node budgets: the
-    # same trail, final facet set, node count and cut.  The inputs include
-    # the Poincaré homology spheres bl_sigma3_16 and s5_18.
+    # same trail, final facet set, node count and cut below lo = d, and at
+    # lo = d wherever the full search reaches the standard sphere.  The
+    # inputs include the Poincaré homology spheres bl_sigma3_16 and s5_18.
     rng = random.Random(41)
     spheres = [c for c in differential_complexes if c.classify().closed]
     assert sigma in spheres and fixture("s5_18").complex in spheres
@@ -925,6 +948,49 @@ def test_dfm_sphere_stellatedness(dfm):
         assert v.refuted and v.budget_spent == {"nodes": 1}
     v = certify_k_stellated(dfm, 4)
     assert v.proved and _replays_to(v.certificate, dfm)
+
+
+def one_stellated_cases(differential_complexes) -> list[Complex]:
+    """The screened spheres of `differential_complexes`, the corpus spheres
+    among them; grown stacked spheres of dimension 1-5; and connected sums
+    of a stacked sphere with a cross-polytope or a 2-stellated sphere: when
+    the second summand is not stacked, the path of vertex removals gets
+    stuck deep inside, once the stacked summand is gone."""
+    rng = random.Random(35)
+    spheres = [
+        x for x in differential_complexes
+        if x.classify().closed and not is_standard_sphere(x) and screen_homology_sphere(x).passed
+    ]
+    spheres += [grow_stacked_sphere(d, rng.randrange(1, 20), rng) for d in range(1, 6) for _ in range(4)]
+    for d in (2, 3):
+        for _ in range(3):
+            for other in (cross_polytope(d), grow_stellated_sphere(d, 2, rng.randrange(2, 8), rng)[0]):
+                s1 = grow_stacked_sphere(d, rng.randrange(4, 9), rng)
+                s2 = other.rename({v: f"r{v}" for v in other.vertices})
+                f1, f2 = rng.choice(s1.facets), rng.choice(s2.facets)
+                spheres.append(connected_sum(s1, s2, f1, f2, canonical_matching(s1, f1, s2, f2)))
+    return spheres
+
+
+def test_one_path_of_vertex_removals_decides_one_stellatedness(differential_complexes):
+    # the lemma of `_exhaustive_search`: at k = 1 the first vertex removal
+    # keeps a stacked sphere stacked, so one path decides, as the closure
+    # route and the full depth-first search over every removal do
+    outcomes = set()
+    for s in one_stellated_cases(differential_complexes):
+        d = s.dimension
+        v = certify_k_stellated(s, 1)
+        trail, _, nodes, cut = oracle_exhaustive_search(s, d, SearchBudget())
+        assert not cut and v.status == (REFUTED if trail is None else PROVED), s.facets
+        assert v.budget_spent["nodes"] <= nodes
+        if d >= 2:
+            assert v.status == oracle_one_stellated(s).status, s.facets
+        if v.proved:
+            assert _replays_to(v.certificate, s)
+            # a stacked sphere loses one vertex a node, down to d + 2
+            assert v.budget_spent == {"nodes": len(s.vertices) - d - 2}
+        outcomes.add((v.status, v.budget_spent["nodes"] > 1))
+    assert outcomes == {(PROVED, False), (PROVED, True), (REFUTED, False), (REFUTED, True)}
 
 
 # -- stacked spheres -------------------------------------------------------------------
@@ -1260,11 +1326,9 @@ def test_is_k_stacked_ball_builds_the_lattices_of_b_and_its_boundary(monkeypatch
 
 
 def test_one_stellated_screens_the_sphere_once(monkeypatch):
-    # certify_k_stellated screens s, and the closure branch screens only
-    # the closure ball, whose boundary is s: one sphere screen, and one
-    # reduction each of the relative lattices of s and of the closure; the
-    # full lattices are s's, for the clique closure, and the closure's,
-    # for its interior faces
+    # certify_k_stellated screens s, and at k = 1 the search follows one
+    # path of vertex removals: one sphere screen, one reduction of the
+    # relative lattice of s, and no clique closure
     reduced, screened = [], []
 
     def spy_reduce(lattice):
@@ -1275,19 +1339,22 @@ def test_one_stellated_screens_the_sphere_once(monkeypatch):
         screened.append(x)
         return screen_homology_sphere(x, fields)
 
+    def no_closure(*args):
+        raise AssertionError("a clique closure was built")
+
     real = complexes_module._face_lattice
     built = spy_on_lattices(monkeypatch, [complexes_module, certify_module, homology_module])
     monkeypatch.setattr(homology_module, "_reduce", spy_reduce)
     monkeypatch.setattr(certify_module, "_reduce", spy_reduce)
     monkeypatch.setattr(homology_module, "screen_homology_sphere", spy_screen)
     monkeypatch.setattr(certify_module, "screen_homology_sphere", spy_screen)
+    monkeypatch.setattr(constructions_module, "clique_closure", no_closure)
+    monkeypatch.setattr(certify_module, "stacked_ball_closure", no_closure)
     s = grow_stacked_sphere(3, 6, random.Random(7))
     assert certify_k_stellated(s, 1).proved
-    closure = stacked_ball_closure(s, 1)
     assert len(screened) == 1 and screened[0] is s
-    assert built == [star_relative(s), (s._facet_masks, ()),
-                     star_relative(closure), (closure._facet_masks, ())]
-    assert reduced == [real(*star_relative(s)), real(*star_relative(closure))]
+    assert built == [star_relative(s)]
+    assert reduced == [real(*star_relative(s))]
 
 
 def test_dfm_stacked_via_candidate(dfm, dfm_ball):

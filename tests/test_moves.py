@@ -468,13 +468,7 @@ def complex_apply_shelling(y: Complex, move: ShellingMove) -> Complex:
     return Complex(set(y.facet_sets) | {frozenset(move.alpha) | frozenset(move.beta)})
 
 
-def complex_replay(cert: MoveCertificate, start: Complex | None = None) -> tuple[Complex, int]:
-    if start is None:
-        if cert.start_name is None:
-            raise ReplayFailure(0, "no starting complex given and no fixture name in certificate")
-        from sx.corpus import fixture
-
-        start = fixture(cert.start_name).complex
+def complex_replay(cert: MoveCertificate, start: Complex) -> tuple[Complex, int]:
     if start.digest != cert.start_digest:
         raise ReplayFailure(0, "starting complex digest mismatch")
     current = start
@@ -1374,17 +1368,3 @@ def test_certificate_transport_round_trip():
         lifted = ball_from_stellated_certificate(sphere_cert, standard_ball(dim).boundary())
         assert lifted.boundary() == sphere
 
-
-def test_replay_resolves_start_by_fixture_name():
-    from sx.corpus import fixture
-
-    sphere = fixture("ziegler_s2_10").complex
-    cert = MoveCertificate(
-        kind="bistellar",
-        start_digest=sphere.digest,
-        start_name="ziegler_s2_10",
-        moves=(),
-        result_digest=sphere.digest,
-    )
-    final, length = replay(cert)
-    assert final == sphere and length == 0
