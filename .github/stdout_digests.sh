@@ -45,7 +45,7 @@ c20687121a83fb8d228ac0c2e4ff484b217e533a580c6d854445eda9a01fc1cd 0 sx verify-pap
 # derived from its parent's: REFUTED after 8620 and 3604 nodes, counts that
 # a change in the order of the children would move
 9dc67a987deff813eef1bf1873b59af0e060aa72945eb1d4bb8da6929b3e3202 1 sx certify shelled -k 3 fixtures:lutz_s3_8
-d24effc6563ebd7855f4e95af4b2d590168f867d8e7e872d5465d07a78ac2207 1 sx certify shelled -k 1 fixtures:ziegler_s3_10
+46d8301dd208dc5e63d4ec0eadf353dbebef450905307fb29680d6d50194bb04 1 sx certify shelled -k 1 fixtures:ziegler_s3_10
 # tightness outputs, recorded before tightness moved from induced boundary
 # ranks to relative Betti numbers on the facet masks
 ce86d7426fa8c5babcd7d5519f1243517f72a5b75074354aa4f2c8ade3c415e3 1 sx certify tight --field 2 fixtures:lutz_b1
@@ -59,7 +59,7 @@ ce86d7426fa8c5babcd7d5519f1243517f72a5b75074354aa4f2c8ade3c415e3 1 sx certify ti
 c547367bec6b4df29a29118c3feedc505c16d75ed47042623a2953ffd73b3eeb 0 sx info fixtures:d7_19
 49681b68455fc85092668b9de9539ca33f647c416d424604be0156cbb7d09439 1 sx stacked -k 1 fixtures:d6_18
 da674ff4bb32c11865b73373f00a0800fa7910f66ee6b32007d2620ca881cce9 0 sx stacked -k 2 fixtures:d6_18
-d9f8e33a32d61defb8aa9387ee52df4b1b75537ef4f6dda619e242c88f205c79 1 sx stacked -k 1 fixtures:dfm_s3_16
+ff0fa986a6dd626cd91cfb3b0433a728e472f5e2b75a6e69281900fb05ae496f 1 sx stacked -k 1 fixtures:dfm_s3_16
 caccf1a0a9d466521862c937c1522009cab564c1cb2630da31aa5b2741cf5ab9 0 sx classify fixtures:ziegler_b2
 ddd63639bffda83abd3565f6777525176407ce56feccdb4a08c2819812239a9b 0 sx verify-paper --seed 0 --criteria 1,2,3,6,8,10
 # the commands the homology screens decide, recorded before the screens
@@ -83,7 +83,7 @@ fdcae1ae4b6d429ab97e8241a9f15f10ce0d51afcff759ef11c35b95a9d26d6a 0 sx stacked -k
 00f4a9ab50b9ce655d042b5d062daf8fc97b08e08b2e60d8242816824a2d1169 0 sx stacked -k 2 fixtures:s5_18
 72835ef06e09fb1478486d3c8c650736b1da255868a4aa5a1334c2273dc7fa1a 0 sx certify stellated -k 1 fixtures:lutz_s2_8
 c34cd349b2b46ec18adbd44d7c1f1ae82f287e108a0bf7b6c4c5ef69b910e072 1 sx stacked -k 0 fixtures:lutz_b2
-7aee0db0369210326466a01cf9ae9cecb87930906dc29ec08958ccb793a8bed8 1 sx stacked -k 1 fixtures:ziegler_s3_10
+ff0fa986a6dd626cd91cfb3b0433a728e472f5e2b75a6e69281900fb05ae496f 1 sx stacked -k 1 fixtures:ziegler_s3_10
 e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855 64 sx stacked -k 1 --candidate fixtures:lutz_b1 fixtures:lutz_b2
 # the vertex ball at k = d, recorded before it and the caller's candidate
 # were judged by the one bounding-ball check; the candidate row was
@@ -159,5 +159,21 @@ cb033445af834e5684217b489e15104b33111f1fa7f40ee2f82d9ce0b6bceb07 0 sx stacked -k
 72835ef06e09fb1478486d3c8c650736b1da255868a4aa5a1334c2273dc7fa1a 0 sx certify stellated -k 2 fixtures:lutz_s2_8
 5d218db1e96ef749593739ff043151a10f96e8e9dc2da44eb49a13181a4d0bc8 1 sx certify stellated -k 1 fixtures:bl_sigma3_16
 5d218db1e96ef749593739ff043151a10f96e8e9dc2da44eb49a13181a4d0bc8 1 sx generate cross-polytope 3 | sx certify stellated -k 1 -
+# shelling and stacking at k = 1, recorded before the dual-tree test gated
+# the shelling search and the vertex-removal path replaced the closure in
+# `stacked -k 1`: a budget cut and a search refutation that the gate will
+# answer by its lemma, a proof that must not change, a closure refutation
+# and a closure proof, and the class-K check that reads the
+# links' stackedness.  The first two and the s6_19 row, and the rows
+# `certify shelled -k 1 fixtures:ziegler_s3_10`, `stacked -k 1
+# fixtures:dfm_s3_16` and `stacked -k 1 fixtures:ziegler_s3_10` above, were
+# recorded again after that change: each refutation names the lemma it
+# rests on
+a3ffb319102da11ee3db0aee6cd10db9d2ddd1e15c3324f677b2609cf818d22e 1 sx certify shelled -k 1 fixtures:d4_16
+e8f3b69ec2668150f96123b35b7f18744a155b952e8d4233715a71d7b992c192 1 sx certify shelled -k 1 fixtures:lutz_b2
+b8ee01c1107391a4ba59c8dc14976eb9fdbc95de5530c88ee08e16c7cd2bdbd5 0 sx certify shelled -k 1 fixtures:lutz_b1
+ff0fa986a6dd626cd91cfb3b0433a728e472f5e2b75a6e69281900fb05ae496f 1 sx stacked -k 1 fixtures:s6_19
+1e5322338451800de400af7cc4512a5ad9a18bc0d1a9d6d22dfb0a6baf946b2b 0 sx stacked -k 1 fixtures:lutz_s2_8
+4ce0acf28d77302bfb6a529c6694500068286939ebf780b799da49dcafd94afe 0 sx generate klee-novik 1 4 | sx certify class-k -k 1 -
 TABLE
 exit "$failed"

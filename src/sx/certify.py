@@ -4,11 +4,11 @@ Exact decisions (skeleton comparisons, dual-graph trees, closure
 reconstructions) return PROVED or REFUTED outright.  Searches either
 carry a replayable certificate on success or degrade to UNKNOWN at the
 budget; REFUTED from a search is only ever reported when the state space
-was exhausted without hitting a budget cutoff, except that the
-stellatedness search at k = 1 exhausts one path of vertex removals and
-rests on the lemma of `_exhaustive_search`: each removal keeps a stacked
-sphere stacked.  Any verdict resting on a homology screen carries a note
-saying which fields were screened.
+was exhausted without a budget cutoff, except at k = 1: stellatedness and
+stackedness follow one path of vertex removals, by the lemma of
+`_exhaustive_search`, and the shelling search runs only on dual trees, by
+the lemma of `certify_k_shelled`.  Any verdict resting on a homology
+screen carries a note saying which fields were screened.
 """
 
 from __future__ import annotations
@@ -275,6 +275,16 @@ def certify_k_shelled(b: Complex, k: int, budget: SearchBudget | None = None) ->
     its own beta, and the neighbours of j outside P are looked up in the
     memo again.  So the moves are exactly those of a full scan, in the same
     order, and the lists live only along the search path.
+
+    At k = 1 only a tree is searched, by the lemma: a pure complex of
+    dimension >= 1 is 1-shelled iff a normal pseudomanifold whose dual graph
+    is a tree.  A 1-shelling glues each facet along one ridge through a new
+    vertex: it builds a PL ball, so a normal pseudomanifold, with m - 1 dual
+    edges.  Conversely, a facet sigma with a neighbour tau in P, a subtree,
+    has no other one there; were w = sigma \\ tau in a facet of P, the star of
+    w, strongly connected by normality, would join sigma to it through
+    ridges holding w, avoiding sigma's one edge towards P.  So w is new,
+    every neighbour of P is a move, and one path of m - 1 nodes succeeds.
     """
     budget = budget or SearchBudget()
     if not b.is_pure or b.is_empty_complex:
@@ -291,6 +301,14 @@ def certify_k_shelled(b: Complex, k: int, budget: SearchBudget | None = None) ->
         return Verdict(PROVED, certificate=cert)
     if k == 0:
         return Verdict(REFUTED, witness={"reason": "only the standard ball has no moves"})
+    if k == 1:
+        tree = Verdict(REFUTED, witness={"reason": "not a normal pseudomanifold"})
+        if b.classify().normal_pseudomanifold:
+            tree = is_one_stacked_ball(b)
+        if tree.refuted:
+            lemma = "1-shelled iff a normal pseudomanifold whose dual graph is a tree"
+            tree.witness["reason"] = f"{lemma}: {tree.witness['reason']}"
+            return tree
 
     # facet masks: of the facets through each ridge sigma \ {v} of each
     # facet sigma, of each facet's neighbours, and through each vertex
@@ -433,6 +451,9 @@ def _exhaustive_search(s: Complex, lo: int, budget: SearchBudget):
     return moves, frozenset(frozenset(m.ascending(f)) for f in states[-1]), nodes, cut
 
 
+_STUCK = "vertex removals stopped short of the standard sphere; each removal keeps a stacked sphere stacked"
+
+
 def certify_k_stellated(s: Complex, k: int, budget: SearchBudget | None = None) -> Verdict:
     """Reduce s to the standard sphere by reverse moves of index > d-k.
 
@@ -479,11 +500,7 @@ def certify_k_stellated(s: Complex, k: int, budget: SearchBudget | None = None) 
         cert = _bistellar_certificate(Complex(final), moves, s)
         return Verdict(PROVED, certificate=cert, budget_spent=spent)
     if lo >= 1 and not cut:
-        reason = (
-            "vertex removals stopped short of the standard sphere; each removal keeps a stacked sphere stacked"
-            if k == 1
-            else "reverse moves exhausted without reaching the standard sphere"
-        )
+        reason = _STUCK if k == 1 else "reverse moves exhausted without reaching the standard sphere"
         return Verdict(REFUTED, witness={"reason": reason}, budget_spent=spent)
     return Verdict(
         UNKNOWN,
@@ -507,12 +524,13 @@ def _closure_adds_nothing(s: Complex, size: int) -> bool:
 def certify_k_stacked_sphere(s: Complex, k: int, candidate: Complex | None = None) -> Verdict:
     """Decide k-stackedness of a screened homology sphere.
 
-    For dimension >= 2k the clique-style closure is the unique candidate
-    ball, so checking it is decisive.  Below that bound a refutation is
-    still available when the degree-(d-k+1) closure adds nothing (any
-    witness ball would lie inside the sphere itself); otherwise only a
-    caller-supplied ball can prove.  Each candidate ball, the closure, the
-    vertex ball or the caller's, is judged by `_bounding_fault`.
+    For dimension >= 2k the unique candidate ball decides: at k = 1 the
+    stars that one path of vertex removals takes away and the simplex it
+    ends on, by the lemma of `_exhaustive_search`, else the clique-style
+    closure.  Below that bound a refutation is still available when the
+    degree-(d-k+1) closure adds nothing (any witness ball would lie inside
+    the sphere itself); otherwise only a caller-supplied ball can prove.
+    Each candidate ball is judged by `_bounding_fault`.
     """
     screen = screen_homology_sphere(s)
     if not screen.passed:
@@ -522,22 +540,29 @@ def certify_k_stacked_sphere(s: Complex, k: int, candidate: Complex | None = Non
     if not 0 <= k <= d:
         raise ValueError(f"need 0 <= k <= {d}, got k={k}")
     if d >= 2 * k:
-        ball = stacked_ball_closure(s, k)
-        if ball == s:
-            return Verdict(
-                REFUTED,
-                witness={"reason": "closure adds no faces beyond the sphere"},
-                notes=notes,
-            )
-        if ball.dimension != d + 1 or not ball.is_pure:
-            return Verdict(
-                REFUTED,
-                witness={
-                    "reason": "closure is not a pure complex of one higher dimension",
-                    "closure_dimension": ball.dimension,
-                },
-                notes=notes,
-            )
+        if k == 1:
+            n = len(s.vertices)
+            trail, final, _, _ = _exhaustive_search(s, d, SearchBudget(max_nodes=n, max_moves=n))
+            if trail is None:
+                return Verdict(REFUTED, witness={"reason": _STUCK}, notes=notes)
+            ball = Complex([mv.alpha + mv.beta for mv in trail] + [frozenset().union(*final)])
+        else:
+            ball = stacked_ball_closure(s, k)
+            if ball == s:
+                return Verdict(
+                    REFUTED,
+                    witness={"reason": "closure adds no faces beyond the sphere"},
+                    notes=notes,
+                )
+            if ball.dimension != d + 1 or not ball.is_pure:
+                return Verdict(
+                    REFUTED,
+                    witness={
+                        "reason": "closure is not a pure complex of one higher dimension",
+                        "closure_dimension": ball.dimension,
+                    },
+                    notes=notes,
+                )
         fault = _bounding_fault(s, ball, k)
         if fault is None:
             return Verdict(

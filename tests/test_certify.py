@@ -78,6 +78,7 @@ from test_complexes import (
     oracle_all_faces,
     oracle_boundary,
     oracle_boundary_columns,
+    oracle_classify,
     oracle_dual_graph,
     oracle_faces_by_dim,
 )
@@ -127,7 +128,8 @@ def test_stacked_ball_refutation_carries_interior_face():
 
 
 # a 3-sphere with mixed labels whose 1-stacked closure bounds it but has an
-# interior triangle; comparing its faces' raw labels raised TypeError
+# interior triangle; comparing its faces' raw labels raised TypeError.  It is
+# not stacked, so at k = 1 its vertex removals stop short
 MIXED_S3 = [
     (1, 11, 4, 8), (1, 11, 4, "v2"), (1, 11, 8, "v2"), (1, 4, 6, 8), (1, 4, 6, "v3"),
     (1, 4, 9, "v3"), (1, 4, 9, "v5"), (1, 4, "v2", "v5"), (1, 6, 8, "v2"),
@@ -147,10 +149,19 @@ def test_stacked_witnesses_order_mixed_labels_by_vertex_position():
     v = is_k_stacked_ball(fixture("d6_18").complex, 1)
     assert v.witness == {"interior_face": [1, "2p", "6p", "a", "b"], "dimension": 4}
     v = certify_k_stacked_sphere(Complex(MIXED_S3), 1)
+    assert v.refuted and v.witness == {"reason": certify_module._STUCK}
+    # a 3-stellated 5-sphere whose 2-stacked closure has the interior
+    # tetrahedron {1, 3, 6, 7}, with its odd vertices named by strings
+    v = certify_k_stacked_sphere(mixed_s5(), 2)
     assert v.refuted and v.witness == {
         "reason": "closure has an interior face of low dimension",
-        "interior_face": [1, "v3", "v5"],
+        "interior_face": [6, "v1", "v3", "v7"],
     }
+
+
+def mixed_s5() -> Complex:
+    s, _ = grow_stellated_sphere(5, 3, 10, random.Random(1))
+    return s.rename({v: f"v{v}" for v in s.vertices if v % 2})
 
 
 def oracle_interior_face(ball: Complex, top: int):
@@ -283,10 +294,10 @@ def oracle_tree_shelling_certificate(ball: Complex) -> MoveCertificate:
 
 def oracle_one_stellated(s: Complex) -> Verdict:
     """The former k = 1 route of `certify_k_stellated` on a screened sphere
-    of dimension >= 2 other than the standard one: the closure built again,
-    a tree shelling of it, moved to the boundary, and the moved certificate
-    replayed."""
-    inner = certify_k_stacked_sphere(s, 1)
+    of dimension >= 2 other than the standard one: the closure built and
+    judged, built again, a tree shelling of it, moved to the boundary, and
+    the moved certificate replayed."""
+    inner = oracle_closure_branch(s, 1)
     if inner.refuted:
         return Verdict(REFUTED, witness=inner.witness, notes=inner.notes)
     ball = stacked_ball_closure(s, 1)
@@ -578,16 +589,85 @@ def shelling_cases():
     return cases
 
 
+ONE_SHELLED_LEMMA = "1-shelled iff a normal pseudomanifold whose dual graph is a tree"
+
+
+def oracle_is_dual_tree(b: Complex) -> bool:
+    """Whether b is a normal pseudomanifold with boundary whose dual graph,
+    recomputed on frozensets, is a tree."""
+    cls = oracle_classify(b)
+    return cls.normal_pseudomanifold and not cls.closed and oracle_dual_graph(b).is_tree()
+
+
+def check_dual_tree_refutation(b: Complex, v: Verdict):
+    """Re-verify a k = 1 shelling REFUTED from the definitions: the
+    classification, and the dual graph's node and edge counts, recomputed
+    on frozensets; no search node was spent."""
+    assert v.refuted and not v.budget_spent and v.certificate is None, v
+    cls = oracle_classify(b)
+    if not cls.normal_pseudomanifold:
+        assert v.witness == {"reason": f"{ONE_SHELLED_LEMMA}: not a normal pseudomanifold"}
+        return
+    g = oracle_dual_graph(b)
+    assert not (g.is_tree() and not cls.closed), b.facets
+    reason = "closed complex has no boundary" if g.is_tree() else "dual graph has a cycle"
+    assert v.witness == {
+        "reason": f"{ONE_SHELLED_LEMMA}: {reason}", "nodes": len(g.nodes), "edges": len(g.edges)
+    }, b.facets
+
+
 def test_shelling_search_matches_the_oracle():
+    # at k = 1 only a dual tree reaches the search; any other input is
+    # refuted by the lemma of `certify_k_shelled`, where the oracle's
+    # search refutes or is cut short
     statuses = set()
     for b in shelling_cases():
         for k in range(b.dimension + 1):
             for max_nodes in (5, 50, 3000):
                 budget = SearchBudget(max_nodes=max_nodes, seed=max_nodes)
                 want = oracle_certify_k_shelled(b, k, budget).as_dict()
-                assert certify_k_shelled(b, k, budget).as_dict() == want, (b.facets, k, max_nodes)
+                got = certify_k_shelled(b, k, budget)
+                if k == 1 and len(b.facets) > 1 and not oracle_is_dual_tree(b):
+                    check_dual_tree_refutation(b, got)
+                    assert want["status"] != PROVED, b.facets
+                    statuses.add(ONE_SHELLED_LEMMA)
+                    continue
+                assert got.as_dict() == want, (b.facets, k, max_nodes)
                 statuses.add(want["status"])
-    assert statuses == {PROVED, REFUTED, UNKNOWN}
+    assert statuses == {PROVED, REFUTED, UNKNOWN, ONE_SHELLED_LEMMA}
+
+
+def test_one_shelled_search_runs_only_on_dual_trees(monkeypatch):
+    # a grown 1-shelled ball reaches the search, which follows one path of
+    # m - 1 nodes to the oracle's certificate; the corpus balls on which
+    # the search was cut short, a closed sphere, a pinched disk, a wedge of
+    # two triangles and a ridge in three facets are refuted without a node
+    searched = []
+    real = certify_module._memo_dfs
+
+    def spy(roots, children, is_goal, budget, max_depth=None):
+        searched.append(budget)
+        return real(roots, children, is_goal, budget, max_depth)
+
+    monkeypatch.setattr(certify_module, "_memo_dfs", spy)
+    rng = random.Random(36)
+    grown = [grow_shelled_ball(dim, 1, rng.randrange(1, 40), rng)[0] for dim in range(1, 6) for _ in range(4)]
+    for b in grown:
+        v = certify_k_shelled(b, 1)
+        assert v.proved and v.budget_spent["nodes"] == len(b.facets) - 1, b.facets
+        assert v.as_dict() == oracle_certify_k_shelled(b, 1).as_dict(), b.facets
+    assert len(searched) == len(grown)
+    pinned = {"dfm_b4_16": (78, 143), "d4_16": (64, 115), "d6_18": (64, 115), "d7_19": (64, 115)}
+    for name, (nodes, edges) in pinned.items():
+        b = fixture(name).complex
+        v = certify_k_shelled(b, 1)
+        check_dual_tree_refutation(b, v)
+        assert (v.witness["nodes"], v.witness["edges"]) == (nodes, edges), name
+    others = [standard_sphere(2), pinched_disk(), from_facets([[1, 2, 3], [3, 4, 5]]),
+              from_facets([[1, 2, 3], [1, 2, 4], [1, 2, 5]])]
+    for b in others:
+        check_dual_tree_refutation(b, certify_k_shelled(b, 1))
+    assert len(searched) == len(grown)
 
 
 def test_shelling_search_matches_the_oracle_at_a_budget_cut():
@@ -1127,6 +1207,9 @@ def test_closure_branch_matches_the_full_ball_screen_oracle(monkeypatch):
         spheres.append(grow_stacked_sphere(dim, rng.randrange(1, 8), rng))
         for k in (1, 2):
             spheres.append(grow_stellated_sphere(dim, k, rng.randrange(1, 8), rng)[0])
+    # 3-stellated 5-spheres on 13 vertices whose 2-stacked closures are not
+    # pure and have an interior tetrahedron
+    spheres += [grow_stellated_sphere(5, 3, 11, random.Random(3))[0], mixed_s5()]
     # at k <= 1 the closure of a sphere on more than 14 vertices can hold
     # up to 2^n sets
     cases = [(s, k) for s in spheres for k in range(s.dimension // 2 + 1)
@@ -1134,8 +1217,16 @@ def test_closure_branch_matches_the_full_ball_screen_oracle(monkeypatch):
     reasons = set()
     for s, k in cases:
         want = oracle_closure_branch(s, k).as_dict()
-        assert certify_k_stacked_sphere(s, k).as_dict() == want, (s.facets, k)
-        reasons.add(want["witness"].get("reason", want["status"]))
+        got = certify_k_stacked_sphere(s, k).as_dict()
+        if k == 1:
+            # one path of vertex removals decides k = 1, with its own reason
+            # for a refutation and the closure's ball for a proof
+            assert got["status"] == want["status"], (s.facets, k)
+            assert got == want or want["status"] == REFUTED, (s.facets, k)
+            continue
+        assert got == want, (s.facets, k)
+        if k >= 2:
+            reasons.add(want["witness"].get("reason", want["status"]))
     assert reasons == {
         PROVED,
         "closure adds no faces beyond the sphere",
@@ -1355,6 +1446,36 @@ def test_one_stellated_screens_the_sphere_once(monkeypatch):
     assert len(screened) == 1 and screened[0] is s
     assert built == [star_relative(s)]
     assert reduced == [real(*star_relative(s))]
+
+
+def test_vertex_removal_path_matches_the_closure(differential_complexes, monkeypatch):
+    # at k = 1 and d >= 2 one path of vertex removals decides, and on a
+    # proof the removed stars and the last simplex are the closure's ball;
+    # no clique closure is built
+    rng = random.Random(36)
+    spheres = [
+        x for x in differential_complexes
+        if x.dimension >= 2 and x.classify().closed and screen_homology_sphere(x).passed
+    ]
+    spheres += [grow_stacked_sphere(d, rng.randrange(1, 30), rng) for d in (2, 3, 4, 5) for _ in range(3)]
+    spheres += [Complex(MIXED_S3), mixed_s5(), cross_polytope(3)]
+    wants = [oracle_closure_branch(s, 1) for s in spheres]
+
+    def no_closure(*args):
+        raise AssertionError("a clique closure was built")
+
+    monkeypatch.setattr(constructions_module, "clique_closure", no_closure)
+    monkeypatch.setattr(certify_module, "stacked_ball_closure", no_closure)
+    seen = set()
+    for s, want in zip(spheres, wants):
+        got = certify_k_stacked_sphere(s, 1)
+        if want.proved:
+            assert got.as_dict() == want.as_dict(), s.facets
+        else:
+            assert got.refuted and got.witness == {"reason": certify_module._STUCK}, s.facets
+            assert got.notes == want.notes
+        seen.add((got.status, len(s.vertices) > 14))
+    assert seen == {(PROVED, False), (PROVED, True), (REFUTED, False), (REFUTED, True)}
 
 
 def test_dfm_stacked_via_candidate(dfm, dfm_ball):

@@ -1,15 +1,24 @@
 """Command-line behavior: payloads, exit codes, piping, determinism."""
 
+import contextlib
 import io
 import json
+import os
+import random
 import re
 import subprocess
 import sys
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sx import Complex
 from sx.cli import main
 from sx.corpus import fixture_names
+from sx.growth import grow_shelled_ball, grow_stellated_sphere
+from sx.io import dumps_fac
 
 
 def run_cli(capsys, *argv):
@@ -573,3 +582,48 @@ def test_stacked_still_echoes_seed_zero(capsys):
     code, out, _ = run_cli(capsys, "stacked", "-k", "2", "fixtures:dfm_b4_16")
     assert code == 0
     assert json.loads(out)["seed"] == 0
+
+
+# -- exit codes on random small inputs --------------------------------------------
+
+VERDICT_COMMANDS = [
+    ["certify", "shelled", "--budget-nodes", "300"],
+    ["certify", "one-stacked"],
+    ["certify", "stellated", "--budget-nodes", "300"],
+    ["certify", "class-k"],
+    ["stacked"],
+]
+# random complexes on at most 7 vertices, and grown balls and spheres of
+# dimension 1-4
+small_complexes = st.one_of(
+    st.lists(st.frozensets(st.integers(1, 7), min_size=1, max_size=4), min_size=1, max_size=8).map(Complex),
+    st.builds(
+        lambda grow, dim, k, steps, seed: grow(dim, min(k, dim), steps, random.Random(seed))[0],
+        st.sampled_from([grow_shelled_ball, grow_stellated_sphere]),
+        st.integers(1, 4), st.integers(1, 3), st.integers(0, 8), st.integers(0, 99),
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=small_complexes, command=st.sampled_from(VERDICT_COMMANDS), k=st.integers(-1, 4))
+def test_verdict_commands_exit_cleanly_on_random_small_inputs(c, command, k):
+    # no exception escapes main, a verdict's exit code is its status, and
+    # any other exit is a usage, parse or precondition error with a message
+    argv = command if command == ["certify", "one-stacked"] else command + ["-k", str(k)]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.fac")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(dumps_fac(c))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv + [path])
+            except SystemExit as exc:  # how argparse and usage errors leave
+                code = exc.code
+    if code in (0, 1, 2):
+        status = json.loads(out.getvalue())["status"]
+        assert code == {"PROVED": 0, "REFUTED": 1, "UNKNOWN": 2}[status], (argv, c.facets)
+    else:
+        assert code in (64, 65, 69) and not out.getvalue(), (argv, c.facets, code)
+        assert err.getvalue().startswith(("error: ", "usage error: ")), err.getvalue()
