@@ -175,5 +175,13 @@ b8ee01c1107391a4ba59c8dc14976eb9fdbc95de5530c88ee08e16c7cd2bdbd5 0 sx certify sh
 ff0fa986a6dd626cd91cfb3b0433a728e472f5e2b75a6e69281900fb05ae496f 1 sx stacked -k 1 fixtures:s6_19
 1e5322338451800de400af7cc4512a5ad9a18bc0d1a9d6d22dfb0a6baf946b2b 0 sx stacked -k 1 fixtures:lutz_s2_8
 4ce0acf28d77302bfb6a529c6694500068286939ebf780b799da49dcafd94afe 0 sx generate klee-novik 1 4 | sx certify class-k -k 1 -
+# narrow move listings, recorded before the move tables held only the
+# index range listed from them: index 2 and up with no index-0 entry,
+# index 1..2 on mixed labels, index 0 alone with no span, and the growers
+# and searches of criterion 7 at a second seed
+954f0c6330e7fb2c7e66bd826c16f3fca0f63fe9fc980b923aa7470d0ecdfc9a 0 sx flips --lo 2 --hi 3 fixtures:ziegler_s3_10
+3094830d18768fc89c0dea0cc41567c1d95150dd37b2c56776d92c148ca61544 0 sx flips --lo 1 --hi 2 fixtures:bl_sigma3_16
+f947b95e993239e14bc088a76893b64ce3cac677b5bcf7b7e26a2676b47d4fb4 0 sx flips --lo 0 --hi 0 fixtures:dfm_s3_16
+43e180f2da1edd4c7135147acf3674368d66192bffe9a44efdea1543b57ace24 0 sx verify-paper --seed 1 --criteria 7
 TABLE
 exit "$failed"

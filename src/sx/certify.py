@@ -406,10 +406,12 @@ def _exhaustive_search(s: Complex, lo: int, budget: SearchBudget):
 
     A state is a sorted tuple of facet masks under one label-to-bit map
     (`moves._Masks`, which lists its moves), an exact memo key, and a
-    pending child is an (alpha, beta) mask pair.  Children come in the
-    canonical move order reversed: by descending index, so moves that drop
-    the facet count come first, and within an index moves on later
-    vertices first.  The move path is at most budget.max_moves long.
+    pending child is an (alpha, beta) mask pair.  The masks step by the
+    move to a child expanded as soon as it is yielded, and load the state
+    only after a backtrack.  Children come in the canonical move order
+    reversed: by descending index, so moves that drop the facet count come
+    first, and within an index moves on later vertices first.  The move
+    path is at most budget.max_moves long.
     Returns (trail, final, nodes, cut) as `_memo_dfs` does, with the facet
     set reached as final; trail and final are None when the standard
     sphere was not reached.
@@ -429,11 +431,18 @@ def _exhaustive_search(s: Complex, lo: int, budget: SearchBudget):
     d = s.dimension
     m = _Masks(s)
     first = 1 if lo == d else None  # by the lemma above
+    held = last = None  # the state m holds; (the child yielded last, its parent, its move)
 
     def children(state: tuple):
-        m.load(state)
-        options = itertools.islice(reversed(m.bistellar(lo, d)), first)
-        return ((mv, _flip_masks(state, *mv)) for mv in options)
+        nonlocal held, last
+        if last is not None and last[0] is state and last[1] is held:
+            m.swap(*last[2])  # listed valid in the parent m holds
+        else:
+            m.load(state)
+        held = state
+        for mv in itertools.islice(reversed(m.bistellar(lo, d)), first):
+            last = _flip_masks(state, *mv), state, mv
+            yield mv, last[0]
 
     def is_goal(state: tuple) -> bool:
         # a pure d-complex with d + 2 facets on d + 2 vertices

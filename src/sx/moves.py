@@ -15,7 +15,10 @@ and the public checks and enumerators run once; each rule is written once,
 as `_Masks.flip_reason` and `_Masks.attach_reason`.  The move lists are
 kept in step with the facets (`_Spans`): a move changes only the options
 through the ridges of the facets it touches, and the first listing builds
-the lists, so replay and the single-call checks never pay for them.  The
+the lists, so replay and the single-call checks never pay for them.  A list
+holds only the index range listed from it so far, widened in place when a
+listing asks for more: the search at index 1 and up keeps no index-0
+entry, and growth by index-0 moves alone keeps no move of higher index.  The
 order is one invariant: by index, then alpha, then beta, each in the vertex
 order of the live complex, numeric when every live label is an integer and
 by string otherwise.  That order is the restriction of one fixed label
@@ -279,40 +282,54 @@ class _Spans:
     then can beta become or stop being a face; `listed` settles them.
     `moves` holds the listed moves in canonical order, each cell c first as
     the index-0 move ``(0, key, (), c, 0)`` whose new vertex is filled in
-    when it is listed."""
+    when it is listed.
 
-    def __init__(self, m: "_Masks", valid, cells):
+    The table holds only the index range ``lo..hi`` listed from it so far,
+    and a listing that asks for more widens it in place: a cell has its
+    index-0 entry only once index 0 is in the range, and a span whose index
+    lies outside it is neither keyed nor held.  Below index 1 no span is
+    held, so the faces of the cells are not kept and no cell makes a span
+    dirty."""
+
+    def __init__(self, valid, cells):
         self.valid = valid  # valid(m, sigma, beta)
-        self.cells: dict[int, tuple] = {}  # cell -> its index-0 entry in `moves`
-        self.faces: dict[int, list[int]] = {}  # face -> cells through it
+        self.lo, self.hi = 1 << 30, -1  # the index range held, empty at first
+        self.cells: dict[int, tuple | None] = dict.fromkeys(cells)  # cell -> its index-0 entry in `moves`, if held
+        self.faces: dict[int, list[int]] = {}  # face -> cells through it, while spans are held
         self.spans: dict[int, tuple] = {}  # sigma -> (beta, its entry in `moves` or None)
         self.holding: tuple[dict, dict] = ({}, {})  # [listed][beta] -> sigmas
         self.moves: list[tuple] = []  # (index, key(alpha), key(beta), alpha, beta), sorted
         self.dirty: set[int] = set()
-        for c in cells:
-            self.toggle(m, c)
 
     def toggle(self, m: "_Masks", c: int) -> None:
         """Make c a cell, or no longer one if it is."""
         added = c not in self.cells
         if added:
-            entry = self.cells[c] = (0, m.key(c), (), c, 0)
-            bisect.insort(self.moves, entry)
+            entry = self.cells[c] = (0, m.key(c), (), c, 0) if self.lo == 0 else None
+            if entry:
+                bisect.insort(self.moves, entry)
         else:
-            del self.moves[bisect.bisect_left(self.moves, self.cells.pop(c))]
-        for v in _low_bits(c):
+            entry = self.cells.pop(c)
+            if entry:
+                del self.moves[bisect.bisect_left(self.moves, entry)]
+        for v in _low_bits(c) if self.hi >= 1 else ():
+            # the spans of c with the other cells through the face c ^ v
             through = self.faces.setdefault(c ^ v, [])
-            (through.append if added else through.remove)(c)
-            self.dirty.update(map(c.__or__, through))
-            if not through:
-                del self.faces[c ^ v]
+            if added:
+                self.dirty.update(map(c.__or__, through))
+                through.append(c)
+            else:
+                through.remove(c)
+                self.dirty.update(map(c.__or__, through))
+                if not through:
+                    del self.faces[c ^ v]
 
     def touch(self, m: "_Masks", f: int, added: bool) -> None:
         """Facet f came or went: recheck the spans whose beta it contains,
         the listed ones if it came and the others if their beta is no
         longer a face."""
         holding, sub = self.holding[added], f
-        while sub:
+        while sub and holding:
             if sub in holding and (added or not m.has_face(sub)):
                 self.dirty.update(holding[sub])
             sub = (sub - 1) & f
@@ -320,10 +337,30 @@ class _Spans:
     def listed(self, m: "_Masks", lo: int, hi: int, new: int) -> list[tuple[int, int]]:
         """The moves of index lo..hi in canonical order, new the vertex of
         the index-0 moves."""
+        if lo <= hi and (lo < self.lo or hi > self.hi):
+            self._widen(m, min(lo, self.lo), max(hi, self.hi))
         while self.dirty and hi >= 1:
             self._settle(m, self.dirty.pop())
         i, j = bisect.bisect_left(self.moves, (lo,)), bisect.bisect_left(self.moves, (hi + 1,))
         return [(a, b or new) for _, _, _, a, b in self.moves[i:j]]
+
+    def _widen(self, m: "_Masks", lo: int, hi: int) -> None:
+        """Hold the index range lo..hi, which contains the one held: add the
+        index-0 entries if lo reaches 0, and settle every span again if the
+        range of span indices grew."""
+        if lo == 0 < self.lo:
+            for c in self.cells:
+                self.moves.append((0, m.key(c), (), c, 0))
+                self.cells[c] = self.moves[-1]
+            self.moves.sort()
+        if hi >= 1 and (max(lo, 1) < max(self.lo, 1) or hi > self.hi):
+            if self.hi < 1:
+                for c in self.cells:
+                    for v in _low_bits(c):
+                        self.faces.setdefault(c ^ v, []).append(c)
+            for through in self.faces.values():
+                self.dirty.update(c | g for i, c in enumerate(through) for g in through[i + 1:])
+        self.lo, self.hi = lo, hi
 
     def _settle(self, m: "_Masks", sigma: int) -> None:
         beta, rest = 0, sigma
@@ -332,7 +369,8 @@ class _Spans:
             rest ^= v
             if sigma ^ v in self.cells:
                 beta |= v
-        beta = beta if beta.bit_count() > 1 else 0
+        index = beta.bit_count() - 1
+        beta = beta if max(self.lo, 1) <= index <= self.hi else 0
         valid = bool(beta) and self.valid(m, sigma, beta)
         old, entry = self.spans.get(sigma, (0, None))
         if (old, entry is not None) == (beta, valid):
@@ -354,6 +392,19 @@ class _Spans:
             self.holding[valid].setdefault(beta, set()).add(sigma)
 
 
+class _OrderKeys(dict):
+    """Vertex bit -> its label's key in one mode of the label order, numeric
+    or by string, each found on first use."""
+
+    def __init__(self, labels: list, numeric: bool):
+        super().__init__()
+        self.labels, self.numeric = labels, numeric
+
+    def __missing__(self, v: int):
+        key = self[v] = _label_order_key(self.labels[v.bit_length() - 1], self.numeric)
+        return key
+
+
 class _Masks:
     """A complex's facets as vertex bitmasks, bit i for ``labels[i]``, with
     its vertex stars, changed in place by each move; the map only grows, by
@@ -361,8 +412,10 @@ class _Masks:
     integers.  Moves are (alpha, beta) mask pairs, checked by the one rule
     of each kind, `flip_reason` and `attach_reason`, and listed from move
     tables (`_Spans`) that the first listing builds and every later change
-    of a facet keeps in step; they are built again when the dimension or the
-    mode of the label order, numeric or by string, changes."""
+    of a facet keeps in step; they are built again, with the cache of each
+    bit's order key (`_OrderKeys`), when the dimension or the mode of the
+    label order, numeric or by string, changes.  The fresh label of the
+    index-0 moves is found again only when the live vertices change."""
 
     def __init__(self, x: Complex):
         self.labels = list(x.vertices)
@@ -372,7 +425,8 @@ class _Masks:
         self.star = {1 << i: list(fs) for i, fs in enumerate(x._mask_star)}  # vertex bit -> facets through it
         self.union = (1 << len(self.labels)) - 1
         self.top = x.dimension + 1  # d + 1
-        self._flips = self._shells = self._built = None
+        self._flips = self._shells = self._built = self._keys = None
+        self._fresh = -1, 0  # the live vertex mask and the fresh bit for it
 
     def load(self, masks) -> None:
         """Make masks the facets, changing the tables where they differ."""
@@ -403,6 +457,8 @@ class _Masks:
     def _track(self, f: int, added: bool) -> None:
         """Keep the move tables that are built in step with facet f, once
         they are dropped if f changed the mode of the label order."""
+        if self._flips is None and self._shells is None:  # replay and single checks build none
+            return
         self._tables()
         if self._flips is not None:
             if f.bit_count() == self.top:
@@ -419,6 +475,7 @@ class _Masks:
         order, and so every key, has changed since they were built."""
         if self._built != (self.top, self.numeric):
             self._built, self._flips, self._shells = (self.top, self.numeric), None, None
+            self._keys = _OrderKeys(self.labels, self.numeric)
 
     def has_face(self, face: int) -> bool:
         if not face:
@@ -444,8 +501,7 @@ class _Masks:
     def key(self, mask: int) -> tuple:
         """mask's sort key: its labels' keys, sorted, in the mode of the
         label order the tables were built for."""
-        numeric = self._built[1]
-        return tuple(sorted(_label_order_key(self.labels[v.bit_length() - 1], numeric) for v in _low_bits(mask)))
+        return tuple(sorted(map(self._keys.__getitem__, _low_bits(mask))))
 
     def face(self, mask: int) -> tuple:
         """The labels of mask in the live vertex order."""
@@ -463,8 +519,12 @@ class _Masks:
         return self.bit[label]
 
     def _fresh_bit(self) -> int:
-        live = {self.labels[v.bit_length() - 1] for v in _low_bits(self.union)}
-        return self._bit(_unused_label(live, self.numeric))
+        """The bit of the new vertex of an index-0 move, found again only
+        when the live vertices have changed."""
+        if self._fresh[0] != self.union:
+            live = {self.labels[v.bit_length() - 1] for v in _low_bits(self.union)}
+            self._fresh = self.union, self._bit(_unused_label(live, self.numeric))
+        return self._fresh[1]
 
     def pair(self, move) -> tuple[int, int]:
         """A move's alpha and beta as masks, a label new to the map on a new
@@ -485,7 +545,7 @@ class _Masks:
         self._tables()
         if self._flips is None:
             top_facets = [f for f in self.facets if f.bit_count() == self.top]
-            self._flips = _Spans(self, lambda m, sigma, beta: not m.has_face(beta), top_facets)
+            self._flips = _Spans(lambda m, sigma, beta: not m.has_face(beta), top_facets)
         return self._flips.listed(self, lo, hi, self._fresh_bit() if lo == 0 <= hi else 0)
 
     def shelling(self, max_index: int) -> list[tuple[int, int]]:
@@ -494,7 +554,7 @@ class _Masks:
         if self._shells is None:
             top_facets = [f for f in self.facets if f.bit_count() == self.top]
             rim = [f ^ v for f in top_facets for v in _low_bits(f) if self._holders(f ^ v) == 1]
-            self._shells = _Spans(self, lambda m, sigma, beta: sigma not in m.facets and not m.has_face(beta), rim)
+            self._shells = _Spans(lambda m, sigma, beta: sigma not in m.facets and not m.has_face(beta), rim)
         return self._shells.listed(self, 0, max_index, self._fresh_bit() if max_index >= 0 else 0)
 
     def flip_reason(self, a: int, b: int) -> str | None:
@@ -516,6 +576,11 @@ class _Masks:
         reason = self.flip_reason(a, b)
         if reason is not None:
             raise InvalidMove(reason, move)
+        self.swap(a, b)
+
+    def swap(self, a: int, b: int) -> None:
+        """Apply a bistellar move that `flip_reason` admits: the facets
+        ``a ∪ (b \\ {v})`` give way to the ``(a \\ {u}) ∪ b``."""
         for v in _low_bits(b):
             self._remove(a | b ^ v)
         for u in _low_bits(a):

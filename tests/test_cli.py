@@ -605,12 +605,9 @@ small_complexes = st.one_of(
 )
 
 
-@settings(max_examples=200, deadline=None)
-@given(c=small_complexes, command=st.sampled_from(VERDICT_COMMANDS), k=st.integers(-1, 4))
-def test_verdict_commands_exit_cleanly_on_random_small_inputs(c, command, k):
-    # no exception escapes main, a verdict's exit code is its status, and
-    # any other exit is a usage, parse or precondition error with a message
-    argv = command if command == ["certify", "one-stacked"] else command + ["-k", str(k)]
+def run_on_file(argv: list, c: Complex) -> tuple:
+    """main(argv + [a .fac file of c]): its exit code, stdout and stderr,
+    with no exception but SystemExit allowed out of it."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "in.fac")
         with open(path, "w", encoding="utf-8") as fh:
@@ -621,9 +618,50 @@ def test_verdict_commands_exit_cleanly_on_random_small_inputs(c, command, k):
                 code = main(argv + [path])
             except SystemExit as exc:  # how argparse and usage errors leave
                 code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_error_exit(argv, c, code, out, err) -> None:
+    # a usage, parse or precondition error, with a message and no payload
+    assert code in (64, 65, 69) and not out, (argv, c.facets, code)
+    assert err.startswith(("error: ", "usage error: ")), err
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=small_complexes, command=st.sampled_from(VERDICT_COMMANDS), k=st.integers(-1, 4))
+def test_verdict_commands_exit_cleanly_on_random_small_inputs(c, command, k):
+    # no exception escapes main, a verdict's exit code is its status, and
+    # any other exit is a usage, parse or precondition error with a message
+    argv = command if command == ["certify", "one-stacked"] else command + ["-k", str(k)]
+    code, out, err = run_on_file(argv, c)
     if code in (0, 1, 2):
-        status = json.loads(out.getvalue())["status"]
+        status = json.loads(out)["status"]
         assert code == {"PROVED": 0, "REFUTED": 1, "UNKNOWN": 2}[status], (argv, c.facets)
     else:
-        assert code in (64, 65, 69) and not out.getvalue(), (argv, c.facets, code)
-        assert err.getvalue().startswith(("error: ", "usage error: ")), err.getvalue()
+        assert_error_exit(argv, c, code, out, err)
+
+
+# the commands that print no verdict, each with random arguments: a field
+# that may not be prime, a flip range that may be empty, reversed or past
+# the dimension, so that it lists from move tables built narrow, and a k
+# that may be out of range
+other_commands = st.one_of(
+    st.just(["info"]),
+    st.just(["classify"]),
+    st.just(["aut"]),
+    st.builds(lambda f: ["homology", "--field", str(f)], st.sampled_from([-1, 0, 1, 2, 3, 4, 5])),
+    st.builds(lambda lo, hi: ["flips", "--lo", str(lo), "--hi", str(hi)], st.integers(-1, 5), st.integers(-2, 5)),
+    st.builds(lambda k: ["bar", "-k", str(k)], st.integers(-1, 4)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(c=small_complexes, argv=other_commands)
+def test_other_commands_exit_cleanly_on_random_small_inputs(c, argv):
+    # no exception escapes main, a success prints one JSON payload, and any
+    # other exit is a usage, parse or precondition error with a message
+    code, out, err = run_on_file(argv, c)
+    if code == 0:
+        json.loads(out)
+    else:
+        assert_error_exit(argv, c, code, out, err)

@@ -784,6 +784,70 @@ def test_move_tables_follow_the_label_order_from_numeric_to_string():
         assert_lists_match(m)
 
 
+def test_move_tables_built_narrow_match_the_scratch_listing(monkeypatch):
+    # as the search and k = 1 growth build them: one table listed only at
+    # lo >= 1 and one only at index 0, each stepped by seeded flips,
+    # attaches and loads that the scratch listing draws, so that no wider
+    # listing comes first, and each holding no entry outside its range
+    rng = random.Random(37)
+    starts = [grow_stellated_sphere(d, d + 1, 8, rng)[0] for d in (1, 2, 3, 4)]
+    starts += [grow_shelled_ball(d, d, 8, rng)[0] for d in (2, 3, 4)]
+    starts += [
+        _relabelled(grow_stellated_sphere(2, 3, 4, rng)[0], ["a", "b", "x", "y", "z", "zz", "zzz", "zzzz"]),
+        _relabelled(grow_shelled_ball(3, 2, 3, rng)[0], [1, 2, 10, "s", 3, 4, 5]),
+        fixture("bl_sigma3_16").complex,
+    ]
+    for x in starts:
+        d = x.dimension
+        lo = rng.randint(1, d)
+        high, zero = _Masks(x), _Masks(x)
+        seen = {high: [frozenset(x._facet_masks)], zero: [frozenset(x._facet_masks)]}  # each on its own bits
+        for step in range(10):
+            for m, got, want in (
+                (high, high.bistellar(lo, d), ScratchMasks(high).bistellar(lo, d)),
+                (zero, zero.bistellar(0, 0), ScratchMasks(zero).bistellar(0, 0)),
+                (zero, zero.shelling(0), ScratchMasks(zero).shelling(0)),
+            ):
+                assert got == want, (x.facets, m is high and lo, step)
+            assert not any(high._flips.cells.values()), x.facets
+            assert all(lo <= beta.bit_count() - 1 for beta, _ in high._flips.spans.values()), x.facets
+            for table in (zero._flips, zero._shells):
+                assert not (table.faces or table.spans or table.dirty), x.facets
+            for m in (high, zero):
+                scratch = ScratchMasks(m)
+                flips = scratch.bistellar(0, m.top - 1)
+                attaches = [mv for mv in scratch.shelling(m.top - 1) if m.attach_reason(*mv) is None]
+                roll = rng.random()
+                if roll < 0.2 or not flips and not attaches:
+                    m.load(rng.choice(seen[m]))
+                elif roll < 0.7 and flips or not attaches:
+                    a, b = rng.choice(flips)
+                    m.flip(a, b, BistellarMove(alpha=m.face(a), beta=m.face(b)))
+                else:
+                    a, b = rng.choice(attaches)
+                    m.attach(a, b, ShellingMove(alpha=m.face(a), beta=m.face(b)))
+                seen[m].append(frozenset(m.facets))
+        # then widened in place, every range still matches
+        assert_lists_match(high)
+        assert_lists_match(zero)
+
+    # k = 1 growth lists index 0 alone: its shelling table holds no span
+    import sx.moves
+
+    tables = []
+
+    class KeptSpans(sx.moves._Spans):
+        def __init__(self, *args):
+            tables.append(self)
+            super().__init__(*args)
+
+    monkeypatch.setattr(sx.moves, "_Spans", KeptSpans)
+    grow_shelled_ball(4, 1, 199, random.Random(200))
+    (table,) = tables
+    assert len(table.cells) == 5 + 3 * 199  # each cone takes one rim ridge and gives four
+    assert not (table.faces or table.spans or table.dirty)
+
+
 def test_only_an_index_zero_beta_holds_a_label_not_live():
     # the move order needs no rule for a new label: no listed face mixes it
     # with live labels, as an index-0 beta is the new vertex alone
