@@ -183,5 +183,14 @@ ff0fa986a6dd626cd91cfb3b0433a728e472f5e2b75a6e69281900fb05ae496f 1 sx stacked -k
 3094830d18768fc89c0dea0cc41567c1d95150dd37b2c56776d92c148ca61544 0 sx flips --lo 1 --hi 2 fixtures:bl_sigma3_16
 f947b95e993239e14bc088a76893b64ce3cac677b5bcf7b7e26a2676b47d4fb4 0 sx flips --lo 0 --hi 0 fixtures:dfm_s3_16
 43e180f2da1edd4c7135147acf3674368d66192bffe9a44efdea1543b57ace24 0 sx verify-paper --seed 1 --criteria 7
+# classification and boundaries, recorded before the flags and the
+# boundary were read off one ridge table on the facet masks and normality
+# visited closed faces only: a ball whose faces mostly have cone links, a
+# manifold with boundary, a weak pseudomanifold that is not normal (the
+# link of edge 34 has two components), and the ear scan that reads the rim
+caccf1a0a9d466521862c937c1522009cab564c1cb2630da31aa5b2741cf5ab9 0 sx classify fixtures:d7_19
+caccf1a0a9d466521862c937c1522009cab564c1cb2630da31aa5b2741cf5ab9 0 sx generate klee-novik-bar 2 5 | sx classify -
+b8ad9a5af4af6c5d0eda669f1f51b6f9330d1ff28fd69afe5f9ef5331b5234ff 0 printf '1 2 3 4\n3 4 5 6\n' | sx classify -
+a396e060f31dc702fc05162834e2a63fb346fac6373970754601e3aa86d910e0 0 sx certify ears fixtures:ziegler_b2
 TABLE
 exit "$failed"

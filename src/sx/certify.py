@@ -525,9 +525,11 @@ def _closure_adds_nothing(s: Complex, size: int) -> bool:
     A closure set outside s contains a minimal non-face whose subsets of at
     most ``size`` vertices are faces, so that non-face has more than
     ``size`` vertices; and any such minimal non-face lies in the closure.
-    A minimal non-face of a d-complex has at most d + 2 vertices.
+    A minimal non-face of a d-complex has at most d + 2 vertices, and the
+    scan stops at the first one with more than ``size``.
     """
-    return all(len(f) <= size for f in s.missing_faces(s.dimension + 1))
+    sizes = range(max(size + 1, 2), s.dimension + 3)
+    return next(s._minimal_non_faces(sizes), None) is None
 
 
 def certify_k_stacked_sphere(s: Complex, k: int, candidate: Complex | None = None) -> Verdict:

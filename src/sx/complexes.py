@@ -12,17 +12,21 @@ is the one face lattice, built once per complex from those masks by
 face size one contiguous id range, which the face counts, `faces`,
 missing faces, the stackedness checks, the closures and the collapse
 read; homology and tightness build only the faces outside a subcomplex
-instead, with the `minus` of `_face_lattice`.  `Complex._ridge_masks`
-is the one dual graph, the facets through each ridge as a mask over facet
-indices.
+instead, with the `minus` of `_face_lattice`.  `Complex._ridge_table`
+is the one ridge table, each ridge mask mapped to the facets through it
+as a mask over `_facet_masks` indices: the flags of `classify` and
+`boundary()` read it, and `_ridge_masks`, `_neighbour_masks` and `_rim`
+are views of it in `facets` order, through the index map
+`_facet_order`, for the callers that list facets in that order.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from math import comb
+from operator import or_
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -127,7 +131,23 @@ class Complex:
 
     @cached_property
     def facets(self) -> tuple[tuple, ...]:
-        return tuple(self.sorted_faces(self._facets))
+        """The facets by size, then by the list of their vertex positions."""
+        masks = self._facet_masks
+        return tuple(self._labels(masks[i]) for i in self._facet_order)
+
+    @cached_property
+    def _facet_order(self) -> tuple[int, ...]:
+        """The `_facet_masks` indices in `facets` order."""
+        keys = []
+        for i, g in enumerate(self._facet_masks):
+            ps = []
+            while g:
+                low = g & -g
+                g ^= low
+                ps.append(low.bit_length() - 1)
+            keys.append((len(ps), ps, i))
+        keys.sort()
+        return tuple(i for _, _, i in keys)
 
     @cached_property
     def dimension(self) -> int:
@@ -163,8 +183,12 @@ class Complex:
 
     def _labels(self, mask: int) -> tuple:
         """The face with the given vertex mask, in canonical vertex order."""
-        verts = self.vertices
-        return tuple(verts[i] for i in _bits(mask))
+        verts, out = self.vertices, []
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            out.append(verts[low.bit_length() - 1])
+        return tuple(out)
 
     def faces(self, dim: int) -> frozenset:
         """All faces of the given dimension (``-1`` yields ``{∅}``), built
@@ -241,7 +265,7 @@ class Complex:
     def is_weak_pseudomanifold(self) -> bool:
         if self.is_empty_complex or not self.is_pure:
             return False
-        return all(r.bit_count() <= 2 for rs in self._ridge_masks for _, r in rs)
+        return all(h.bit_count() <= 2 for h in self._ridge_table.values())
 
     def _require_weak_pseudomanifold(self):
         if not self.is_weak_pseudomanifold:
@@ -252,25 +276,51 @@ class Complex:
     def boundary(self) -> "Complex":
         """Facets are the ridges lying in exactly one facet; ``{∅}`` if none."""
         self._require_weak_pseudomanifold()
-        return Complex([u for u in f if u != v] for f, v in self._rim())
+        return Complex(self._labels(r) for r, h in self._ridge_table.items() if h & (h - 1) == 0)
+
+    @cached_property
+    def _ridge_table(self) -> dict[int, int]:
+        """The one ridge table: each facet mask minus one vertex, mapped to
+        the facets it is such a ridge of, as a mask over `_facet_masks`
+        indices."""
+        through: dict[int, int] = {}
+        for i, g in enumerate(self._facet_masks):
+            bit, b = 1 << i, g
+            while b:
+                low = b & -b
+                b ^= low
+                through[g ^ low] = through.get(g ^ low, 0) | bit
+        return through
 
     @cached_property
     def _ridge_masks(self) -> tuple[tuple[tuple[Label, int], ...], ...]:
-        """The dual graph: for each facet of `facets`, in that order, and
-        each vertex v of it, v with the mask over facet indices of the
-        facets through the ridge ``facet \\ {v}``, read off the facets'
-        vertex masks.  A facet's neighbours are the OR of its masks minus
-        its own bit (see `_neighbour_masks`)."""
-        pos = self._vertex_pos
-        masks = [sum(1 << pos[v] for v in f) for f in self.facets]
-        through: dict[int, int] = {}
-        for i, g in enumerate(masks):
-            for j in _bits(g):
-                through[g ^ 1 << j] = through.get(g ^ 1 << j, 0) | 1 << i
-        return tuple(
-            tuple((v, through[g ^ 1 << pos[v]]) for v in f)
-            for f, g in zip(self.facets, masks)
-        )
+        """The dual graph in `facets` order: for each facet and each vertex
+        v of it, v with the mask over `facets` indices of the facets through
+        the ridge ``facet \\ {v}``, read off `_ridge_table` through the
+        index map `_facet_order`.  A facet's neighbours are the OR of its
+        masks minus its own bit (see `_neighbour_masks`)."""
+        order, masks, verts = self._facet_order, self._facet_masks, self.vertices
+        rank = [0] * len(order)  # `_facet_masks` index -> its bit over `facets` indices
+        for r, i in enumerate(order):
+            rank[i] = 1 << r
+        moved = {}  # the table over `facets` indices
+        for ridge, h in self._ridge_table.items():
+            r = 0
+            while h:
+                low = h & -h
+                h ^= low
+                r |= rank[low.bit_length() - 1]
+            moved[ridge] = r
+        out = []
+        for i in order:
+            g = b = masks[i]
+            row = []
+            while b:
+                low = b & -b
+                b ^= low
+                row.append((verts[low.bit_length() - 1], moved[g ^ low]))
+            out.append(tuple(row))
+        return tuple(out)
 
     def _rim(self):
         """(facet, v) for each ridge ``facet \\ {v}`` that lies in that
@@ -282,7 +332,7 @@ class Complex:
 
     @cached_property
     def _neighbour_masks(self) -> tuple[int, ...]:
-        """Each facet's dual-graph neighbours as a mask over facet indices."""
+        """Each facet's dual-graph neighbours as a mask over `facets` indices."""
         out = []
         for i, rs in enumerate(self._ridge_masks):
             nbr = 0
@@ -294,9 +344,9 @@ class Complex:
     @cached_property
     def _facet_masks(self) -> tuple[int, ...]:
         """Each facet as an int with bit i set for the vertex at position i,
-        in increasing order: the one bitmask encoding that connectivity,
-        normality, the face lattice, the closures, the move state and
-        tightness read."""
+        in increasing order: the one bitmask encoding that the ridge table,
+        connectivity, normality, the face lattice, the closures, the move
+        state and tightness read."""
         pos = self._vertex_pos
         return tuple(sorted(sum(1 << pos[v] for v in f) for f in self._facets))
 
@@ -328,58 +378,91 @@ class Complex:
     def _classification(self) -> "Classification":
         pure = not self.is_empty_complex and self.is_pure
         weak = self.is_weak_pseudomanifold
+        table = self._ridge_table
+        closed = weak and all(h & (h - 1) for h in table.values())
+        # the dual graph is connected when each facet's ridge holders, its
+        # own bit among them, join up as pieces
         pseudo = weak and _pieces_connected(
-            [nbr | 1 << i for i, nbr in enumerate(self._neighbour_masks)]
+            [reduce(or_, [table[g ^ 1 << i] for i in _bits(g)]) for g in self._facet_masks]
         )
-        normal = weak and self._has_connected_low_links()
-        closed = weak and next(self._rim(), None) is None
         return Classification(
             pure=pure,
             weak_pseudomanifold=weak,
             pseudomanifold=pseudo,
-            normal_pseudomanifold=normal,
+            normal_pseudomanifold=weak and self._has_connected_low_links(),
             closed=closed,
         )
 
     def _has_connected_low_links(self) -> bool:
         """Whether the link of every face of dimension <= d-2 is connected;
         the empty face (its link is the whole complex) takes part only
-        when d >= 1.  Faces are reached depth-first from their lowest
-        vertex, adding higher vertices only, so each face is visited once,
-        and the facet masks through a face are filtered from its parent's."""
+        when d >= 1.
+
+        Only a closed face f, the AND of the facets through it, needs a
+        check.  If some vertex u outside f lies in every facet through f,
+        every piece g \\ f of lk(f) holds u, so lk(f) = u * lk(f ∪ u) is
+        a cone, and connected.  The closed faces are listed once each by
+        prefix-preserving closure extension (LCM: Uno, Kiyomi and Arimura,
+        FIMI 2004): from a closed face P with core vertex c, the children
+        are Q = clo(P ∪ i) for the vertices i > c outside P that leave the
+        vertices below i as they are in P, each with core i.  The root is
+        clo(∅), the AND of all facets: ∅ is closed iff it is empty, and
+        otherwise it is a face that needs its own check when it has at most
+        d - 1 vertices.  A closed face larger than d - 1 vertices is not
+        checked and not extended, since its descendants are larger still.
+
+        On a closed weak pseudomanifold every face f with at most d
+        vertices is closed, so there the walk checks every face it reaches.
+        Were u outside f in every facet through f, take a facet g through
+        f ∪ u: the ridge g \\ u holds f, so another facet h through it
+        holds f and so u, and then h holds g, so h = g, a contradiction."""
         top = self.dimension - 1  # the largest face size whose link is read
         if top < 0:
             return True
-        if not self.is_connected:
+        masks, star_of = self._facet_masks, self._mask_star
+        root = -1
+        for g in masks:
+            root &= g
+        if root.bit_count() <= top and not _pieces_connected([g ^ root for g in masks]):
             return False
-        stack = [(1 << i, star) for i, star in enumerate(self._mask_star)] if top else []
+        stack = [(root, -1, masks)] if root.bit_count() < top else []
         while stack:
-            f, star = stack.pop()
-            if not _pieces_connected([g ^ f for g in star]):
-                return False
-            if f.bit_count() < top:
-                higher = 0
-                for g in star:
-                    higher |= g
-                for i in _bits(higher & -1 << f.bit_length()):
-                    stack.append((f | 1 << i, [g for g in star if g >> i & 1]))
+            p, core, star = stack.pop()
+            higher = 0
+            for g in star:
+                higher |= g
+            for i in _bits(higher & ~p & -1 << core + 1):
+                # every facet holds the root, so its children's facets are a vertex star
+                through = star_of[i] if star is masks else [g for g in star if g >> i & 1]
+                q = -1
+                for g in through:
+                    q &= g
+                if (q ^ p) & ((1 << i) - 1) or q.bit_count() > top:
+                    continue
+                if not _pieces_connected([g ^ q for g in through]):
+                    return False
+                if q.bit_count() < top:
+                    stack.append((q, i, through))
         return True
 
     # -- combinatorial queries -------------------------------------------------
 
     def missing_faces(self, max_dim: int) -> list[tuple]:
         """All non-faces of dimension <= max_dim with every proper subset a face."""
+        return self.sorted_faces(map(self._labels, self._minimal_non_faces(range(2, max_dim + 2))))
+
+    def _minimal_non_faces(self, sizes: range):
+        """The masks of the minimal non-faces, lazily, size by size over
+        sizes, read off the lattice; sizes start at 2 or above."""
         lattice, n = self._lattice, len(self.vertices)
-        found = []
-        for size in range(2, max_dim + 2):
+        for size in sizes:
             lower, present = set(lattice.of_size(size - 1)), set(lattice.of_size(size))
             # each candidate is reached once, from itself minus its highest vertex
             for f in lower:
                 for i in range(f.bit_length(), n):
                     cand = f | 1 << i
                     if cand not in present and all(cand ^ 1 << j in lower for j in _bits(cand)):
-                        found.append(cand)
-        return self.sorted_faces(map(self._labels, found))
+                        yield cand
 
     def is_l_neighborly(self, l: int) -> bool:
         if not 1 <= l <= len(self.vertices):
@@ -420,20 +503,24 @@ def _face_lattice(generators, minus=()) -> _Lattice:
     faces and cofaces among those kept: a layer's faces are its cells with
     one bit dropped, and a smaller generator joins at its own size unless
     it is already a face.  The faces kept are closed upwards, so a face
-    under a `minus` mask, found among the masks through its lowest vertex,
-    is pruned with everything below it.  The ids run by size downwards, so
-    a layer is built in id order and each size is one contiguous range, ∅
-    (mask 0) last when it is kept."""
+    under a `minus` mask is pruned with everything below it; whether it
+    lies under one is the AND over its vertices of the `minus` masks
+    through each, as a mask over their indices.  The ids run by size
+    downwards, so a layer is built in id order and each size is one
+    contiguous range, ∅ (mask 0) last when it is kept."""
     by_size: dict[int, list[int]] = {}
     for g in generators:
         by_size.setdefault(g.bit_count(), []).append(g)
-    through: dict[int, list[int]] = {0: list(minus)} if minus else {}  # lowest bit -> masks through it
-    for m in minus:
-        for i in _bits(m):
-            through.setdefault(1 << i, []).append(m)
+    inside: dict[int, int] = {}  # vertex bit -> the `minus` masks through it, by index
+    for j, m in enumerate(minus):
+        b = m
+        while b:
+            low = b & -b
+            b ^= low
+            inside[low] = inside.get(low, 0) | 1 << j
+    everywhere = (1 << len(minus)) - 1
     top = max(by_size, default=-1)
     index: dict[int, int] = {}  # kept face -> its id
-    dead: set[int] = set()  # the faces pruned so far
     cells: list[int] = []
     faces: list[list[int]] = []
     cofaces: list[list[int]] = []
@@ -442,17 +529,16 @@ def _face_lattice(generators, minus=()) -> _Lattice:
 
     def pruned(f: int) -> bool:
         """Whether f is a face of a mask in `minus`."""
-        if f in dead:
-            return True
-        for m in through.get(f & -f, ()):
-            if m & f == f:
-                dead.add(f)
-                return True
-        return False
+        through = everywhere
+        while f and through:
+            low = f & -f
+            f ^= low
+            through &= inside.get(low, 0)
+        return through != 0
 
     for size in range(top, -1, -1):
         for g in by_size.get(size, ()):
-            if g in index or through and pruned(g):
+            if g in index or minus and pruned(g):
                 continue
             index[g] = len(cells)
             cells.append(g)
@@ -470,7 +556,7 @@ def _face_lattice(generators, minus=()) -> _Lattice:
                 f = t ^ low
                 j = index.get(f)
                 if j is None:
-                    if through and pruned(f):
+                    if minus and pruned(f):
                         continue
                     j = index[f] = len(cells)
                     cells.append(f)
@@ -485,9 +571,10 @@ def _face_lattice(generators, minus=()) -> _Lattice:
 
 
 def _pieces_connected(pieces) -> bool:
-    """Whether vertex masks, joined where they share a vertex, form one
-    connected piece: a flood from the first one that stops once a pass
-    adds nothing.  False when there are none or one of them is empty."""
+    """Whether masks (of vertices, or of facet indices), joined where they
+    share a bit, form one connected piece: a flood from the first one that
+    stops once a pass adds nothing.  False when there are none or one of
+    them is empty."""
     if not pieces or not all(pieces):
         return False
     reached, rest = pieces[0], pieces[1:]

@@ -24,13 +24,22 @@ def parse_label(token: str) -> Label:
     return token
 
 
+class _Tokens(dict):
+    """Token -> label, each distinct token parsed once by `parse_label`."""
+
+    def __missing__(self, token: str) -> Label:
+        label = self[token] = parse_label(token)
+        return label
+
+
 def loads_fac(text: str) -> Complex:
+    labels = _Tokens()
     facets = []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        facets.append([parse_label(tok) for tok in line.split()])
+        facets.append(list(map(labels.__getitem__, line.split())))
     if not facets:
         raise EmptyInput("no facets found in .fac input")
     return from_facets(facets)

@@ -520,10 +520,17 @@ class _Masks:
 
     def _fresh_bit(self) -> int:
         """The bit of the new vertex of an index-0 move, found again only
-        when the live vertices have changed."""
-        if self._fresh[0] != self.union:
-            live = {self.labels[v.bit_length() - 1] for v in _low_bits(self.union)}
-            self._fresh = self.union, self._bit(_unused_label(live, self.numeric))
+        when the live vertices have changed.  In the numeric order the last
+        fresh label was one more than every live label, so when the live
+        vertices grew by that label alone the next is one more again."""
+        union, bit = self._fresh
+        if union != self.union:
+            if self.union == union | bit and self.numeric:
+                label = self.labels[bit.bit_length() - 1] + 1
+            else:
+                live = {self.labels[v.bit_length() - 1] for v in _low_bits(self.union)}
+                label = _unused_label(live, self.numeric)
+            self._fresh = self.union, self._bit(label)
         return self._fresh[1]
 
     def pair(self, move) -> tuple[int, int]:

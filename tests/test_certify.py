@@ -24,6 +24,7 @@ from sx.certify import (
     UNKNOWN,
     SearchBudget,
     Verdict,
+    _bistellar_certificate,
     _exhaustive_search,
     _memo_dfs,
     certify_k_shelled,
@@ -53,6 +54,7 @@ from sx.errors import (
     NotASphere,
     NotNormalPseudomanifold,
     NotWeakPseudomanifold,
+    ReplayFailure,
     SxError,
 )
 from sx.growth import grow_shelled_ball, grow_stacked_sphere, grow_stellated_sphere
@@ -800,6 +802,23 @@ def _replays_to(cert: MoveCertificate, s: Complex) -> bool:
     for mv in reversed(cert.moves):
         start = apply_bistellar(start, reverse_move(mv))
     return is_standard_sphere(start) and replay(cert, start)[0] == s
+
+
+def test_bistellar_certificates_are_checked_move_by_move_and_against_the_target():
+    start = standard_sphere(2)
+    move = bistellar_options(start, 0, 0)[0]
+    target = apply_bistellar(start, move)
+    cert = _bistellar_certificate(start, [move], target)
+    assert (cert.start_digest, cert.result_digest) == (start.digest, target.digest)
+    assert replay(cert, start) == (target, 1)
+    # the reached facet set must be the target's
+    with pytest.raises(ReplayFailure) as failed:
+        _bistellar_certificate(start, [move], start)
+    assert failed.value.step == 1
+    # the second stacking reuses a vertex that is no longer fresh
+    with pytest.raises(ReplayFailure) as failed:
+        _bistellar_certificate(start, [move, move], target)
+    assert (failed.value.step, failed.value.reason) == (2, "beta-not-fresh")
 
 
 def stellated_cases() -> list[Complex]:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from sx import Complex, from_facets, standard_ball, standard_sphere
 from sx.complexes import Classification, FaceSet
 from sx.constructions import cross_polytope
-from sx.corpus import fixture
+from sx.corpus import fixture, fixture_names
 from sx.errors import (
     EmptyFace,
     EmptyInput,
@@ -585,7 +585,7 @@ def oracle_dual_graph(self) -> DualGraph:
 def oracle_classify(self) -> Classification:
     """The former `Complex.classify`, on the oracles above."""
     pure = not self.is_empty_complex and self.is_pure
-    weak = self.is_weak_pseudomanifold
+    weak = pure and all(len(fs) <= 2 for fs in oracle_ridge_incidence(self).values())
     pseudo = weak and oracle_dual_graph(self).is_connected()
     normal = weak and oracle_has_connected_low_links(self)
     closed = weak and not [
@@ -631,3 +631,55 @@ def test_classification_and_links_match_the_link_complex_oracle(differential_com
         seen.add(tuple(flags.values()) + (x.is_connected,))
     # normal and not, pseudomanifold and not, connected and not all occur
     assert len(seen) >= 6
+
+
+def _random_pure_complex(rng, dim):
+    """A pure dim-complex on at most dim + 5 vertices: every facet drawn at
+    random, or, for a weak pseudomanifold, only those whose ridges each lie
+    in at most one facet drawn before, which glues facets along ridges and
+    pinches them at smaller faces."""
+    labels = list(range(1, rng.randrange(dim + 2, dim + 7)))
+    weak = rng.random() < 0.6
+    holders: dict = {}
+    facets = []
+    for _ in range(rng.randrange(1, 4 * len(labels))):
+        f = frozenset(rng.sample(labels, dim + 1))
+        ridges = [f - {v} for v in f]
+        if f in facets or weak and any(holders.get(r, 0) >= 2 for r in ridges):
+            continue
+        facets.append(f)
+        for r in ridges:
+            holders[r] = holders.get(r, 0) + 1
+    return Complex(facets)
+
+
+def _has_cone_link(x: Complex) -> bool:
+    """Whether some face of dimension <= d-2 has a vertex outside it in
+    every facet through it, so that its link is a cone."""
+    for k in range(-1, x.dimension - 1):
+        for f in oracle_faces_by_dim(x)[k]:
+            through = [g for g in x.facet_sets if f <= g]
+            if frozenset.intersection(*through) != f:
+                return True
+    return False
+
+
+def test_classification_and_boundary_match_the_oracles_on_random_pure_complexes():
+    rng = random.Random(38)
+    inputs = []
+    for i in range(300):
+        x = _random_pure_complex(rng, i % 5)
+        inputs.append(x)
+        if i % 3 == 0:  # the cone over x: every face without the apex has a cone link
+            inputs.append(Complex(f | {0} for f in x.facet_sets))
+    inputs += [Complex(fixture(n).complex.facet_sets) for n in fixture_names() if fixture(n).complex]
+    weak_not_normal = cones = 0
+    for x in inputs:
+        flags = x.classify().as_dict()
+        assert flags == oracle_classify(x).as_dict(), x.facets
+        assert x._has_connected_low_links() == oracle_has_connected_low_links(x), x.facets
+        if flags["weak_pseudomanifold"]:
+            assert x.boundary() == oracle_boundary(x), x.facets
+            weak_not_normal += not flags["normal_pseudomanifold"]
+        cones += len(x.facets) <= 100 and _has_cone_link(x)
+    assert weak_not_normal >= 40 and cones >= 100

@@ -21,6 +21,28 @@ def test_parse_label_numeric_vs_string():
     assert parse_label("a") == "a"
 
 
+@pytest.mark.parametrize(
+    "text,facets",
+    [
+        ("-0 1 2\n", ((0, 1, 2),)),
+        ("007 1 2\n7 2 3\n", ((1, 2, 7), (2, 3, 7))),
+        ("7 007 8\n", ((7, 8),)),
+        ("+3 3 4\n", (("+3", 3, 4),)),
+        ("1e3 1000 1\n", ((1, 1000, "1e3"),)),
+        ("- 1 2\n", (("-", 1, 2),)),
+        ("w1 1 2\nw1 2 3\n", ((1, 2, "w1"), (2, 3, "w1"))),
+    ],
+)
+def test_fac_tokens_parse_once_by_the_label_rules(text, facets):
+    # each distinct token becomes the label parse_label gives it, so 007 and
+    # 7 are one vertex and -0 is 0, while +3, 1e3, - and w1 stay strings,
+    # and labels then sort as strings
+    c = loads_fac(text)
+    assert c.facets == facets
+    assert [type(v) for f in c.facets for v in f] == [type(v) for f in facets for v in f]
+    assert c.facet_sets == frozenset(frozenset(map(parse_label, line.split())) for line in text.splitlines())
+
+
 def test_fac_comments_and_blank_lines():
     text = "# header\n\n1 2 3\n2 3 4  # trailing\n"
     c = loads_fac(text)
