@@ -310,27 +310,27 @@ def certify_k_shelled(b: Complex, k: int, budget: SearchBudget | None = None) ->
             tree.witness["reason"] = f"{lemma}: {tree.witness['reason']}"
             return tree
 
-    # facet masks: of the facets through each ridge sigma \ {v} of each
-    # facet sigma, of each facet's neighbours, and through each vertex
-    ridges, nbr = b._ridge_masks, b._neighbour_masks
-    star: dict = {}
-    for i, rs in enumerate(ridges):
-        for v, _ in rs:
-            star[v] = star.get(v, 0) | 1 << i
+    # facet masks over `facets` indices: of the facets through each ridge,
+    # of each facet's neighbours, and through each vertex position
+    masks, table, nbr = b._facet_masks, b._ridge_table, b._neighbour_masks
+    star = [0] * len(b.vertices)
+    for i, g in enumerate(masks):
+        for v in _bits(g):
+            star[v] |= 1 << i
     memo: list[dict] = [{} for _ in range(m)]  # facet j -> near -> attachment
 
     def attachment(j: int, near: int) -> tuple:
         """(j, through, move): facet j's move onto shelled neighbours near
         and the facets through its beta, or through -1 and move None when
         j has no move."""
-        beta = [v for v, r in ridges[j] if (r & near).bit_count() == 1]
-        if not beta or len(beta) > k:
+        g = masks[j]
+        beta = sum(1 << v for v in _bits(g) if (table[g ^ 1 << v] & near).bit_count() == 1)
+        if not beta or beta.bit_count() > k:
             return j, -1, None
         through = -1
-        for v in beta:
+        for v in _bits(beta):
             through &= star[v]
-        alpha = tuple(v for v in facets[j] if v not in beta)
-        return j, through, ShellingMove(alpha=alpha, beta=tuple(beta))
+        return j, through, ShellingMove(alpha=b._labels(g ^ beta), beta=b._labels(beta))
 
     adj = [list(_bits(n)) for n in nbr]
     last = None  # (the child yielded last, its parent's options, the facet it adds)
@@ -448,8 +448,9 @@ def _exhaustive_search(s: Complex, lo: int, budget: SearchBudget):
         # a pure d-complex with d + 2 facets on d + 2 vertices
         return len(state) == d + 2 and functools.reduce(operator.or_, state).bit_count() == d + 2
 
+    # states are sorted tuples, so a revisit of the root compares equal to it
     states, trail, nodes, cut = _memo_dfs(
-        [s._facet_masks], children, is_goal, budget, budget.max_moves
+        [tuple(sorted(s._facet_masks))], children, is_goal, budget, budget.max_moves
     )
     if states is None:
         return None, None, nodes, cut
@@ -679,11 +680,11 @@ def ear_scan(b: Complex) -> list[tuple]:
     screen = screen_homology_ball(b)
     if not screen.passed:
         raise NotABall(screen.detail)
-    pos = b._vertex_pos
-    rim = [sum(1 << pos[u] for u in f) ^ 1 << pos[v] for f, v in b._rim()]
+    table = b._ridge_table
+    rim = [r for r, h in table.items() if h.bit_count() == 1]
     ears = []
-    for f, rs in zip(facets, b._ridge_masks):
-        beta = sum(1 << pos[v] for v, r in rs if r & (r - 1) == 0)
+    for f, g in zip(facets, b._facet_masks):
+        beta = sum(1 << v for v in _bits(g) if table[g ^ 1 << v].bit_count() == 1)
         if not any(beta & r == beta for r in rim):
             ears.append(f)
     return ears

@@ -5,28 +5,27 @@ are integers or short strings, ordered numerically when every label of
 the complex is an integer and by string value otherwise, so that all
 derived orderings (facet lists, digests, move enumerations) are
 deterministic across runs.  `Complex._facet_masks` is the one bitmask
-encoding of the facets, bit i for the vertex at position i, that
-connectivity, normality, homology and tightness read.  `Complex._lattice`
-is the one face lattice, built once per complex from those masks by
-`_face_lattice`: each face a mask with its faces and cofaces, and each
-face size one contiguous id range, which the face counts, `faces`,
-missing faces, the stackedness checks, the closures and the collapse
-read; homology and tightness build only the faces outside a subcomplex
-instead, with the `minus` of `_face_lattice`.  `Complex._ridge_table`
-is the one ridge table, each ridge mask mapped to the facets through it
-as a mask over `_facet_masks` indices: the flags of `classify` and
-`boundary()` read it, and `_ridge_masks`, `_neighbour_masks` and `_rim`
-are views of it in `facets` order, through the index map
-`_facet_order`, for the callers that list facets in that order.
+encoding of the facets, bit i for the vertex at position i, in the one
+facet order, that of `facets`; connectivity, normality, homology and
+tightness read it.  `Complex._lattice` is the one face lattice, built
+once per complex from those masks by `_face_lattice`: each face a mask
+with its faces and cofaces, and each face size one contiguous id range,
+which the face counts, `faces`, missing faces, the stackedness checks,
+the closures and the collapse read; homology and tightness build only
+the faces outside a subcomplex instead, with the `minus` of
+`_face_lattice`.  `Complex._ridge_table` is the one ridge table, each
+ridge mask mapped to the facets through it as a mask over `_facet_masks`
+indices, so over `facets` indices too: the flags of `classify`,
+`boundary()`, the dual graph `_neighbour_masks`, the shelling search,
+the ear scan and the boundary-facet test of connected sums read it.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from math import comb
-from operator import or_
 from typing import Iterable, NamedTuple
 
 from .errors import (
@@ -132,22 +131,7 @@ class Complex:
     @cached_property
     def facets(self) -> tuple[tuple, ...]:
         """The facets by size, then by the list of their vertex positions."""
-        masks = self._facet_masks
-        return tuple(self._labels(masks[i]) for i in self._facet_order)
-
-    @cached_property
-    def _facet_order(self) -> tuple[int, ...]:
-        """The `_facet_masks` indices in `facets` order."""
-        keys = []
-        for i, g in enumerate(self._facet_masks):
-            ps = []
-            while g:
-                low = g & -g
-                g ^= low
-                ps.append(low.bit_length() - 1)
-            keys.append((len(ps), ps, i))
-        keys.sort()
-        return tuple(i for _, _, i in keys)
+        return tuple(map(self._labels, self._facet_masks))
 
     @cached_property
     def dimension(self) -> int:
@@ -178,8 +162,10 @@ class Complex:
 
     @cached_property
     def _lattice(self) -> _Lattice:
-        """The face lattice of the facet masks, built once."""
-        return _face_lattice(self._facet_masks)
+        """The face lattice of the facet masks, built once, from the masks in
+        increasing order: its cell ids fix the order of the steps of the
+        collapse witness that `certify collapsible` prints."""
+        return _face_lattice(sorted(self._facet_masks))
 
     def _labels(self, mask: int) -> tuple:
         """The face with the given vertex mask, in canonical vertex order."""
@@ -282,7 +268,7 @@ class Complex:
     def _ridge_table(self) -> dict[int, int]:
         """The one ridge table: each facet mask minus one vertex, mapped to
         the facets it is such a ridge of, as a mask over `_facet_masks`
-        indices."""
+        indices, which are the `facets` indices."""
         through: dict[int, int] = {}
         for i, g in enumerate(self._facet_masks):
             bit, b = 1 << i, g
@@ -293,62 +279,30 @@ class Complex:
         return through
 
     @cached_property
-    def _ridge_masks(self) -> tuple[tuple[tuple[Label, int], ...], ...]:
-        """The dual graph in `facets` order: for each facet and each vertex
-        v of it, v with the mask over `facets` indices of the facets through
-        the ridge ``facet \\ {v}``, read off `_ridge_table` through the
-        index map `_facet_order`.  A facet's neighbours are the OR of its
-        masks minus its own bit (see `_neighbour_masks`)."""
-        order, masks, verts = self._facet_order, self._facet_masks, self.vertices
-        rank = [0] * len(order)  # `_facet_masks` index -> its bit over `facets` indices
-        for r, i in enumerate(order):
-            rank[i] = 1 << r
-        moved = {}  # the table over `facets` indices
-        for ridge, h in self._ridge_table.items():
-            r = 0
-            while h:
-                low = h & -h
-                h ^= low
-                r |= rank[low.bit_length() - 1]
-            moved[ridge] = r
-        out = []
-        for i in order:
-            g = b = masks[i]
-            row = []
+    def _neighbour_masks(self) -> tuple[int, ...]:
+        """Each facet's dual-graph neighbours, the other facets through its
+        ridges, as a mask over `_facet_masks` indices."""
+        table, out = self._ridge_table, []
+        for i, g in enumerate(self._facet_masks):
+            nbr, b = 0, g
             while b:
                 low = b & -b
                 b ^= low
-                row.append((verts[low.bit_length() - 1], moved[g ^ low]))
-            out.append(tuple(row))
-        return tuple(out)
-
-    def _rim(self):
-        """(facet, v) for each ridge ``facet \\ {v}`` that lies in that
-        facet only, facets in `facets` order."""
-        for f, rs in zip(self.facets, self._ridge_masks):
-            for v, r in rs:
-                if r & (r - 1) == 0:
-                    yield f, v
-
-    @cached_property
-    def _neighbour_masks(self) -> tuple[int, ...]:
-        """Each facet's dual-graph neighbours as a mask over `facets` indices."""
-        out = []
-        for i, rs in enumerate(self._ridge_masks):
-            nbr = 0
-            for _, r in rs:
-                nbr |= r
+                nbr |= table[g ^ low]
             out.append(nbr & ~(1 << i))
         return tuple(out)
 
     @cached_property
     def _facet_masks(self) -> tuple[int, ...]:
         """Each facet as an int with bit i set for the vertex at position i,
-        in increasing order: the one bitmask encoding that the ridge table,
+        in `facets` order: the one bitmask encoding that the ridge table,
         connectivity, normality, the face lattice, the closures, the move
-        state and tightness read."""
+        state and tightness read.  Within one size, the smaller position
+        list holds the lowest bit in which two masks differ, so its bits
+        read from bit 0 up form the larger string."""
         pos = self._vertex_pos
-        return tuple(sorted(sum(1 << pos[v] for v in f) for f in self._facets))
+        masks = sorted((sum(1 << pos[v] for v in f) for f in self._facets), key=lambda g: bin(g)[:1:-1], reverse=True)
+        return tuple(sorted(masks, key=int.bit_count))  # stable: each size keeps the order above
 
     @cached_property
     def _mask_star(self) -> tuple[list[int], ...]:
@@ -378,13 +332,10 @@ class Complex:
     def _classification(self) -> "Classification":
         pure = not self.is_empty_complex and self.is_pure
         weak = self.is_weak_pseudomanifold
-        table = self._ridge_table
-        closed = weak and all(h & (h - 1) for h in table.values())
-        # the dual graph is connected when each facet's ridge holders, its
-        # own bit among them, join up as pieces
-        pseudo = weak and _pieces_connected(
-            [reduce(or_, [table[g ^ 1 << i] for i in _bits(g)]) for g in self._facet_masks]
-        )
+        closed = weak and all(h & (h - 1) for h in self._ridge_table.values())
+        # the dual graph is connected when each facet's neighbours, with
+        # its own bit, join up as pieces
+        pseudo = weak and _pieces_connected([n | 1 << i for i, n in enumerate(self._neighbour_masks)])
         return Classification(
             pure=pure,
             weak_pseudomanifold=weak,

@@ -46,9 +46,13 @@ def clique_closure(x: Complex, size: int) -> Complex:
     vertices upward: a set joins the next level when all its subsets one
     vertex smaller are in the current one, and it is reached only from
     itself minus its highest vertex; never enumerates all 2^n subsets.
+    At size 1 every vertex set qualifies, so the closure is the simplex on
+    the vertex set.
     """
     if size < 1:
         raise ValueError("closure size must be >= 1")
+    if size == 1:
+        return Complex([x.vertex_set])
     n = len(x.vertices)
     maximal = set(x._facet_masks)
     current = set(x._lattice.of_size(size))
@@ -180,7 +184,10 @@ def cross_polytope(d: int) -> Complex:
 
 
 def _boundary_facet(x: Complex, f: frozenset) -> bool:
-    return any(frozenset(g) - {v} == f for g, v in x._rim())
+    """Whether f is a ridge of x that lies in exactly one facet."""
+    if not f <= x.vertex_set:
+        return False
+    return x._ridge_table.get(sum(1 << x._vertex_pos[v] for v in f), 0).bit_count() == 1
 
 
 def connected_sum(

@@ -649,6 +649,7 @@ other_commands = st.one_of(
     st.just(["info"]),
     st.just(["classify"]),
     st.just(["aut"]),
+    st.just(["certify", "ears"]),
     st.builds(lambda f: ["homology", "--field", str(f)], st.sampled_from([-1, 0, 1, 2, 3, 4, 5])),
     st.builds(lambda lo, hi: ["flips", "--lo", str(lo), "--hi", str(hi)], st.integers(-1, 5), st.integers(-2, 5)),
     st.builds(lambda k: ["bar", "-k", str(k)], st.integers(-1, 4)),

@@ -264,11 +264,25 @@ def test_ridge_masks_match_the_dual_graph_oracle(differential_complexes):
         nbr = x._neighbour_masks
         edges = [(i, j) for i, n in enumerate(nbr) for j in range(i + 1, len(nbr)) if n >> j & 1]
         assert tuple(edges) == oracle_dual_graph(x).edges, x.facets
-        for f, rs in zip(x.facets, x._ridge_masks if len(x.facets) <= 100 else ()):
-            assert [v for v, _ in rs] == list(f)
-            for v, r in rs:
-                through = [i for i, g in enumerate(x.facets) if set(f) - {v} <= set(g)]
-                assert r == sum(1 << i for i in through), (x.facets, f, v)
+        for f in x.facets if len(x.facets) <= 100 else ():
+            for v in f:
+                ridge = set(f) - {v}
+                through = [i for i, g in enumerate(x.facets) if ridge <= set(g)]
+                mask = sum(1 << x.vertices.index(u) for u in ridge)
+                assert x._ridge_table[mask] == sum(1 << i for i in through), (x.facets, f, v)
+
+
+def test_facet_masks_follow_the_facet_order(differential_complexes):
+    # one facet order: by size, then by the list of vertex positions, for
+    # mixed labels and complexes that are not pure too
+    for x in differential_complexes + [Complex.empty()]:
+        def key(f):
+            return len(f), sorted(x.vertices.index(v) for v in f)
+
+        assert x.facets == tuple(x.face_tuple(f) for f in sorted(x.facet_sets, key=key)), x.facets
+        assert len(x._facet_masks) == len(x.facets)
+        for f, g in zip(x.facets, x._facet_masks):
+            assert g == sum(1 << x.vertices.index(v) for v in f), (x.facets, f)
 
 
 # -- missing faces and neighborliness ----------------------------------------------
@@ -463,14 +477,26 @@ def oracle_boundary(x: Complex) -> Complex:
     return Complex(r for r, fs in oracle_ridge_incidence(x).items() if len(fs) == 1)
 
 
-def oracle_ridge_masks(x: Complex) -> tuple:
-    """The former `Complex._ridge_masks`, on the frozenset ridge map."""
+def oracle_ridge_table(x: Complex) -> dict:
+    """`Complex._ridge_table` on the frozenset ridge map: each ridge's
+    vertex mask mapped to the mask over `facets` indices of the facets
+    through it."""
     index = {frozenset(f): i for i, f in enumerate(x.facets)}
-    incidence = oracle_ridge_incidence(x)
-    return tuple(
-        tuple((v, sum(1 << index[g] for g in incidence[fs - {v}])) for v in f)
-        for f, fs in zip(x.facets, index)
-    )
+    return {
+        sum(1 << x.vertices.index(v) for v in r): sum(1 << index[g] for g in fs)
+        for r, fs in oracle_ridge_incidence(x).items()
+    }
+
+
+def oracle_neighbour_masks(x: Complex) -> tuple:
+    """Each facet's dual-graph neighbours as a mask over `facets` indices,
+    on the frozenset ridge map."""
+    index = {frozenset(f): i for i, f in enumerate(x.facets)}
+    nbr = [0] * len(index)
+    for fs in oracle_ridge_incidence(x).values():
+        for g in fs:
+            nbr[index[g]] |= sum(1 << index[h] for h in fs if h != g)
+    return tuple(nbr)
 
 
 def test_mask_lattice_matches_the_frozenset_oracles(differential_complexes):
@@ -491,7 +517,8 @@ def test_mask_lattice_matches_the_frozenset_oracles(differential_complexes):
         assert x.classify() == oracle_classify(x), x.facets
         if x.is_weak_pseudomanifold:
             assert x.boundary() == oracle_boundary(x), x.facets
-            assert x._ridge_masks == oracle_ridge_masks(x), x.facets
+            assert x._ridge_table == oracle_ridge_table(x), x.facets
+            assert x._neighbour_masks == oracle_neighbour_masks(x), x.facets
         else:
             with pytest.raises(NotWeakPseudomanifold):
                 x.boundary()

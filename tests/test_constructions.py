@@ -9,6 +9,7 @@ import pytest
 from sx import Complex, from_facets, standard_ball, standard_sphere
 from sx.certify import is_k_stacked_ball
 from sx.constructions import (
+    _boundary_facet,
     canonical_matching,
     clique_closure,
     connected_sum,
@@ -271,6 +272,37 @@ def test_connected_sum_errors():
         connected_sum(x, y, fx, fy, {fx[0]: fy[0]})
     with pytest.raises(VertexClash):
         connected_sum(x, x, fx, fx, {v: v for v in fx})
+
+
+def oracle_boundary_facet(x: Complex, f: frozenset) -> bool:
+    """Whether exactly one facet of x is f with one vertex more."""
+    return sum(f < g and len(g) == len(f) + 1 for g in x.facet_sets) == 1
+
+
+def test_boundary_facet_matches_the_frozenset_oracle(differential_complexes):
+    # probes: every ridge, boundary or interior, each facet, each ridge with
+    # a vertex swapped for a random one or for a label the complex lacks,
+    # random vertex sets, and the empty set
+    rng = random.Random(40)
+    seen = {"boundary": 0, "interior": 0, "foreign": 0}
+    for x in differential_complexes + [Complex.empty()]:
+        verts = list(x.vertices)
+        probes = [frozenset(), frozenset({"unknown"}), frozenset({-7})]
+        for g in x.facet_sets:
+            probes.append(g)
+            for v in g:
+                ridge = g - {v}
+                probes += [ridge, ridge | {"unknown"}, ridge | {rng.choice(verts)}]
+        probes += [frozenset(rng.sample(verts, rng.randint(0, len(verts)))) for _ in range(20)]
+        for f in probes:
+            want = oracle_boundary_facet(x, f)
+            assert _boundary_facet(x, f) == want, (x.facets, f)
+            if not f <= x.vertex_set:
+                seen["foreign"] += 1
+            elif len(f) == x.dimension and not want and any(f < g for g in x.facet_sets):
+                seen["interior"] += 1
+            seen["boundary"] += want
+    assert min(seen.values()) >= 100, seen
 
 
 # -- pipeline ------------------------------------------------------------------------------
